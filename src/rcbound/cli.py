@@ -152,11 +152,6 @@ def cmd_bench(args) -> int:
             return 3
         construct_ms = round(1000 * (time.perf_counter() - t0))
 
-        checker_ok = find_rainbow_witness(g, result.coloring) is None
-        if not checker_ok or result.colors_used > result.bound:
-            print(f"error: corpus graph {graph_id} violates the guarantee", file=sys.stderr)
-            return 4
-
         exact_k: int | str = "skipped"
         exact_ms = 0
         if g.n <= args.exact_max_n:
@@ -167,8 +162,10 @@ def cmd_bench(args) -> int:
                 print(f"error: corpus graph {graph_id}: exact {exact_k} exceeds "
                       f"constructive {result.colors_used}", file=sys.stderr)
                 return 4
+        # checker_ok: run_constructive raises unless the checker accepts
+        # the coloring and it keeps the bound
         rows.append([graph_id, g.n, g.m, result.kappa, result.colors_used,
-                     result.bound, exact_k, checker_ok, gen_ms, construct_ms, exact_ms])
+                     result.bound, exact_k, True, gen_ms, construct_ms, exact_ms])
 
     if args.out:
         with open(args.out, "w", newline="") as fh:

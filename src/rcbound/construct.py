@@ -7,10 +7,11 @@ vertices remain outside, one bulk move fires per round; each move kind
 absorbs a fixed bundle of vertices with a fixed number of fresh colors,
 so the budget survives by arithmetic alone. The last at most three
 vertices are absorbed with at most two extra colors, which lands the
-total at 5k <= 3n + 3, i.e. k <= floor((3n + 3) / 5). Every move is
-re-verified by the rainbow-connectivity checker before it commits; if a
-scripted coloring fails, an exhaustive bounded repair search takes over,
-and a repair failure aborts loudly with the full trace.
+total at 5k <= 3n + 3, i.e. k <= floor((3n + 3) / 5). Each move's
+coloring is checked once by the rainbow-connectivity checker before it
+commits; if a scripted coloring fails, a bounded structured repair search
+takes over, and a repair failure aborts with a ConstructionError that
+carries the full trace. The finished coloring gets one full check.
 
 Move kinds
   four_leaves      four outside vertices, three host links each, 2 colors
@@ -100,11 +101,8 @@ class ExtensionPlan:
     kind: str
     vertices: tuple[int, ...]
     slots: tuple[tuple[Edge, int], ...]
-    new_colors: int
     s: int | None = None
     t: int | None = None
-    fallback: bool = False
-    repair_budget: int | None = None
 
 
 @dataclass
@@ -132,17 +130,18 @@ class GrowState:
         self.trace.append(StepRecord(len(self.trace), kind, added, new_colors,
                                      self.h, self.colors_used, repaired, fallback, s, t))
 
-    def verify(self, final: bool = False) -> None:
-        sub = make_graph(self.host.n, sorted(self.edges))
-        witness = find_rainbow_witness(sub, EdgeColoring(dict(self.coloring)),
-                                       vertices=self.vertices)
-        if witness is not None:
-            raise ConstructionError(
-                f"grown subgraph lost rainbow connectivity at pair {witness}", self.trace)
-        if self.enforce_budget and not final:
+    def check_budget(self) -> None:
+        if self.enforce_budget:
             lhs, rhs = 5 * self.colors_used, 3 * self.h - 1
             if lhs > rhs:
                 raise ConstructionError(f"color budget violated: {lhs} > {rhs}", self.trace)
+
+    def verify(self) -> None:
+        witness = _try_coloring(self, (), {})
+        if witness is not None:
+            raise ConstructionError(
+                f"grown subgraph lost rainbow connectivity at pair {witness}", self.trace)
+        self.check_budget()
 
 
 def ear_color_sequence(s: int, t: int, next_new_color: int,
@@ -203,11 +202,8 @@ def seed_subgraph(g: Graph, check_kappa: bool = True,
             state.colors_used = 3
             for c in (1, 2, 3):
                 state.coloring[pedge] = c
-                try:
-                    state.verify()
+                if _try_coloring(state, (), {}) is None:
                     break
-                except ConstructionError:
-                    continue
             else:
                 raise ConstructionError("no pendant color keeps the seed rainbow connected",
                                         state.trace)
@@ -345,7 +341,7 @@ def _four_leaves_plan(fans, picked: list[int]) -> ExtensionPlan:
         links = sorted(norm_edge(w, p[1]) for p in fans[w].paths)
         slots.append((links[0], 1))
         slots.extend((e, 2) for e in links[1:])
-    return ExtensionPlan(FOUR_LEAVES, tuple(picked), tuple(slots), new_colors=2)
+    return ExtensionPlan(FOUR_LEAVES, tuple(picked), tuple(slots))
 
 
 def _ear_plan(kind: str, x: int, p1, p2, s: int, t: int,
@@ -356,8 +352,7 @@ def _ear_plan(kind: str, x: int, p1, p2, s: int, t: int,
     slots = [(norm_edge(walk[i], walk[i + 1]), seq[i]) for i in range(len(walk) - 1)]
     if e0 is not None:
         slots.append((e0, e0_slot))
-    return ExtensionPlan(kind, added, tuple(slots), new_colors=max(seq),
-                         s=s, t=t, fallback=kind == EAR_FALLBACK)
+    return ExtensionPlan(kind, added, tuple(slots), s=s, t=t)
 
 
 def _companion_dispatch(state: GrowState, fans, ext, center: int, e0: Edge,
@@ -386,7 +381,7 @@ def _companion_dispatch(state: GrowState, fans, ext, center: int, e0: Edge,
         if lens == [1, 1, 1]:
             slots = arch + [(links[0], 1), (links[1], 1), (links[2], 2)]
             return ExtensionPlan(ARCH_111, tuple(sorted(base | {w})), tuple(slots),
-                                 new_colors=2, s=1, t=1)
+                                 s=1, t=1)
         if lens == [1, 1, 2]:
             vp, bp = fan.paths[2][1], fan.paths[2][2]
             if vp in base:
@@ -394,7 +389,7 @@ def _companion_dispatch(state: GrowState, fans, ext, center: int, e0: Edge,
             slots = arch + [(links[0], 1), (norm_edge(w, vp), 1),
                             (links[1], 2), (norm_edge(vp, bp), 3)]
             return ExtensionPlan(ARCH_112, tuple(sorted(base | {w, vp})), tuple(slots),
-                                 new_colors=3, s=1, t=1)
+                                 s=1, t=1)
         if lens == [1, 2, 2]:
             up, ap = fan.paths[1][1], fan.paths[1][2]
             vp, bp = fan.paths[2][1], fan.paths[2][2]
@@ -403,7 +398,7 @@ def _companion_dispatch(state: GrowState, fans, ext, center: int, e0: Edge,
             slots = arch + [(norm_edge(ap, up), 1), (norm_edge(w, vp), 1),
                             (norm_edge(up, w), 2), (links[0], 3), (norm_edge(vp, bp), 3)]
             return ExtensionPlan(ARCH_122, tuple(sorted(base | {w, up, vp})), tuple(slots),
-                                 new_colors=3, s=1, t=1)
+                                 s=1, t=1)
         if lens == [1, 1, 3]:
             vp, vq, bp = fan.paths[2][1], fan.paths[2][2], fan.paths[2][3]
             if vp in base or vq in base:
@@ -411,7 +406,7 @@ def _companion_dispatch(state: GrowState, fans, ext, center: int, e0: Edge,
             slots = arch + [(norm_edge(vp, vq), 1), (norm_edge(w, vp), 2),
                             (links[0], 3), (links[1], 3), (norm_edge(vq, bp), 3)]
             return ExtensionPlan(ARCH_113, tuple(sorted(base | {w, vp, vq})), tuple(slots),
-                                 new_colors=3, s=1, t=1)
+                                 s=1, t=1)
     return _fallback_absorb_plan(state)
 
 
@@ -420,8 +415,7 @@ def _tripod_plan(a: int, u1: int, center: int, v1: int, b: int,
     slots = [(norm_edge(a, u1), 1), (norm_edge(b, v1), 1),
              (norm_edge(u1, center), 2), (norm_edge(c, x1), 2),
              (norm_edge(v1, center), REUSE), (norm_edge(center, x1), REUSE)]
-    return ExtensionPlan(TRIPOD, tuple(sorted({center, u1, v1, x1})), tuple(slots),
-                         new_colors=2)
+    return ExtensionPlan(TRIPOD, tuple(sorted({center, u1, v1, x1})), tuple(slots))
 
 
 def _fork_leaves_plan(x: int, v1: int, b: int, e0: Edge, e1: Edge,
@@ -431,7 +425,7 @@ def _fork_leaves_plan(x: int, v1: int, b: int, e0: Edge, e1: Edge,
         links = [norm_edge(w, p[1]) for p in fans[w].paths]
         slots.extend([(links[0], 1), (links[1], 1), (links[2], 2)])
     return ExtensionPlan(FORK_LEAVES, tuple(sorted({x, v1, x1, x2})), tuple(slots),
-                         new_colors=2, s=0, t=1)
+                         s=0, t=1)
 
 
 def _fork_fork_plan(x: int, v1: int, b: int, e0: Edge, e1: Edge,
@@ -441,7 +435,7 @@ def _fork_fork_plan(x: int, v1: int, b: int, e0: Edge, e1: Edge,
     slots = [(e0, 1), (e1, 1), (norm_edge(x, v1), 1), (norm_edge(v1, b), 1),
              (links[0], 2), (links[1], 2), (norm_edge(x1, vp), 2), (norm_edge(vp, bp), 2)]
     return ExtensionPlan(FORK_FORK, tuple(sorted({x, v1, x1, vp})), tuple(slots),
-                         new_colors=2, s=0, t=1)
+                         s=0, t=1)
 
 
 def _fallback_absorb_plan(state: GrowState) -> ExtensionPlan:
@@ -459,8 +453,7 @@ def _fallback_absorb_plan(state: GrowState) -> ExtensionPlan:
         take.append(w)
         pool.discard(w)
         reach.add(w)
-    return ExtensionPlan(FALLBACK_ABSORB, tuple(take), (), new_colors=2,
-                         fallback=True, repair_budget=2)
+    return ExtensionPlan(FALLBACK_ABSORB, tuple(take), ())
 
 
 def plan_budget_row(plan: ExtensionPlan) -> tuple[int, int]:
@@ -500,12 +493,14 @@ def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict
     """Search for a coloring of every edge incident to the added vertices
     using at most `new_color_budget` fresh colors plus color 1 of H.
 
-    The order is deterministic: first a structured family (per-vertex
-    star patterns, constant or alternating over the fresh palette), then
-    the full lexicographic product over all candidate edges. Returns the
-    first assignment the checker accepts, or None when the entire space
-    fails; None means the move itself is impossible within budget and the
-    caller must abort.
+    Each added vertex gets a star pattern: one color from the fresh
+    palette or color 1 on all its edges, or (with two fresh colors) the
+    first two fresh colors alternating over its links into H. The labels
+    are tried in a fixed lexicographic order, one checker call per distinct
+    patch, so a search costs at most (budget + 2) ** len(added) calls.
+    Returns the first patch the checker accepts, with its fresh colors
+    renumbered from the lowest, or None when no pattern works; the caller
+    then aborts with a ConstructionError.
     """
     added = tuple(sorted(added_vertices))
     if set(added) & state.vertices:
@@ -519,7 +514,6 @@ def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict
                   if e[0] in verts and e[1] in verts and (e[0] in aset or e[1] in aset))
     base = state.colors_used
     fresh = [base + 1 + i for i in range(new_color_budget)]
-    palette = fresh + [1]
 
     # every added vertex needs a link into the enlarged subgraph at all
     linked = set(state.vertices)
@@ -556,7 +550,7 @@ def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict
             return normalize(patch)
         return None
 
-    # structured phase: label each added vertex with a star pattern
+    # label each added vertex with a star pattern
     options: list[object] = list(fresh) + [1]
     if len(fresh) >= 2:
         options.append("alt")
@@ -578,17 +572,12 @@ def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict
         found = attempt(patch)
         if found is not None:
             return found
-
-    # exhaustive phase
-    for combo in itertools.product(palette, repeat=len(cand)):
-        found = attempt(dict(zip(cand, combo)))
-        if found is not None:
-            return found
     return None
 
 
 def apply_extension(state: GrowState, plan: ExtensionPlan) -> GrowState:
-    """Absorb the plan's vertices, verify, and repair when the script fails."""
+    """Absorb the plan's vertices: check the scripted coloring once, and
+    repair when it fails."""
     added = plan.vertices
     if set(added) & state.vertices:
         raise ValueError("plan adds vertices already inside the grown subgraph")
@@ -600,7 +589,7 @@ def apply_extension(state: GrowState, plan: ExtensionPlan) -> GrowState:
 
     repaired = False
     if plan.kind == FALLBACK_ABSORB:
-        patch = repair_step(state, added, plan.repair_budget)
+        patch = repair_step(state, added, exp_k)
         if patch is None:
             raise ConstructionError("repair failed on a fallback absorption", state.trace)
     else:
@@ -611,7 +600,7 @@ def apply_extension(state: GrowState, plan: ExtensionPlan) -> GrowState:
                  for e, slot in plan.slots}
         if _try_coloring(state, added, patch) is not None:
             log.warning("scripted %s coloring rejected; invoking repair", plan.kind)
-            patch = repair_step(state, added, plan.new_colors)
+            patch = repair_step(state, added, exp_k)
             repaired = True
             if patch is None:
                 raise ConstructionError(f"repair failed after a {plan.kind} move", state.trace)
@@ -620,16 +609,18 @@ def apply_extension(state: GrowState, plan: ExtensionPlan) -> GrowState:
     if used > exp_k:
         raise ConstructionError(
             f"{plan.kind} spent {used} fresh colors, budget row allows {exp_k}", state.trace)
-    state.verify()
+    state.check_budget()
     state.record(plan.kind, added, used, repaired=repaired,
-                 fallback=plan.fallback, s=plan.s, t=plan.t)
+                 fallback=plan.kind in (EAR_FALLBACK, FALLBACK_ABSORB), s=plan.s, t=plan.t)
     return state
 
 
 def final_absorb(state: GrowState) -> GrowState:
     """Close the construction: absorb the last r <= 3 outside vertices with
     at most two fresh colors (one when r = 1), then give every remaining
-    host edge inside H color 1 so the coloring becomes total."""
+    host edge inside H color 1 so the coloring becomes total. The absorbed
+    patch is checked by the repair search; the total coloring is checked by
+    run_constructive."""
     ext = state.externals()
     r = len(ext)
     if r > 3:
@@ -641,10 +632,10 @@ def final_absorb(state: GrowState) -> GrowState:
         if patch is None:
             raise ConstructionError("repair failed during final absorption", state.trace)
         used = _commit(state, tuple(ext), patch)
+    # leftovers add color-1 edges and recolor none, so no rainbow path is lost
     leftovers = {e: 1 for e in state.host.edges if e not in state.edges}
     state.edges.update(leftovers)
     state.coloring.update(leftovers)
-    state.verify(final=True)
     state.record(FINAL_ABSORB, tuple(ext), used)
     return state
 

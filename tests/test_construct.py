@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rcbound import construct
 from rcbound.construct import (GrowState, PreconditionError, apply_extension,
                                classify_extension, color_bound, ear_color_sequence,
                                final_absorb, plan_budget_row, repair_step,
@@ -204,6 +205,21 @@ class TestRepair:
         state = state_on([(4, 0), (4, 1), (4, 2)], n=5)
         with pytest.raises(ValueError, match="outside"):
             repair_step(state, [0], 1)
+
+    def test_failure_is_bounded(self, monkeypatch):
+        # a triangle hung off vertex 4: reaching 0 from 6 takes three
+        # distinct colors, but one fresh color plus color 1 gives two
+        state = state_on([(4, 0), (4, 1), (4, 2), (4, 3), (4, 5), (5, 6), (6, 7), (5, 7)])
+        calls = []
+        real = construct.find_rainbow_witness
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(construct, "find_rainbow_witness", counted)
+        assert repair_step(state, [4, 5, 6, 7], 1) is None
+        assert 0 < len(calls) <= 2 ** 4
 
 
 class TestFinalAbsorb:

@@ -1,0 +1,29 @@
+"""Behaviour fingerprint: the colorings and traces of the builtin corpus.
+
+Refactors of the construction must keep every coloring and every trace
+line byte-identical. A change that means to alter behaviour updates the
+pinned digest and says why.
+"""
+
+import hashlib
+
+from rcbound.cli import _build, builtin_corpus
+from rcbound.construct import run_constructive
+from rcbound.rainbow import serialize_coloring
+
+CORPUS_SEED = 42
+PINNED_SHA256 = "d85cb8c93ce9e014f9ccc44e60b434ccd2cb2d45a3a71126790feb3d4f2cf9e2"
+
+
+def corpus_fingerprint(seed: int) -> str:
+    digest = hashlib.sha256()
+    for graph_id, recipe in builtin_corpus(seed):
+        result = run_constructive(_build(recipe))
+        digest.update(f"# {graph_id}\n".encode())
+        digest.update(serialize_coloring(result.coloring).encode())
+        digest.update("".join(line + "\n" for line in result.trace_lines()).encode())
+    return digest.hexdigest()
+
+
+def test_builtin_corpus_fingerprint():
+    assert corpus_fingerprint(CORPUS_SEED) == PINNED_SHA256
