@@ -1,13 +1,13 @@
 """Vertex connectivity and internally disjoint path search.
 
-Disjoint paths are found by unit-capacity augmentation on a split-vertex
-network: every vertex other than the source is split into an in/out pair
-joined by a capacity-one arc, so two paths can only meet at the source.
-Target vertices keep only their in-half, which feeds a virtual sink; a
-path therefore stops the moment it touches the target set, and with
-per-target capacity one the terminals come out pairwise distinct.
-Augmentation is always along a shortest residual path with a fixed scan
-order, which keeps the returned paths short and the output deterministic.
+Disjoint paths come from unit-capacity augmentation with vertex
+capacities (Even & Tarjan), kept on the graph itself: the flow is the set
+of directed edges that carry a unit. Every vertex but the source passes
+at most one path, so two paths meet only at the source. A path stops at
+the first target it touches, and a target ends one path unless it is the
+only target. Augmentation follows a shortest residual path in a fixed
+scan order, which keeps the returned paths short and the output
+deterministic.
 """
 
 from __future__ import annotations
@@ -27,101 +27,79 @@ class FanPaths:
     paths: tuple[tuple[int, ...], ...]
 
 
-def _flow_paths(g: Graph, x: int, targets: Sequence[int], want: int,
-                target_cap: int) -> list[list[int]]:
-    """Up to `want` pairwise internally disjoint paths from x into targets."""
-    n = g.n
+def _flow_paths(g: Graph, x: int, targets: Sequence[int], want: int) -> list[list[int]]:
+    """Up to `want` pairwise internally disjoint paths from x into targets,
+    shortest first, ties in lexicographic order.
+
+    `used` holds the directed edges that carry a unit, `through` the vertices
+    a path passes and `load` the paths ending at each target. The search runs
+    over vertex halves: state 2v enters v and 2v+1 leaves it. Leaving v it steps
+    back into v if v is on a path, then along each unused edge. Entering v
+    it stops at a target with room or passes a free non-target v, then
+    steps back along each used edge into v. Neighbours go in ascending order.
+    """
+    adj = g.adj
     tset = set(targets)
-    sink = 2 * n
-    size = 2 * n + 1
-    # arc arrays; forward arcs sit at even indices, their reverses at odd
-    arc_to: list[int] = []
-    arc_cap: list[int] = []
-    head: list[list[int]] = [[] for _ in range(size)]
-
-    def add(u: int, v: int, cap: int) -> None:
-        head[u].append(len(arc_to))
-        arc_to.append(v)
-        arc_cap.append(cap)
-        head[v].append(len(arc_to))
-        arc_to.append(u)
-        arc_cap.append(0)
-
-    def vin(v: int) -> int:
-        return 2 * v
-
-    def vout(v: int) -> int:
-        return 2 * v + 1
-
-    src = vout(x)
-    for v in range(n):
-        if v != x and v not in tset:
-            add(vin(v), vout(v), 1)
-    for y in sorted(tset):
-        add(vin(y), sink, target_cap)
-    for u, v in g.edges:
-        for a, b in ((u, v), (v, u)):
-            if b == x or a in tset:
-                continue
-            add(src if a == x else vout(a), vin(b), 1)
-
-    flow = 0
-    while flow < want:
-        prev = [-1] * size
-        prev[src] = -2
+    cap = want if len(tset) == 1 else 1
+    used: set[tuple[int, int]] = set()
+    through: set[int] = set()
+    load = dict.fromkeys(tset, 0)
+    src = 2 * x + 1
+    for _ in range(want):
+        prev = [-1] * (2 * g.n)
+        prev[src] = src
         queue = [src]
-        qi = 0
-        while qi < len(queue) and prev[sink] == -1:
-            u = queue[qi]
-            qi += 1
-            for ai in head[u]:
-                if arc_cap[ai] <= 0:
-                    continue
-                v = arc_to[ai]
-                if prev[v] != -1:
-                    continue
-                prev[v] = ai
-                if v == sink:
-                    break
-                queue.append(v)
-        if prev[sink] == -1:
-            break
-        v = sink
-        while v != src:
-            ai = prev[v]
-            arc_cap[ai] -= 1
-            arc_cap[ai ^ 1] += 1
-            v = arc_to[ai ^ 1]
-        flow += 1
-
-    # walk the flow from the source, consuming one unit per step
-    remaining = [arc_cap[ai ^ 1] if ai % 2 == 0 else 0 for ai in range(len(arc_to))]
-    paths: list[list[int]] = []
-    for ai in head[src]:
-        while ai % 2 == 0 and remaining[ai] > 0:
-            remaining[ai] -= 1
-            path = [x]
-            node = arc_to[ai]
-            while node != sink:
-                v = node // 2
-                path.append(v)
+        end = None
+        for state in queue:
+            v = state >> 1
+            if state & 1:
+                if v in through and prev[state - 1] == -1:
+                    prev[state - 1] = state
+                    queue.append(state - 1)
+                for b in adj[v]:
+                    if b != x and prev[2 * b] == -1 and (v, b) not in used:
+                        prev[2 * b] = state
+                        queue.append(2 * b)
+            else:
                 if v in tset:
-                    out = vin(v)
-                else:
-                    out = vout(v)
-                nxt = None
-                for bi in head[out]:
-                    if bi % 2 == 0 and remaining[bi] > 0:
-                        nxt = bi
+                    if load[v] < cap:
+                        end = v
                         break
-                if nxt is None:
-                    raise AssertionError("flow walk lost conservation")
-                remaining[nxt] -= 1
-                node = arc_to[nxt]
-            paths.append(path)
-    if len(paths) != flow:
-        raise AssertionError("flow decomposition mismatch")
-    return paths
+                elif v not in through and prev[state + 1] == -1:
+                    prev[state + 1] = state
+                    queue.append(state + 1)
+                for a in adj[v]:
+                    if a != x and prev[2 * a + 1] == -1 and (a, v) in used:
+                        prev[2 * a + 1] = state
+                        queue.append(2 * a + 1)
+        if end is None:
+            break
+        load[end] += 1
+        state = 2 * end
+        while state != src:
+            before = prev[state]
+            u, v = before >> 1, state >> 1
+            if u == v:  # between v's halves: v joins or leaves the paths
+                through ^= {v}
+            elif state & 1:  # back along v -> u, cancelling its unit
+                used.remove((v, u))
+            else:
+                used.add((u, v))
+            state = before
+
+    paths: list[list[int]] = []
+    for first in adj[x]:
+        if (x, first) not in used:
+            continue
+        path = [x, first]
+        while path[-1] not in tset:
+            v = path[-1]
+            nxt = next((b for b in adj[v] if (v, b) in used), None)
+            if nxt is None:
+                raise AssertionError(f"flow enters vertex {v} but never leaves it")
+            path.append(nxt)
+        paths.append(path)
+    return sorted(paths, key=lambda p: (len(p), p))
 
 
 def internally_disjoint_paths(g: Graph, x: int, y: int, k: int) -> list[list[int]] | None:
@@ -132,10 +110,8 @@ def internally_disjoint_paths(g: Graph, x: int, y: int, k: int) -> list[list[int
         raise ValueError("endpoints must differ")
     if k < 1:
         raise ValueError(f"path count must be positive, got {k}")
-    paths = _flow_paths(g, x, (y,), k, target_cap=k)
-    if len(paths) < k:
-        return None
-    return sorted(paths, key=lambda p: (len(p), p))
+    paths = _flow_paths(g, x, (y,), k)
+    return paths if len(paths) == k else None
 
 
 def find_fan(g: Graph, x: int, targets: Iterable[int], k: int) -> FanPaths | None:
@@ -155,11 +131,10 @@ def find_fan(g: Graph, x: int, targets: Iterable[int], k: int) -> FanPaths | Non
         raise ValueError(f"fan width must be positive, got {k}")
     if len(tset) < k:
         raise ValueError(f"target set smaller than fan width: {len(tset)} < {k}")
-    paths = _flow_paths(g, x, sorted(tset), k, target_cap=1)
+    paths = _flow_paths(g, x, sorted(tset), k)
     if len(paths) < k:
         return None
-    fan = FanPaths(x, frozenset(tset), tuple(
-        tuple(p) for p in sorted(paths, key=lambda p: (len(p), p))))
+    fan = FanPaths(x, frozenset(tset), tuple(map(tuple, paths)))
     check_fan(g, fan, x, tset, k)
     return fan
 
@@ -204,7 +179,5 @@ def vertex_connectivity(g: Graph) -> int:
     for u, v in nonadj:
         if best == 0:
             break
-        flow = len(_flow_paths(g, u, (v,), best, target_cap=best))
-        if flow < best:
-            best = flow
+        best = min(best, len(_flow_paths(g, u, (v,), best)))
     return best

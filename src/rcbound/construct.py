@@ -25,6 +25,7 @@ Move kinds
   fork_fork        a fork plus a fork-shaped companion, 2 colors
   fallback_absorb  four reachable outside vertices by repair search alone
   final_absorb     the closing move for the last r <= 3 vertices
+  spanning_tree    a failed forced run's fallback: distinct BFS tree colors
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ FORK_LEAVES = "fork_leaves"
 FORK_FORK = "fork_fork"
 FALLBACK_ABSORB = "fallback_absorb"
 FINAL_ABSORB = "final_absorb"
+SPANNING_TREE = "spanning_tree"
 
 
 class PreconditionError(ValueError):
@@ -653,35 +655,59 @@ class ConstructionResult:
         return [rec.format() for rec in self.trace]
 
 
+def spanning_tree_coloring(g: Graph) -> tuple[dict[Edge, int], StepRecord]:
+    """The forced-run fallback for connected g: colors 1..n-1 on a BFS tree
+    from vertex 0 in discovery order and color 1 elsewhere, so tree paths
+    are rainbow. Returns the coloring and its trace step."""
+    coloring = dict.fromkeys(g.edges, 1)
+    order, seen = [0], {0}
+    for u in order:
+        for w in g.adj[u]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+                coloring[norm_edge(u, w)] = len(order) - 1
+    return coloring, StepRecord(0, SPANNING_TREE, tuple(order), g.n - 1, g.n, g.n - 1)
+
+
 def run_constructive(g: Graph, force: bool = False) -> ConstructionResult:
     """Produce a full rainbow-connected coloring of g with at most
     floor((3n + 3) / 5) colors, guaranteed when g is 3-connected.
 
-    With force=True lower-connectivity inputs are attempted anyway; the
-    checker guarantee still holds for whatever comes back, the color bound
-    does not.
+    With force=True connected lower-connectivity inputs are attempted
+    anyway, falling back to spanning_tree_coloring on failure; the checker
+    guarantee still holds for whatever comes back, the color bound does not.
     """
     kappa = vertex_connectivity(g)
+    if kappa == 0:
+        raise PreconditionError("graph is disconnected; no coloring is rainbow connected")
     if kappa < 3 and not force:
         raise PreconditionError(
             f"vertex connectivity {kappa} < 3; pass force to attempt anyway")
     guaranteed = kappa >= 3
-    state = seed_subgraph(g, check_kappa=False, enforce_budget=guaranteed)
-    while len(state.externals()) >= 4:
-        h_before = state.h
-        plan = classify_extension(state)
-        apply_extension(state, plan)
-        if state.h <= h_before:
-            raise ConstructionError("growth step made no progress", state.trace)
-    final_absorb(state)
+    try:
+        state = seed_subgraph(g, check_kappa=False, enforce_budget=guaranteed)
+        while len(state.externals()) >= 4:
+            h_before = state.h
+            plan = classify_extension(state)
+            apply_extension(state, plan)
+            if state.h <= h_before:
+                raise ConstructionError("growth step made no progress", state.trace)
+        final_absorb(state)
+        colors, trace = state.coloring, state.trace
+    except ConstructionError as exc:
+        if guaranteed:
+            raise
+        log.warning("forced construction failed (%s); coloring a spanning tree", exc)
+        colors, step = spanning_tree_coloring(g)
+        trace = [step]
 
-    coloring = EdgeColoring(dict(state.coloring))
+    coloring = EdgeColoring(dict(colors))
     witness = find_rainbow_witness(g, coloring)
     if witness is not None:
-        raise ConstructionError(f"final coloring failed verification at {witness}",
-                                state.trace)
+        raise ConstructionError(f"final coloring failed verification at {witness}", trace)
     k = coloring.num_colors
     bound = color_bound(g.n)
     if guaranteed and 5 * k > 3 * g.n + 3:
-        raise ConstructionError(f"color total {k} breaks the bound {bound}", state.trace)
-    return ConstructionResult(coloring, k, bound, kappa, guaranteed, tuple(state.trace))
+        raise ConstructionError(f"color total {k} breaks the bound {bound}", trace)
+    return ConstructionResult(coloring, k, bound, kappa, guaranteed, tuple(trace))

@@ -3,6 +3,8 @@ import pytest
 from rcbound.cli import CSV_HEADER, main
 from rcbound.graphs import gen_family, serialize_graph
 
+from test_graphs import ladder
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -62,6 +64,21 @@ class TestConstructCheck:
     def test_force_reports_no_bound(self, capsys, c5_file):
         code, out, _ = run(capsys, "construct", c5_file, "--force")
         assert code == 0 and "bound=n/a" in out
+
+    def test_force_ladder_gets_checked_coloring(self, capsys, tmp_path):
+        gpath, cpath = tmp_path / "ladder.txt", tmp_path / "col.txt"
+        gpath.write_text(serialize_graph(ladder(5)))
+        code, out, _ = run(capsys, "construct", str(gpath), "--force", "--trace",
+                           "-o", str(cpath))
+        assert code == 0 and "kind=spanning_tree" in out and "bound=n/a" in out
+        code, out, _ = run(capsys, "check", str(gpath), str(cpath))
+        assert code == 0 and out.strip() == "rainbow-connected"
+
+    def test_force_disconnected_is_refused(self, capsys, tmp_path):
+        gpath = tmp_path / "two.txt"
+        gpath.write_text("6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")
+        code, _, err = run(capsys, "construct", str(gpath), "--force")
+        assert code == 3 and "disconnected" in err
 
     def test_petersen_roundtrip_through_check(self, capsys, petersen_file, tmp_path):
         cpath = tmp_path / "col.txt"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from rcbound.connectivity import (check_fan, find_fan, internally_disjoint_paths
 from rcbound.graphs import gen_family, make_graph
 
 from _oracles import brute_has_disjoint_paths, brute_vertex_connectivity
-from test_graphs import graph_from_mask
+from test_graphs import graph_from_mask, ladder, st_small_graph
 
 st_graph_n2to6 = st.integers(2, 6).flatmap(
     lambda n: st.builds(graph_from_mask, st.just(n),
@@ -73,6 +74,15 @@ class TestDisjointPaths:
             for v in range(u + 1, 10):
                 assert internally_disjoint_paths(pet, u, v, 3) is not None
 
+    def test_backs_a_path_out_of_a_vertex(self):
+        # the first path is 8-3-0-9-6; the second search enters 9 and must
+        # step back through 0, cancelling both path edges at 0
+        g = make_graph(13, [(0, 3), (0, 9), (1, 2), (1, 3), (1, 7), (2, 7), (2, 9),
+                            (2, 10), (3, 5), (3, 7), (3, 8), (3, 11), (4, 5), (4, 6),
+                            (5, 9), (6, 9), (7, 10), (8, 10), (9, 12), (10, 11), (11, 12)])
+        paths = internally_disjoint_paths(g, 8, 6, 2)
+        assert paths == [[8, 3, 5, 4, 6], [8, 10, 2, 9, 6]]
+
     def test_same_endpoints_rejected(self):
         with pytest.raises(ValueError, match="differ"):
             internally_disjoint_paths(gen_family("complete", 4), 1, 1, 2)
@@ -96,6 +106,12 @@ class TestFindFan:
         assert fan is not None
         check_fan(g, fan, 1, [3, 4], 2)
 
+    def test_reroutes_a_blocking_path(self):
+        # the first shortest path 0-1-2 takes the only target that 3 reaches;
+        # the second search must cancel the edge 1-2 to find the fan
+        g = make_graph(5, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 3)])
+        assert find_fan(g, 0, [2, 4], 2).paths == ((0, 1, 4), (0, 3, 2))
+
     def test_c5_insufficient(self):
         assert find_fan(gen_family("cycle", 5), 0, [2, 3, 4], 3) is None
 
@@ -118,6 +134,20 @@ class TestFindFan:
                 for smaller in (1, 2):
                     assert find_fan(g, x, targets, smaller) is not None
 
+    @settings(max_examples=150, deadline=None)
+    @given(st_small_graph, st.integers(1, 3), st.randoms(use_true_random=False))
+    def test_none_exactly_when_no_paths_to_joined_vertex(self, g, k, rng):
+        # a fan exists iff k disjoint paths reach a new vertex s joined to
+        # all of T: each such path can be cut at the first T vertex it meets
+        x = rng.randrange(g.n)
+        pool = [v for v in range(g.n) if v != x]
+        if len(pool) < k:
+            return
+        targets = rng.sample(pool, rng.randint(k, len(pool)))
+        joined = make_graph(g.n + 1, list(g.edges) + [(y, g.n) for y in targets])
+        fan = find_fan(g, x, targets, k)
+        assert (fan is None) == (not brute_has_disjoint_paths(joined, x, g.n, k))
+
     def test_three_connected_always_succeeds(self):
         rng = random.Random(7)
         for seed in range(4):
@@ -129,3 +159,68 @@ class TestFindFan:
                 fan = find_fan(g, x, targets, 3)
                 assert fan is not None
                 check_fan(g, fan, x, targets, 3)
+
+
+def complete_bipartite(a: int, b: int):
+    return make_graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+FAN_GRAPHS = [
+    ("prism6", gen_family("prism", 6)),
+    ("wheel8", gen_family("wheel", 8)),
+    ("petersen", gen_family("petersen")),
+    ("random3c", gen_family("random3c", 16, 4, seed=3)),
+    ("k3_5", complete_bipartite(3, 5)),
+    ("ladder5", ladder(5)),
+    ("cycle7", gen_family("cycle", 7)),
+]
+
+KAPPA_GRAPHS = [
+    ("two_triangles", make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),
+    ("bowtie", make_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])),
+    ("star", make_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])),
+    ("cycle7", gen_family("cycle", 7)),
+    ("ladder5", ladder(5)),
+    ("prism6", gen_family("prism", 6)),
+    ("petersen", gen_family("petersen")),
+    ("k3_5", complete_bipartite(3, 5)),
+    ("k4_4", complete_bipartite(4, 4)),
+    ("wheel8", gen_family("wheel", 8)),
+    ("complete6", gen_family("complete", 6)),
+    ("random3c", gen_family("random3c", 16, 4, seed=3)),
+]
+
+# Any change to path choice, path order, a None verdict or a kappa value
+# moves this digest; a change meant to alter them re-pins it and says why.
+FLOW_SHA256 = "bf1bbed9929d6ea25807dda8dd6878a6d17a286367b2a098989c89f03d937464"
+
+
+def flow_fingerprint_lines():
+    for name, g in FAN_GRAPHS:
+        rng = random.Random(sum(map(ord, name)))
+        for _ in range(16):
+            x = rng.randrange(g.n)
+            pool = [v for v in range(g.n) if v != x]
+            targets = sorted(rng.sample(pool, rng.randint(1, min(4, len(pool)))))
+            for k in range(1, min(3, len(targets)) + 1):
+                fan = find_fan(g, x, targets, k)
+                yield f"fan {name} {x} {targets} {k} {fan.paths if fan else None}"
+        for _ in range(8):
+            u, v = rng.sample(range(g.n), 2)
+            for k in range(1, 5):
+                yield f"paths {name} {u} {v} {k} {internally_disjoint_paths(g, u, v, k)}"
+    for name, g in KAPPA_GRAPHS:
+        yield f"kappa {name} {vertex_connectivity(g)}"
+
+
+class TestFlowFingerprint:
+    def test_kappa_values_cover_low_connectivity(self):
+        kappas = {name: vertex_connectivity(g) for name, g in KAPPA_GRAPHS}
+        assert {kappas["two_triangles"], kappas["bowtie"], kappas["ladder5"],
+                kappas["prism6"], kappas["k4_4"]} == {0, 1, 2, 3, 4}
+
+    def test_flow_outputs_pinned(self):
+        digest = hashlib.sha256()
+        for line in flow_fingerprint_lines():
+            digest.update((line + "\n").encode())
+        assert digest.hexdigest() == FLOW_SHA256

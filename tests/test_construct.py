@@ -9,7 +9,10 @@ from rcbound.construct import (GrowState, PreconditionError, apply_extension,
 from rcbound.graphs import gen_family, make_graph, norm_edge
 from rcbound.rainbow import EdgeColoring, find_rainbow_witness, rc_exact
 
+from test_graphs import ladder
+
 C4_EDGES = [(0, 1), (1, 2), (2, 3), (0, 3)]
+
 C4_COLORS = {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2}
 
 
@@ -270,6 +273,20 @@ class TestRunConstructive:
         res = run_constructive(gen_family("cycle", 8), force=True)
         assert not res.bound_guaranteed
         assert find_rainbow_witness(gen_family("cycle", 8), res.coloring) is None
+
+    def test_force_falls_back_to_spanning_tree(self, caplog):
+        # repair finds no coloring for a fallback absorption on this ladder
+        g = ladder(5)
+        res = run_constructive(g, force=True)
+        assert "repair failed on a fallback absorption" in caplog.text
+        assert [rec.kind for rec in res.trace] == ["spanning_tree"]
+        assert res.colors_used == g.n - 1 and res.kappa == 2
+        assert find_rainbow_witness(g, res.coloring) is None
+
+    def test_force_refuses_disconnected(self):
+        g = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        with pytest.raises(PreconditionError, match="disconnected"):
+            run_constructive(g, force=True)
 
     def test_progress_and_trace_format(self):
         g = gen_family("random3c", 20, 5, seed=3)

@@ -15,6 +15,13 @@ def graph_from_mask(n, mask):
     return make_graph(n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1])
 
 
+def ladder(rungs):
+    """Two paths 0..r-1 and r..2r-1 joined by the rungs (i, i + r)."""
+    r = rungs
+    return make_graph(2 * r, [(i, i + r) for i in range(r)] + [(i, i + 1) for i in range(r - 1)]
+                      + [(r + i, r + i + 1) for i in range(r - 1)])
+
+
 st_small_graph = st.integers(3, 7).flatmap(
     lambda n: st.builds(graph_from_mask, st.just(n),
                         st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
