@@ -11,6 +11,7 @@ import argparse
 import csv
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 from .connectivity import find_fan, vertex_connectivity
@@ -45,12 +46,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    g = _load_graph(args.graph)
-    try:
-        result = run_constructive(g, force=args.force)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    result = run_constructive(_load_graph(args.graph), force=args.force)
     if args.output:
         Path(args.output).write_text(serialize_coloring(result.coloring))
     if args.trace:
@@ -167,13 +163,8 @@ def cmd_bench(args) -> int:
         rows.append([graph_id, g.n, g.m, result.kappa, result.colors_used,
                      result.bound, exact_k, True, gen_ms, construct_ms, exact_ms])
 
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            writer.writerows(rows)
-    else:
-        writer = csv.writer(sys.stdout)
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         writer.writerows(rows)
     print(f"bench ok: {len(rows)} graphs", file=sys.stderr)

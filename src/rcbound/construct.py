@@ -35,7 +35,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .connectivity import find_fan, vertex_connectivity
-from .graphs import Edge, Graph, girth, make_graph, norm_edge, shortest_cycle
+from .graphs import Edge, Graph, make_graph, norm_edge, shortest_cycle
 from .rainbow import EdgeColoring, cycle_color_sequence, find_rainbow_witness
 
 log = logging.getLogger(__name__)
@@ -83,9 +83,12 @@ class StepRecord:
     h: int
     k: int
     repaired: bool = False
-    fallback: bool = False
     s: int | None = None
     t: int | None = None
+
+    @property
+    def fallback(self) -> bool:
+        return self.kind in (EAR_FALLBACK, FALLBACK_ABSORB)
 
     def format(self) -> str:
         line = (f"step={self.index} kind={self.kind} "
@@ -109,10 +112,10 @@ class ExtensionPlan:
 
 @dataclass
 class GrowState:
-    """Mutable growth state: the subgraph, its coloring and the step trace."""
+    """Mutable growth state: the subgraph's vertices, its coloring (whose
+    keys are the subgraph's edges) and the step trace."""
     host: Graph
     vertices: set[int]
-    edges: set[Edge]
     coloring: dict[Edge, int]
     colors_used: int
     trace: list[StepRecord] = field(default_factory=list)
@@ -127,10 +130,9 @@ class GrowState:
         return sorted(set(range(self.host.n)) - self.vertices)
 
     def record(self, kind: str, added: tuple[int, ...], new_colors: int,
-               repaired: bool = False, fallback: bool = False,
-               s: int | None = None, t: int | None = None) -> None:
+               repaired: bool = False, s: int | None = None, t: int | None = None) -> None:
         self.trace.append(StepRecord(len(self.trace), kind, added, new_colors,
-                                     self.h, self.colors_used, repaired, fallback, s, t))
+                                     self.h, self.colors_used, repaired, s, t))
 
     def check_budget(self) -> None:
         if self.enforce_budget:
@@ -146,80 +148,52 @@ class GrowState:
         self.check_budget()
 
 
-def ear_color_sequence(s: int, t: int, next_new_color: int,
-                       reuse_color: int) -> tuple[list[int], int]:
-    """Colors for the s+t+2 edges of an attached path, plus the color for
-    the center's direct host link.
+def ear_color_sequence(s: int, t: int) -> list[int]:
+    """Color slots for the s+t+2 edges of an attached path; the center's
+    direct host link, when there is one, takes REUSE.
 
-    Even s+t: (s+t+2)/2 fresh colors on the first half, repeated in the
-    same order on the second half. Odd s+t: (s+t+1)/2 fresh colors on the
-    first half, the middle edge reuses an existing color, then the fresh
-    run repeats. The direct link always reuses.
+    Even s+t: (s+t+2)/2 fresh slots on the first half, repeated in the
+    same order on the second half. Odd s+t: (s+t+1)/2 fresh slots on the
+    first half, REUSE on the middle edge, then the fresh run repeats.
     """
     if s + t < 3:
         raise ValueError(f"ear needs s+t >= 3, got {s + t}")
     total = s + t + 2
-    if total % 2 == 0:
-        fresh = [next_new_color + i for i in range(total // 2)]
-        return fresh + fresh, reuse_color
-    fresh = [next_new_color + i for i in range(total // 2)]
-    return fresh + [reuse_color] + fresh, reuse_color
+    fresh = list(range(1, total // 2 + 1))
+    return fresh + fresh if total % 2 == 0 else fresh + [REUSE] + fresh
 
 
-def seed_subgraph(g: Graph, check_kappa: bool = True,
-                  enforce_budget: bool = True) -> GrowState:
+def seed_subgraph(g: Graph, enforce_budget: bool = True) -> GrowState:
     """Initial H: a triangle when one exists, else the shortest cycle, with
     a pendant vertex attached when the shortest cycle has length five
-    (its budget needs the sixth vertex)."""
-    if g.n < 4:
-        raise PreconditionError(f"need at least 4 vertices, got {g.n}")
-    glen = girth(g)
-    if glen is None:
-        raise PreconditionError("input is acyclic")
-    if check_kappa and vertex_connectivity(g) < 3:
-        raise PreconditionError("vertex connectivity below 3")
-
-    cycle = shortest_cycle(g)
-    state = GrowState(g, set(), set(), {}, 0, enforce_budget=enforce_budget)
+    (its budget needs the sixth vertex). Connectivity is not checked here:
+    run_constructive is the input gate."""
+    try:
+        cycle = shortest_cycle(g)
+    except ValueError:
+        raise PreconditionError("input is acyclic") from None
+    glen = len(cycle)
+    kind = "seed_triangle" if glen == 3 else "seed_cycle"
+    pendant: dict[Edge, int] = {}
     if glen == 5:
-        attach = pend = None
-        for v in cycle:
-            outside = [w for w in g.adj[v] if w not in set(cycle)]
+        on_cycle = set(cycle)
+        for i, v in enumerate(cycle):
+            outside = [w for w in g.adj[v] if w not in on_cycle]
             if outside:
-                attach, pend = v, min(outside)
+                # attachment first, so the cycle colors 1,2,3,1,2 run from it;
+                # pendant color 1 or 2 would repeat on both routes to one of
+                # the attachment's cycle neighbors, so the pendant gets 3
+                cycle = cycle[i:] + cycle[:i]
+                pendant = {norm_edge(v, min(outside)): 3}
+                kind = "seed_pendant_cycle"
                 break
-        if attach is None and enforce_budget:
-            # a bare five-cycle seed would break the budget; with three-connected
-            # input some cycle vertex always has an outside neighbor
-            raise PreconditionError("five-cycle seed needs a neighbor outside the cycle")
-        if attach is not None:
-            i = cycle.index(attach)
-            cycle = cycle[i:] + cycle[:i]  # attachment first so the palette rotates with it
-            seq = cycle_color_sequence(5)
-            state.vertices = set(cycle) | {pend}
-            state.edges = {norm_edge(cycle[i], cycle[(i + 1) % 5]) for i in range(5)}
-            state.coloring = {norm_edge(cycle[i], cycle[(i + 1) % 5]): seq[i] for i in range(5)}
-            pedge = norm_edge(attach, pend)
-            state.edges.add(pedge)
-            state.colors_used = 3
-            for c in (1, 2, 3):
-                state.coloring[pedge] = c
-                if _try_coloring(state, (), {}) is None:
-                    break
-            else:
-                raise ConstructionError("no pendant color keeps the seed rainbow connected",
-                                        state.trace)
-            state.record("seed_pendant_cycle", tuple(sorted(state.vertices)), 3)
-            return state
-
     seq = cycle_color_sequence(glen)
-    state.vertices = set(cycle)
-    state.edges = {norm_edge(cycle[i], cycle[(i + 1) % glen]) for i in range(glen)}
-    state.coloring = {norm_edge(cycle[i], cycle[(i + 1) % glen]): seq[i] for i in range(glen)}
-    state.colors_used = max(seq)
+    coloring = {norm_edge(cycle[i], cycle[(i + 1) % glen]): seq[i] for i in range(glen)}
+    coloring.update(pendant)
+    state = GrowState(g, {v for e in coloring for v in e}, coloring, max(seq),
+                      enforce_budget=enforce_budget)
     state.verify()
-    state.record("seed_triangle" if glen == 3 else "seed_cycle",
-                 tuple(sorted(state.vertices)), state.colors_used)
+    state.record(kind, tuple(sorted(state.vertices)), state.colors_used)
     return state
 
 
@@ -350,10 +324,10 @@ def _ear_plan(kind: str, x: int, p1, p2, s: int, t: int,
               e0: Edge | None) -> ExtensionPlan:
     added = tuple(sorted(set(p1[:-1]) | set(p2[:-1])))
     walk = list(reversed(p1)) + list(p2[1:])  # terminal(p1) .. x .. terminal(p2)
-    seq, e0_slot = ear_color_sequence(s, t, next_new_color=1, reuse_color=REUSE)
+    seq = ear_color_sequence(s, t)
     slots = [(norm_edge(walk[i], walk[i + 1]), seq[i]) for i in range(len(walk) - 1)]
     if e0 is not None:
-        slots.append((e0, e0_slot))
+        slots.append((e0, REUSE))
     return ExtensionPlan(kind, added, tuple(slots), s=s, t=t)
 
 
@@ -471,12 +445,10 @@ def plan_budget_row(plan: ExtensionPlan) -> tuple[int, int]:
 
 def _try_coloring(state: GrowState, added: tuple[int, ...],
                   patch: dict[Edge, int]) -> Edge | None:
-    verts = state.vertices | set(added)
-    edges = sorted(state.edges | set(patch))
-    coloring = dict(state.coloring)
-    coloring.update(patch)
-    sub = make_graph(state.host.n, edges)
-    return find_rainbow_witness(sub, EdgeColoring(coloring), vertices=verts)
+    coloring = {**state.coloring, **patch}
+    sub = make_graph(state.host.n, sorted(coloring))
+    return find_rainbow_witness(sub, EdgeColoring(coloring),
+                                vertices=state.vertices | set(added))
 
 
 def _commit(state: GrowState, added: tuple[int, ...], patch: dict[Edge, int]) -> int:
@@ -485,7 +457,6 @@ def _commit(state: GrowState, added: tuple[int, ...], patch: dict[Edge, int]) ->
     if fresh != list(range(state.colors_used + 1, state.colors_used + 1 + len(fresh))):
         raise AssertionError(f"fresh colors not contiguous: {fresh}")
     state.vertices.update(added)
-    state.edges.update(patch)
     state.coloring.update(patch)
     state.colors_used += len(fresh)
     return len(fresh)
@@ -612,8 +583,7 @@ def apply_extension(state: GrowState, plan: ExtensionPlan) -> GrowState:
         raise ConstructionError(
             f"{plan.kind} spent {used} fresh colors, budget row allows {exp_k}", state.trace)
     state.check_budget()
-    state.record(plan.kind, added, used, repaired=repaired,
-                 fallback=plan.kind in (EAR_FALLBACK, FALLBACK_ABSORB), s=plan.s, t=plan.t)
+    state.record(plan.kind, added, used, repaired=repaired, s=plan.s, t=plan.t)
     return state
 
 
@@ -635,9 +605,8 @@ def final_absorb(state: GrowState) -> GrowState:
             raise ConstructionError("repair failed during final absorption", state.trace)
         used = _commit(state, tuple(ext), patch)
     # leftovers add color-1 edges and recolor none, so no rainbow path is lost
-    leftovers = {e: 1 for e in state.host.edges if e not in state.edges}
-    state.edges.update(leftovers)
-    state.coloring.update(leftovers)
+    for e in state.host.edges:
+        state.coloring.setdefault(e, 1)
     state.record(FINAL_ABSORB, tuple(ext), used)
     return state
 
@@ -675,8 +644,9 @@ def run_constructive(g: Graph, force: bool = False) -> ConstructionResult:
     floor((3n + 3) / 5) colors, guaranteed when g is 3-connected.
 
     With force=True connected lower-connectivity inputs are attempted
-    anyway, falling back to spanning_tree_coloring on failure; the checker
-    guarantee still holds for whatever comes back, the color bound does not.
+    anyway, falling back to spanning_tree_coloring when the construction
+    fails or the graph has no cycle to seed it; the checker guarantee still
+    holds for whatever comes back, the color bound does not.
     """
     kappa = vertex_connectivity(g)
     if kappa == 0:
@@ -686,7 +656,7 @@ def run_constructive(g: Graph, force: bool = False) -> ConstructionResult:
             f"vertex connectivity {kappa} < 3; pass force to attempt anyway")
     guaranteed = kappa >= 3
     try:
-        state = seed_subgraph(g, check_kappa=False, enforce_budget=guaranteed)
+        state = seed_subgraph(g, enforce_budget=guaranteed)
         while len(state.externals()) >= 4:
             h_before = state.h
             plan = classify_extension(state)
@@ -695,7 +665,7 @@ def run_constructive(g: Graph, force: bool = False) -> ConstructionResult:
                 raise ConstructionError("growth step made no progress", state.trace)
         final_absorb(state)
         colors, trace = state.coloring, state.trace
-    except ConstructionError as exc:
+    except (ConstructionError, PreconditionError) as exc:
         if guaranteed:
             raise
         log.warning("forced construction failed (%s); coloring a spanning tree", exc)

@@ -113,10 +113,6 @@ def find_rainbow_witness(g: Graph, coloring: EdgeColoring,
     return None
 
 
-def is_rainbow_connected(g: Graph, coloring: EdgeColoring) -> bool:
-    return find_rainbow_witness(g, coloring) is None
-
-
 def parse_coloring(text: str, g: Graph) -> EdgeColoring:
     """Parse a coloring document against its host graph.
 

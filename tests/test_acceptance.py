@@ -193,7 +193,7 @@ def test_criterion_7_step_validity_per_kind():
             patch[e] = 2 if i < 3 and j == 0 else 3
     coloring = dict(state.coloring)
     coloring.update(patch)
-    sub = make_graph(7, sorted(state.edges | set(patch)))
+    sub = make_graph(7, sorted(coloring))
     outcomes["four_leaves_asym"] = find_rainbow_witness(
         sub, EdgeColoring(coloring), vertices=range(7)) is None
 

@@ -1,27 +1,41 @@
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rcbound import construct
 from rcbound.construct import (GrowState, PreconditionError, apply_extension,
                                classify_extension, color_bound, ear_color_sequence,
-                               final_absorb, plan_budget_row, repair_step,
+                               REUSE, final_absorb, plan_budget_row, repair_step,
                                run_constructive, seed_subgraph)
-from rcbound.graphs import gen_family, make_graph, norm_edge
+from rcbound.graphs import gen_family, is_connected, iter_labeled_graphs, make_graph, norm_edge
 from rcbound.rainbow import EdgeColoring, find_rainbow_witness, rc_exact
 
-from test_graphs import ladder
+from test_graphs import graph_from_mask, ladder
 
 C4_EDGES = [(0, 1), (1, 2), (2, 3), (0, 3)]
 
 C4_COLORS = {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2}
 
 
+def count_checks(monkeypatch):
+    """A list that gains one entry per checker call made inside construct."""
+    calls = []
+    real = construct.find_rainbow_witness
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(construct, "find_rainbow_witness", counted)
+    return calls
+
+
 def state_on(extra_edges, n=None):
     """A C4 nucleus {0,1,2,3} inside a host with the given extra edges."""
     size = n or max(max(e) for e in extra_edges) + 1
     g = make_graph(size, C4_EDGES + list(extra_edges))
-    state = GrowState(g, {0, 1, 2, 3}, {norm_edge(*e) for e in C4_EDGES},
-                      dict(C4_COLORS), 2)
+    state = GrowState(g, {0, 1, 2, 3}, dict(C4_COLORS), 2)
     state.verify()
     return state
 
@@ -46,35 +60,34 @@ class TestSeed:
         assert 5 * state.colors_used <= 3 * state.h - 1
         assert state.trace[0].kind == "seed_pendant_cycle"
 
-    def test_low_connectivity_rejected(self):
-        with pytest.raises(PreconditionError, match="connectivity"):
-            seed_subgraph(gen_family("cycle", 6))
-
-    def test_too_small_rejected(self):
-        with pytest.raises(PreconditionError, match="4 vertices"):
-            seed_subgraph(gen_family("complete", 3))
+    @pytest.mark.parametrize("perm", [list(range(10)), [(3 * v + 7) % 10 for v in range(10)]])
+    def test_pendant_color_is_scripted(self, perm, monkeypatch):
+        g = make_graph(10, [(perm[u], perm[v]) for u, v in gen_family("petersen").edges])
+        calls = count_checks(monkeypatch)
+        state = seed_subgraph(g)
+        degree = Counter(v for e in state.coloring for v in e)
+        pendant = [c for e, c in state.coloring.items() if min(degree[v] for v in e) == 1]
+        assert pendant == [3]
+        assert len(calls) == 1
 
     def test_acyclic_rejected(self):
         with pytest.raises(PreconditionError, match="acyclic"):
-            seed_subgraph(make_graph(4, [(0, 1), (1, 2), (2, 3)]), check_kappa=False)
+            seed_subgraph(make_graph(4, [(0, 1), (1, 2), (2, 3)]))
 
 
 class TestEarColorSequence:
     def test_even_four(self):
-        seq, e0 = ear_color_sequence(2, 2, next_new_color=4, reuse_color=1)
-        assert seq == [4, 5, 6, 4, 5, 6] and e0 == 1
+        assert ear_color_sequence(2, 2) == [1, 2, 3, 1, 2, 3]
 
     def test_odd_three(self):
-        seq, e0 = ear_color_sequence(1, 2, next_new_color=4, reuse_color=1)
-        assert seq == [4, 5, 1, 4, 5] and e0 == 1
+        assert ear_color_sequence(1, 2) == [1, 2, REUSE, 1, 2]
 
     def test_odd_five(self):
-        seq, e0 = ear_color_sequence(2, 3, next_new_color=4, reuse_color=1)
-        assert seq == [4, 5, 6, 1, 4, 5, 6] and e0 == 1
+        assert ear_color_sequence(2, 3) == [1, 2, 3, REUSE, 1, 2, 3]
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="s\\+t >= 3"):
-            ear_color_sequence(1, 1, next_new_color=2, reuse_color=1)
+            ear_color_sequence(1, 1)
 
 
 SYNTHETIC = {
@@ -174,7 +187,7 @@ class TestApply:
                 patch[e] = 2 if i < 3 and j == 0 else 3
         coloring = dict(state.coloring)
         coloring.update(patch)
-        sub = make_graph(7, sorted(state.edges | set(patch)))
+        sub = make_graph(7, sorted(coloring))
         assert find_rainbow_witness(sub, EdgeColoring(coloring)) is None
 
     def test_plan_state_mismatch_rejected(self):
@@ -194,8 +207,7 @@ class TestRepair:
     def test_zero_budget_fails(self):
         # every path from vertex 3 repeats color 1, so a fresh color is needed
         g = make_graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
-        state = GrowState(g, {0, 1, 2}, {(0, 1), (1, 2), (0, 2)},
-                          {(0, 1): 1, (1, 2): 1, (0, 2): 1}, 1)
+        state = GrowState(g, {0, 1, 2}, {(0, 1): 1, (1, 2): 1, (0, 2): 1}, 1)
         assert repair_step(state, [3], 0) is None
         assert repair_step(state, [3], 1) == {(0, 3): 2}
 
@@ -213,14 +225,7 @@ class TestRepair:
         # a triangle hung off vertex 4: reaching 0 from 6 takes three
         # distinct colors, but one fresh color plus color 1 gives two
         state = state_on([(4, 0), (4, 1), (4, 2), (4, 3), (4, 5), (5, 6), (6, 7), (5, 7)])
-        calls = []
-        real = construct.find_rainbow_witness
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(construct, "find_rainbow_witness", counted)
+        calls = count_checks(monkeypatch)
         assert repair_step(state, [4, 5, 6, 7], 1) is None
         assert 0 < len(calls) <= 2 ** 4
 
@@ -230,12 +235,11 @@ class TestFinalAbsorb:
         state = seed_subgraph(gen_family("complete", 4))
         final_absorb(state)
         assert state.colors_used == 2
-        assert set(state.edges) == set(state.host.edges)
+        assert set(state.coloring) == set(state.host.edges)
 
     def test_noop_colors_leftovers(self):
         g = gen_family("complete", 4)
-        state = GrowState(g, set(range(4)), {(0, 1), (0, 2), (1, 2), (0, 3),
-                                             (1, 3)},
+        state = GrowState(g, set(range(4)),
                           {(0, 1): 1, (0, 2): 1, (1, 2): 1, (0, 3): 2, (1, 3): 2}, 2)
         final_absorb(state)
         assert state.coloring[(2, 3)] == 1
@@ -287,6 +291,38 @@ class TestRunConstructive:
         g = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         with pytest.raises(PreconditionError, match="disconnected"):
             run_constructive(g, force=True)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_force_colors_every_small_connected_graph(self, n):
+        for g in filter(is_connected, iter_labeled_graphs(n)):
+            res = run_constructive(g, force=True)
+            assert find_rainbow_witness(g, res.coloring) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(6, 7).flatmap(
+        lambda n: st.builds(graph_from_mask, st.just(n),
+                            st.integers(0, (1 << (n * (n - 1) // 2)) - 1))))
+    def test_force_colors_connected_graphs(self, g):
+        assume(is_connected(g))
+        res = run_constructive(g, force=True)
+        assert find_rainbow_witness(g, res.coloring) is None
+
+    def test_force_triangle_seeds_and_closes(self):
+        res = run_constructive(gen_family("complete", 3), force=True)
+        assert [rec.kind for rec in res.trace] == ["seed_triangle", "final_absorb"]
+        assert res.colors_used == 1
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1)],
+        [(0, 1), (1, 2)],
+        [(0, 1), (0, 2), (0, 3), (0, 4)],
+    ])
+    def test_force_tree_gets_spanning_tree(self, edges):
+        g = make_graph(max(map(max, edges)) + 1, edges)
+        res = run_constructive(g, force=True)
+        assert [rec.kind for rec in res.trace] == ["spanning_tree"]
+        assert res.colors_used == g.n - 1
+        assert find_rainbow_witness(g, res.coloring) is None
 
     def test_progress_and_trace_format(self):
         g = gen_family("random3c", 20, 5, seed=3)

@@ -2,11 +2,17 @@
 
 Refactors of the construction must keep every coloring and every trace
 line byte-identical. A change that means to alter behaviour updates the
-pinned digest and says why.
+pinned digest and says why. The public names that the layered benchmark
+(`layerbench/`) traces by name are pinned here too: after a rename its
+per-layer metrics would silently read 0.
 """
 
 import hashlib
+import inspect
 
+import pytest
+
+from rcbound import connectivity, construct, rainbow
 from rcbound.cli import _build, builtin_corpus
 from rcbound.construct import run_constructive
 from rcbound.rainbow import serialize_coloring
@@ -27,3 +33,19 @@ def corpus_fingerprint(seed: int) -> str:
 
 def test_builtin_corpus_fingerprint():
     assert corpus_fingerprint(CORPUS_SEED) == PINNED_SHA256
+
+
+TRACED_NAMES = [
+    (construct, "seed_subgraph"), (construct, "classify_extension"),
+    (construct, "apply_extension"), (construct, "repair_step"),
+    (construct, "final_absorb"), (construct, "run_constructive"),
+    (connectivity, "vertex_connectivity"), (connectivity, "find_fan"),
+    (rainbow, "find_rainbow_witness"), (rainbow, "rc_exact"),
+]
+
+
+@pytest.mark.parametrize("module,name", TRACED_NAMES,
+                         ids=[f"{m.__name__}.{n}" for m, n in TRACED_NAMES])
+def test_traced_name_is_module_function(module, name):
+    fn = getattr(module, name, None)
+    assert inspect.isfunction(fn) and fn.__module__ == module.__name__

@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from rcbound.graphs import gen_family, is_connected, make_graph
 from rcbound.rainbow import (BudgetExhaustedError, EdgeColoring, cycle_color_sequence,
-                             cycle_coloring, find_rainbow_witness, is_rainbow_connected,
-                             parse_coloring, rainbow_path_exists, rc_exact,
-                             serialize_coloring)
+                             cycle_coloring, find_rainbow_witness, parse_coloring,
+                             rainbow_path_exists, rc_exact, serialize_coloring)
 
 from _oracles import brute_rainbow_witness, brute_rc, canonical_colorings
 from test_graphs import graph_from_mask
@@ -55,7 +54,6 @@ class TestWitness:
 
     def test_striped_c6_ok(self):
         assert find_rainbow_witness(gen_family("cycle", 6), c6_striped()) is None
-        assert is_rainbow_connected(gen_family("cycle", 6), c6_striped())
 
     def test_disconnected_rejected(self):
         g = make_graph(4, [(0, 1), (2, 3)])
@@ -93,7 +91,7 @@ class TestCycleColoring:
         col = cycle_coloring(n)
         expected = 1 if n == 3 else (n + 1) // 2
         assert col.num_colors == expected
-        assert is_rainbow_connected(gen_family("cycle", n), col)
+        assert find_rainbow_witness(gen_family("cycle", n), col) is None
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -128,7 +126,7 @@ class TestRcExact:
             g = gen_family(fam, *args)
             k, col = rc_exact(g)
             assert col.num_colors == k
-            assert is_rainbow_connected(g, col)
+            assert find_rainbow_witness(g, col) is None
 
     def test_diameter_lower_bound(self):
         from rcbound.graphs import diameter
