@@ -648,8 +648,9 @@ def run_constructive(g: Graph, force: bool = False) -> ConstructionResult:
     fails or the graph has no cycle to seed it; the checker guarantee still
     holds for whatever comes back, the color bound does not.
     """
-    kappa = vertex_connectivity(g)
-    if kappa == 0:
+    # K1 is connected with kappa 0: refused without force, colored with it
+    kappa = vertex_connectivity(g) if g.n > 1 else 0
+    if kappa == 0 and g.n > 1:
         raise PreconditionError("graph is disconnected; no coloring is rainbow connected")
     if kappa < 3 and not force:
         raise PreconditionError(

@@ -134,8 +134,8 @@ def parse_coloring(text: str, g: Graph) -> EdgeColoring:
                 k = int(parts[0])
             except ValueError:
                 raise GraphFormatError("color count must be an integer", lineno) from None
-            if k < 1:
-                raise GraphFormatError(f"color count must be positive, got {k}", lineno)
+            if k < 0:
+                raise GraphFormatError(f"color count must be non-negative, got {k}", lineno)
             continue
         if len(parts) != 3:
             raise GraphFormatError("coloring line must be 'u v c'", lineno)

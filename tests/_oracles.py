@@ -106,6 +106,49 @@ def _connected_after(g: Graph, removed: set) -> bool:
     return len(seen) == len(rest)
 
 
+def pairwise_vertex_connectivity(g: Graph) -> int:
+    """kappa as the fewest internally disjoint paths over every non-adjacent
+    pair (n - 1 when there is none), each count from its own max flow."""
+    pairs = [(u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)]
+    if not pairs:
+        return g.n - 1
+    return min(_local_connectivity(g, u, v) for u, v in pairs)
+
+
+def _local_connectivity(g: Graph, s: int, t: int) -> int:
+    """Most s-t paths sharing only s and t (Menger): unit flow on the split
+    network where vertex v is the arc 2v -> 2v+1 and edge uv the arcs
+    2u+1 -> 2v and 2v+1 -> 2u, from s's out-half to t's in-half."""
+    cap = {(2 * v, 2 * v + 1): 1 for v in range(g.n)}
+    for u, v in g.edges:
+        cap[(2 * u + 1, 2 * v)] = cap[(2 * v + 1, 2 * u)] = 1
+    for a, b in list(cap):
+        cap.setdefault((b, a), 0)
+    out = {a: [] for a in range(2 * g.n)}
+    for a, b in cap:
+        out[a].append(b)
+    source, sink = 2 * s + 1, 2 * t
+    flow = 0
+    while True:
+        prev = {source: source}
+        stack = [source]
+        while stack and sink not in prev:
+            a = stack.pop()
+            for b in out[a]:
+                if b not in prev and cap[(a, b)] > 0:
+                    prev[b] = a
+                    stack.append(b)
+        if sink not in prev:
+            return flow
+        b = sink
+        while b != source:
+            a = prev[b]
+            cap[(a, b)] -= 1
+            cap[(b, a)] += 1
+            b = a
+        flow += 1
+
+
 def brute_has_disjoint_paths(g: Graph, x: int, y: int, k: int) -> bool:
     """Does some family of k pairwise internally disjoint x-y paths exist?"""
     paths = [tuple(p) for p in all_simple_paths(g, x, y)]

@@ -80,6 +80,22 @@ class TestConstructCheck:
         code, _, err = run(capsys, "construct", str(gpath), "--force")
         assert code == 3 and "disconnected" in err
 
+    def test_single_vertex_refused(self, capsys, tmp_path):
+        gpath = tmp_path / "k1.txt"
+        gpath.write_text("1 0\n")
+        code, _, err = run(capsys, "construct", str(gpath))
+        assert code == 3 and "connectivity 0 < 3" in err
+
+    def test_force_single_vertex_gets_empty_coloring(self, capsys, tmp_path):
+        gpath, cpath = tmp_path / "k1.txt", tmp_path / "col.txt"
+        gpath.write_text("1 0\n")
+        code, out, _ = run(capsys, "construct", str(gpath), "--force", "--trace",
+                           "-o", str(cpath))
+        assert code == 0 and "kind=spanning_tree" in out
+        assert out.strip().splitlines()[-1] == "k=0 bound=n/a ok"
+        code, out, _ = run(capsys, "check", str(gpath), str(cpath))
+        assert code == 0 and out.strip() == "rainbow-connected"
+
     def test_petersen_roundtrip_through_check(self, capsys, petersen_file, tmp_path):
         cpath = tmp_path / "col.txt"
         code, out, _ = run(capsys, "construct", petersen_file, "-o", str(cpath), "--trace")

@@ -1,14 +1,17 @@
 import hashlib
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rcbound import connectivity
 from rcbound.connectivity import (check_fan, find_fan, internally_disjoint_paths,
                                   vertex_connectivity)
 from rcbound.graphs import gen_family, make_graph
 
-from _oracles import brute_has_disjoint_paths, brute_vertex_connectivity
+from _oracles import (brute_has_disjoint_paths, brute_vertex_connectivity,
+                      pairwise_vertex_connectivity)
 from test_graphs import graph_from_mask, ladder, st_small_graph
 
 st_graph_n2to6 = st.integers(2, 6).flatmap(
@@ -52,6 +55,7 @@ class TestVertexConnectivity:
     @given(st_graph_n2to6)
     def test_matches_cut_enumerator(self, g):
         assert vertex_connectivity(g) == brute_vertex_connectivity(g)
+        assert pairwise_vertex_connectivity(g) == brute_vertex_connectivity(g)
 
 
 class TestDisjointPaths:
@@ -165,6 +169,24 @@ def complete_bipartite(a: int, b: int):
     return make_graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 
+def hypercube(d: int):
+    return make_graph(1 << d, [(v, v | 1 << b) for v in range(1 << d) for b in range(d)
+                               if not v >> b & 1])
+
+
+def generalized_petersen(n: int, k: int):
+    """GP(n, k): an outer n-cycle, spokes, and an inner cycle of step k."""
+    return make_graph(2 * n, [(i, (i + 1) % n) for i in range(n)]
+                      + [(i, n + i) for i in range(n)]
+                      + [(n + i, n + (i + k) % n) for i in range(n)])
+
+
+def mobius_ladder(n: int):
+    """An n-cycle plus its n/2 long diagonals."""
+    return make_graph(n, [(i, (i + 1) % n) for i in range(n)]
+                      + [(i, i + n // 2) for i in range(n // 2)])
+
+
 FAN_GRAPHS = [
     ("prism6", gen_family("prism", 6)),
     ("wheel8", gen_family("wheel", 8)),
@@ -224,3 +246,74 @@ class TestFlowFingerprint:
         for line in flow_fingerprint_lines():
             digest.update((line + "\n").encode())
         assert digest.hexdigest() == FLOW_SHA256
+
+
+# v = 1 (degree 4) reaches its two non-neighbours 0 and 6 by 4 disjoint paths
+# each, but {0, 3, 6} separates its neighbours 2 and 4: only the
+# neighbour-pair phase finds kappa = 3
+NEIGHBOUR_PAIR_GRAPH = make_graph(7, [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3),
+                                      (1, 4), (1, 5), (2, 3), (2, 6), (3, 6), (4, 5), (4, 6),
+                                      (5, 6)])
+
+
+def named(graphs):
+    return [pytest.param(g, id=name) for name, g in graphs]
+
+
+def count_flows(monkeypatch):
+    """A list that gains one entry per flow run inside connectivity."""
+    calls = []
+    real = connectivity._flow_paths
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(connectivity, "_flow_paths", counted)
+    return calls
+
+
+class TestPairReduction:
+    def test_neighbour_pairs_find_kappa(self):
+        g = NEIGHBOUR_PAIR_GRAPH
+        assert min(range(g.n), key=g.degree) == 1
+        for w in (0, 6):
+            assert internally_disjoint_paths(g, 1, w, 4) is not None
+        assert internally_disjoint_paths(g, 2, 4, 4) is None
+        assert vertex_connectivity(g) == brute_vertex_connectivity(g) == 3
+
+    @pytest.mark.parametrize("g, kappa", [
+        pytest.param(gen_family("wheel", 32), 3, id="wheel32"),
+        pytest.param(hypercube(5), 5, id="q5"),
+        pytest.param(generalized_petersen(24, 3), 3, id="gp24_3"),
+        pytest.param(gen_family("random3c", 40, 10, seed=0), 3, id="random3c40"),
+    ])
+    def test_flow_count_bounded(self, g, kappa, monkeypatch):
+        # one flow per non-adjacent pair would be hundreds on each of these
+        delta = min(map(len, g.adj))
+        calls = count_flows(monkeypatch)
+        assert vertex_connectivity(g) == kappa
+        assert 0 < len(calls) <= g.n - 1 - delta + comb(delta, 2)
+
+    @pytest.mark.parametrize("g", named(dict(FAN_GRAPHS + KAPPA_GRAPHS).items()))
+    def test_matches_pairwise_on_pinned_graphs(self, g):
+        assert vertex_connectivity(g) == pairwise_vertex_connectivity(g)
+
+    @pytest.mark.parametrize("g", named(
+        [(f"wheel{n}", gen_family("wheel", n)) for n in range(4, 25)]
+        + [(f"prism{k}", gen_family("prism", k)) for k in range(3, 13)]
+        + [(f"mobius{n}", mobius_ladder(n)) for n in range(6, 25, 2)]
+        + [(f"k3_{m}", complete_bipartite(3, m)) for m in range(1, 10)]
+        + [(f"gp{n}_2", generalized_petersen(n, 2)) for n in range(5, 13)]
+        + [(f"gp{n}_3", generalized_petersen(n, 3)) for n in range(7, 13)]
+        + [(f"random3c{n}_{extra}_{seed}", gen_family("random3c", n, extra, seed=seed))
+           for n in (8, 16, 24, 32, 40) for extra in (0, n // 4) for seed in range(2)]))
+    def test_matches_pairwise_on_families(self, g):
+        assert vertex_connectivity(g) == pairwise_vertex_connectivity(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(7, 12).flatmap(
+        lambda n: st.builds(graph_from_mask, st.just(n),
+                            st.integers(0, (1 << (n * (n - 1) // 2)) - 1))))
+    def test_matches_pairwise_on_random_graphs(self, g):
+        assert vertex_connectivity(g) == pairwise_vertex_connectivity(g)

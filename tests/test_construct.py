@@ -307,6 +307,17 @@ class TestRunConstructive:
         res = run_constructive(g, force=True)
         assert find_rainbow_witness(g, res.coloring) is None
 
+    def test_single_vertex_refused(self):
+        with pytest.raises(PreconditionError, match="connectivity 0 < 3"):
+            run_constructive(make_graph(1, []))
+
+    def test_force_single_vertex_gets_empty_coloring(self, monkeypatch):
+        calls = count_checks(monkeypatch)
+        res = run_constructive(make_graph(1, []), force=True)
+        assert res.coloring.colors == {} and res.colors_used == 0 and res.kappa == 0
+        assert [rec.kind for rec in res.trace] == ["spanning_tree"]
+        assert len(calls) == 1
+
     def test_force_triangle_seeds_and_closes(self):
         res = run_constructive(gen_family("complete", 3), force=True)
         assert [rec.kind for rec in res.trace] == ["seed_triangle", "final_absorb"]

@@ -196,6 +196,12 @@ class TestColoringIO:
         with pytest.raises(ValueError, match="outside"):
             parse_coloring("2\n0 1 3\n", g)
 
+    def test_empty_coloring_round_trip(self):
+        g = make_graph(1, [])
+        assert parse_coloring(serialize_coloring(EdgeColoring({})), g).colors == {}
+        with pytest.raises(ValueError, match="outside"):
+            parse_coloring("0\n0 1 1\n", make_graph(2, [(0, 1)]))
+
 
 def test_checker_vs_oracle_on_themed_colorings():
     rng = random.Random(123)
