@@ -131,6 +131,8 @@ def find_fan(g: Graph, x: int, targets: Iterable[int], k: int) -> FanPaths | Non
     (shortest-path augmentation) with deterministic tie-breaking.
     """
     tset = set(targets)
+    if not 0 <= x < g.n:
+        raise ValueError(f"vertex out of range 0..{g.n - 1}: source {x}")
     if not all(0 <= y < g.n for y in tset):
         raise ValueError(f"target out of range 0..{g.n - 1}")
     if x in tset:

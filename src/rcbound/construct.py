@@ -11,7 +11,10 @@ total at 5k <= 3n + 3, i.e. k <= floor((3n + 3) / 5). Each move's
 coloring is checked once by the rainbow-connectivity checker before it
 commits; if a scripted coloring fails, a bounded structured repair search
 takes over, and a repair failure aborts with a ConstructionError that
-carries the full trace. The finished coloring gets one full check.
+carries the full trace. A move check covers only the pairs with an added
+vertex: a move colors only new edges at its added vertices, so every pair
+already inside H keeps its rainbow path. The finished coloring gets one
+full check.
 
 Move kinds
   four_leaves      four outside vertices, three host links each, 2 colors
@@ -445,10 +448,17 @@ def plan_budget_row(plan: ExtensionPlan) -> tuple[int, int]:
 
 def _try_coloring(state: GrowState, added: tuple[int, ...],
                   patch: dict[Edge, int]) -> Edge | None:
+    """Check H plus the patch; with vertices added, only the pairs that
+    touch them, which is sound while the patch colors only new edges at
+    added vertices."""
+    aset = set(added)
+    for e in patch:
+        if e in state.coloring or not aset & set(e):
+            raise AssertionError(f"patch edge {e} is not a new edge at an added vertex")
     coloring = {**state.coloring, **patch}
     sub = make_graph(state.host.n, sorted(coloring))
     return find_rainbow_witness(sub, EdgeColoring(coloring),
-                                vertices=state.vertices | set(added))
+                                vertices=state.vertices | aset, sources=aset or None)
 
 
 def _commit(state: GrowState, added: tuple[int, ...], patch: dict[Edge, int]) -> int:

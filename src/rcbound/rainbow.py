@@ -89,27 +89,37 @@ def rainbow_path_exists(g: Graph, coloring: EdgeColoring, u: int, v: int) -> boo
 
 
 def find_rainbow_witness(g: Graph, coloring: EdgeColoring,
-                         vertices=None) -> Edge | None:
+                         vertices=None, sources=None) -> Edge | None:
     """None when every pair is rainbow connected, otherwise the
     lexicographically smallest failing pair.
 
     `vertices` restricts the pair universe to a subset (used to verify a
     subgraph); the restricted universe must still be connected.
+
+    `sources`, a subset of the universe, restricts the check to the pairs
+    with at least one end in it: one search runs from each source in
+    ascending order, aimed at every universe vertex except the sources
+    already searched. A failing pair then comes back as (min, max) from
+    the first source that misses one, not necessarily the smallest.
     """
     _require_covers(g, coloring)
     verts = sorted(vertices) if vertices is not None else list(range(g.n))
     dist = bfs_distances(g, verts[0])
     if any(dist[v] < 0 for v in verts):
         raise ValueError("vertex universe is not connected")
+    order = verts if sources is None else sorted(sources)
+    if not set(order) <= set(verts):
+        raise ValueError("sources must lie inside the vertex universe")
     adjc = _colored_adj(g, coloring)
-    for i, u in enumerate(verts):
-        targets = set(verts[i + 1:])
+    targets = set(verts)
+    for u in order:
+        targets.discard(u)
         if not targets:
             break
-        reached = _rainbow_reach(adjc, u, targets)
-        missing = targets - reached
+        missing = targets - _rainbow_reach(adjc, u, targets)
         if missing:
-            return (u, min(missing))
+            w = min(missing)
+            return (min(u, w), max(u, w))
     return None
 
 
@@ -219,6 +229,8 @@ def rc_exact(g: Graph, max_colors: int | None = None,
         max_colors = m
     if not 0 <= max_colors <= m:
         raise ValueError(f"max_colors must lie in 0..{m}, got {max_colors}")
+    if node_budget < 0:
+        raise ValueError(f"node_budget must be non-negative, got {node_budget}")
     lower = max(1, diameter(g))  # also rejects disconnected input
     if m == 0:
         return 0, EdgeColoring({})

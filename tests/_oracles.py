@@ -26,17 +26,20 @@ def all_simple_paths(g: Graph, u: int, v: int):
     return out
 
 
+def has_rainbow_path(g: Graph, colors: dict, u: int, v: int) -> bool:
+    """True when some simple u-v path repeats no color."""
+    for path in all_simple_paths(g, u, v):
+        cs = [colors[norm_edge(a, b)] for a, b in zip(path, path[1:])]
+        if len(set(cs)) == len(cs):
+            return True
+    return False
+
+
 def brute_rainbow_witness(g: Graph, colors: dict, vertices=None):
     """Lexicographically smallest pair with no rainbow path, else None."""
     verts = sorted(vertices) if vertices is not None else range(g.n)
     for u, v in combinations(verts, 2):
-        ok = False
-        for path in all_simple_paths(g, u, v):
-            cs = [colors[norm_edge(a, b)] for a, b in zip(path, path[1:])]
-            if len(set(cs)) == len(cs):
-                ok = True
-                break
-        if not ok:
+        if not has_rainbow_path(g, colors, u, v):
             return (u, v)
     return None
 

@@ -137,6 +137,10 @@ class TestExact:
         code, out, _ = run(capsys, "exact", petersen_file, "--node-budget", "10")
         assert code == 5 and out.strip() == "budget-exhausted at k=3"
 
+    def test_negative_budget_is_input_error(self, capsys, petersen_file):
+        code, out, err = run(capsys, "exact", petersen_file, "--node-budget", "-1")
+        assert code == 2 and out == "" and "node_budget" in err
+
     def test_coloring_written_and_checks(self, capsys, petersen_file, tmp_path):
         cpath = tmp_path / "col.txt"
         code, out, _ = run(capsys, "exact", petersen_file, "-o", str(cpath))
@@ -160,6 +164,11 @@ class TestQueries:
     def test_fan_insufficient(self, capsys, c5_file):
         code, out, _ = run(capsys, "fan", c5_file, "0", "2", "3", "4", "-k", "3")
         assert code == 1 and out.strip() == "insufficient"
+
+    @pytest.mark.parametrize("x,targets", [("99", ["1", "2", "3"]), ("-1", ["5", "6", "7"])])
+    def test_fan_source_out_of_range(self, capsys, petersen_file, x, targets):
+        code, out, err = run(capsys, "fan", petersen_file, x, *targets)
+        assert code == 2 and out == "" and "vertex out of range" in err
 
 
 class TestBench:

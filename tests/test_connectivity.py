@@ -123,6 +123,11 @@ class TestFindFan:
         with pytest.raises(ValueError, match="target set"):
             find_fan(gen_family("complete", 4), 0, [0, 1, 2], 3)
 
+    @pytest.mark.parametrize("x,targets", [(99, [1, 2, 3]), (-1, [5, 6, 7])])
+    def test_source_out_of_range_rejected(self, x, targets):
+        with pytest.raises(ValueError, match="vertex out of range"):
+            find_fan(gen_family("petersen"), x, targets, 3)
+
     def test_small_target_set_rejected(self):
         with pytest.raises(ValueError, match="smaller than"):
             find_fan(gen_family("complete", 4), 0, [1, 2], 3)

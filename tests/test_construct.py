@@ -3,11 +3,12 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rcbound import construct
-from rcbound.construct import (GrowState, PreconditionError, apply_extension,
+from rcbound import construct, rainbow
+from rcbound.construct import (ConstructionError, GrowState, PreconditionError, apply_extension,
                                classify_extension, color_bound, ear_color_sequence,
                                REUSE, final_absorb, plan_budget_row, repair_step,
                                run_constructive, seed_subgraph)
+from rcbound.connectivity import vertex_connectivity
 from rcbound.graphs import gen_family, is_connected, iter_labeled_graphs, make_graph, norm_edge
 from rcbound.rainbow import EdgeColoring, find_rainbow_witness, rc_exact
 
@@ -190,6 +191,31 @@ class TestApply:
         sub = make_graph(7, sorted(coloring))
         assert find_rainbow_witness(sub, EdgeColoring(coloring)) is None
 
+    @pytest.mark.parametrize("kind", sorted(SYNTHETIC))
+    def test_move_check_searches_from_added_vertices_only(self, kind, monkeypatch):
+        state = state_on(SYNTHETIC[kind][0])
+        plan = classify_extension(state)
+        searches = []
+        real = rainbow._rainbow_reach
+
+        def counted(adjc, source, targets):
+            searches.append(source)
+            return real(adjc, source, targets)
+
+        monkeypatch.setattr(rainbow, "_rainbow_reach", counted)
+        apply_extension(state, plan)
+        assert state.repair_calls == 0
+        assert searches == sorted(plan.vertices)
+
+    @pytest.mark.parametrize("patch", [
+        {(0, 4): 3, (1, 4): 3, (2, 4): 3, (0, 1): 3},  # recolors an edge of H
+        {(0, 4): 3, (1, 4): 3, (2, 4): 3, (0, 2): 3},  # new edge between old vertices
+    ])
+    def test_patch_guard(self, patch):
+        state = state_on([(4, 0), (4, 1), (4, 2), (0, 2)], n=5)
+        with pytest.raises(AssertionError, match="added vertex"):
+            construct._try_coloring(state, (4,), patch)
+
     def test_plan_state_mismatch_rejected(self):
         state = state_on(SYNTHETIC["ear"][0])
         plan = classify_extension(state)
@@ -268,6 +294,17 @@ class TestRunConstructive:
         assert res.colors_used <= res.bound == 6
         assert rc_exact(g)[0] == 3 <= res.colors_used
         assert find_rainbow_witness(g, res.coloring) is None
+
+    @pytest.mark.xfail(strict=True, raises=ConstructionError,
+                       reason="repair finds no coloring for the fallback absorption "
+                              "right after the seed triangle")
+    def test_sparse_nine_vertex_graph(self):
+        g = make_graph(9, [(0, 3), (0, 4), (0, 6), (0, 7), (0, 8), (1, 5), (1, 6), (1, 8),
+                           (2, 3), (2, 5), (2, 6), (2, 7), (2, 8), (3, 7), (4, 5), (4, 6),
+                           (4, 7), (4, 8), (6, 7), (6, 8)])
+        assert vertex_connectivity(g) == 3 and rc_exact(g)[0] == 3
+        res = run_constructive(g)
+        assert res.colors_used <= res.bound == 6
 
     def test_low_connectivity_refused(self):
         with pytest.raises(PreconditionError, match="force"):

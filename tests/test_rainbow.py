@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from rcbound.rainbow import (BudgetExhaustedError, EdgeColoring, cycle_color_seq
                              cycle_coloring, find_rainbow_witness, parse_coloring,
                              rainbow_path_exists, rc_exact, serialize_coloring)
 
-from _oracles import brute_rainbow_witness, brute_rc, canonical_colorings
+from _oracles import brute_rainbow_witness, brute_rc, canonical_colorings, has_rainbow_path
 from test_graphs import graph_from_mask
 
 
@@ -73,6 +74,35 @@ class TestWitness:
             return
         col = EdgeColoring({e: rng.randint(1, max(1, g.m // 2)) for e in g.edges})
         assert find_rainbow_witness(g, col) == brute_rainbow_witness(g, col.colors)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(2, 7), st.integers(0, 2 ** 21 - 1), st.randoms(use_true_random=False))
+    def test_sources_match_path_enumeration(self, n, mask, rng):
+        g = graph_from_mask(n, mask % (1 << (n * (n - 1) // 2)))
+        if g.m == 0 or not is_connected(g):
+            return
+        col = EdgeColoring({e: rng.randint(1, max(1, g.m // 2)) for e in g.edges})
+        sources = set(rng.sample(range(n), rng.randint(1, n)))
+        failing = {(u, v) for u, v in combinations(range(n), 2)
+                   if (u in sources or v in sources)
+                   and not has_rainbow_path(g, col.colors, u, v)}
+        witness = find_rainbow_witness(g, col, sources=sources)
+        assert (witness is None) == (not failing)
+        assert witness is None or witness in failing
+
+    def test_sources_skip_pairs_between_other_vertices(self):
+        # monochrome C5 fails at (0, 2); from source 4 only 4-1 and 4-2 fail
+        g = gen_family("cycle", 5)
+        col = EdgeColoring({e: 1 for e in g.edges})
+        assert find_rainbow_witness(g, col, sources={4}) == (1, 4)
+        assert find_rainbow_witness(g, col, vertices=[0, 1, 4]) == (1, 4)
+        assert find_rainbow_witness(g, col, vertices=[0, 1, 4], sources={0}) is None
+
+    def test_sources_outside_universe_rejected(self):
+        g = gen_family("cycle", 5)
+        col = EdgeColoring({e: 1 for e in g.edges})
+        with pytest.raises(ValueError, match="sources"):
+            find_rainbow_witness(g, col, vertices=[0, 1, 2], sources={3})
 
 
 class TestCycleColoring:
@@ -139,6 +169,10 @@ class TestRcExact:
             rc_exact(gen_family("petersen"), node_budget=10)
         assert info.value.k == 3
         assert "budget-exhausted at k=3" in str(info.value)
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="node_budget"):
+            rc_exact(gen_family("petersen"), node_budget=-1)
 
     def test_max_colors_too_small(self):
         with pytest.raises(ValueError, match="no rainbow-connected"):
