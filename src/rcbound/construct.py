@@ -2,10 +2,10 @@
 
 The driver keeps a connected subgraph H that is rainbow connected under a
 partial coloring and never spends more than (3h - 1) / 5 colors on h
-vertices (checked as 5k <= 3h - 1 in exact integers). While at least four
-vertices remain outside, one bulk move fires per round; each move kind
-absorbs a fixed bundle of vertices with a fixed number of fresh colors,
-so the budget survives by arithmetic alone. The last at most three
+vertices (5k <= 3h - 1 in exact integers). While at least four vertices
+remain outside, one bulk move fires per round. Every move obeys one rule,
+move_budget: q >= 4 added vertices may take at most ceil(q/2) fresh
+colors, so the budget survives by arithmetic alone. The last at most three
 vertices are absorbed with at most two extra colors, which lands the
 total at 5k <= 3n + 3, i.e. k <= floor((3n + 3) / 5). Each move's
 coloring is checked once by the rainbow-connectivity checker before it
@@ -17,15 +17,16 @@ already inside H keeps its rainbow path. The finished coloring gets one
 full check.
 
 Move kinds
-  four_leaves      four outside vertices, three host links each, 2 colors
-  ear              a path between two H-vertices with s+t+1 outside
-                   vertices inside it, ceil((s+t+1)/2) colors
-  tripod           a center reaching H by three 2-step paths, 2 colors
+  four_leaves      four outside vertices, three host links each
+  ear              a path between two H-vertices with q >= 4 outside
+                   vertices inside it
+  tripod           a center reaching H by three 2-step paths
   arch_1xy         a 2-2 double bridge plus a companion whose own link
-                   profile is 1xy, 2 or 3 colors
+                   profile is 1xy (4, 5 or 6 vertices)
   fork_leaves      a fork (two direct links and one 2-step path) plus two
-                   3-link companions, 2 colors
-  fork_fork        a fork plus a fork-shaped companion, 2 colors
+                   3-link companions
+  fork_fork        a fork plus a fork-shaped companion
+  ear_fallback     an ear found from a vertex with no direct link into H
   fallback_absorb  four reachable outside vertices by repair search alone
   final_absorb     the closing move for the last r <= 3 vertices
   spanning_tree    a failed forced run's fallback: distinct BFS tree colors
@@ -86,8 +87,6 @@ class StepRecord:
     h: int
     k: int
     repaired: bool = False
-    s: int | None = None
-    t: int | None = None
 
     @property
     def fallback(self) -> bool:
@@ -109,8 +108,6 @@ class ExtensionPlan:
     kind: str
     vertices: tuple[int, ...]
     slots: tuple[tuple[Edge, int], ...]
-    s: int | None = None
-    t: int | None = None
 
 
 @dataclass
@@ -122,7 +119,6 @@ class GrowState:
     coloring: dict[Edge, int]
     colors_used: int
     trace: list[StepRecord] = field(default_factory=list)
-    enforce_budget: bool = True
     repair_calls: int = 0
 
     @property
@@ -133,40 +129,50 @@ class GrowState:
         return sorted(set(range(self.host.n)) - self.vertices)
 
     def record(self, kind: str, added: tuple[int, ...], new_colors: int,
-               repaired: bool = False, s: int | None = None, t: int | None = None) -> None:
+               repaired: bool = False) -> None:
         self.trace.append(StepRecord(len(self.trace), kind, added, new_colors,
-                                     self.h, self.colors_used, repaired, s, t))
-
-    def check_budget(self) -> None:
-        if self.enforce_budget:
-            lhs, rhs = 5 * self.colors_used, 3 * self.h - 1
-            if lhs > rhs:
-                raise ConstructionError(f"color budget violated: {lhs} > {rhs}", self.trace)
+                                     self.h, self.colors_used, repaired))
 
     def verify(self) -> None:
         witness = _try_coloring(self, (), {})
         if witness is not None:
             raise ConstructionError(
                 f"grown subgraph lost rainbow connectivity at pair {witness}", self.trace)
-        self.check_budget()
 
 
-def ear_color_sequence(s: int, t: int) -> list[int]:
-    """Color slots for the s+t+2 edges of an attached path; the center's
-    direct host link, when there is one, takes REUSE.
+def move_budget(q: int) -> int:
+    """Fresh colors a move that adds q >= 4 vertices may take: ceil(q/2).
 
-    Even s+t: (s+t+2)/2 fresh slots on the first half, repeated in the
-    same order on the second half. Odd s+t: (s+t+1)/2 fresh slots on the
-    first half, REUSE on the middle edge, then the fresh run repeats.
+    This one rule keeps the invariant 5k <= 3h - 1 of the grown subgraph.
+    Every seed meets it: a triangle gives 5 <= 8, a 4-cycle 10 <= 11, a
+    cycle of length L >= 6 takes ceil(L/2) colors with 5 * ceil(L/2) <=
+    3L - 1, and a 5-cycle always gets its pendant (15 <= 17), because a
+    shortest cycle is induced and in a 3-connected graph each of its
+    vertices has a third neighbour off it. A move then adds 3q to the
+    right side and at most 5 * ceil(q/2) <= 3q to the left, which holds
+    for every q >= 4 (10 <= 12, 15 <= 15, ...). So apply_extension's
+    per-move check is the only budget check a growth step needs.
     """
-    if s + t < 3:
-        raise ValueError(f"ear needs s+t >= 3, got {s + t}")
-    total = s + t + 2
-    fresh = list(range(1, total // 2 + 1))
-    return fresh + fresh if total % 2 == 0 else fresh + [REUSE] + fresh
+    if q < 4:
+        raise ValueError(f"a move must add at least 4 vertices, adds {q}")
+    return (q + 1) // 2
 
 
-def seed_subgraph(g: Graph, enforce_budget: bool = True) -> GrowState:
+def ear_color_sequence(q: int) -> list[int]:
+    """Color slots for the q+1 edges of a path through q >= 4 outside
+    vertices; the center's direct host link, when there is one, takes
+    REUSE.
+
+    The path takes move_budget(q) fresh slots. Even q+1: they fill the
+    first half and repeat in the same order on the second half. Odd q+1:
+    they fill the first half, REUSE takes the middle edge, then the fresh
+    run repeats.
+    """
+    fresh = list(range(1, move_budget(q) + 1))
+    return fresh + fresh if q % 2 == 1 else fresh + [REUSE] + fresh
+
+
+def seed_subgraph(g: Graph) -> GrowState:
     """Initial H: a triangle when one exists, else the shortest cycle, with
     a pendant vertex attached when the shortest cycle has length five
     (its budget needs the sixth vertex). Connectivity is not checked here:
@@ -193,8 +199,7 @@ def seed_subgraph(g: Graph, enforce_budget: bool = True) -> GrowState:
     seq = cycle_color_sequence(glen)
     coloring = {norm_edge(cycle[i], cycle[(i + 1) % glen]): seq[i] for i in range(glen)}
     coloring.update(pendant)
-    state = GrowState(g, {v for e in coloring for v in e}, coloring, max(seq),
-                      enforce_budget=enforce_budget)
+    state = GrowState(g, {v for e in coloring for v in e}, coloring, max(seq))
     state.verify()
     state.record(kind, tuple(sorted(state.vertices)), state.colors_used)
     return state
@@ -269,10 +274,10 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
     if mixed:
         st, x = max(mixed, key=lambda item: (item[0], -item[1]))
         p0, p1, p2 = fans[x].paths
-        s, t = len(p1) - 2, len(p2) - 2
+        s = len(p1) - 2
         e0 = norm_edge(x, p0[1])
         if st >= 3:
-            return _ear_plan(EAR, x, p1, p2, s, t, e0)
+            return _ear_plan(EAR, p1, p2, e0)
         if st == 2:
             if s == 1:
                 return _companion_dispatch(state, fans, ext, center=x, e0=e0,
@@ -310,7 +315,7 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
     if earable:
         st, w = max(earable, key=lambda item: (item[0], -item[1]))
         p1, p2 = fans[w].paths[1], fans[w].paths[2]
-        return _ear_plan(EAR_FALLBACK, w, p1, p2, len(p1) - 2, len(p2) - 2, e0=None)
+        return _ear_plan(EAR_FALLBACK, p1, p2, e0=None)
     return _fallback_absorb_plan(state)
 
 
@@ -323,15 +328,14 @@ def _four_leaves_plan(fans, picked: list[int]) -> ExtensionPlan:
     return ExtensionPlan(FOUR_LEAVES, tuple(picked), tuple(slots))
 
 
-def _ear_plan(kind: str, x: int, p1, p2, s: int, t: int,
-              e0: Edge | None) -> ExtensionPlan:
+def _ear_plan(kind: str, p1, p2, e0: Edge | None) -> ExtensionPlan:
     added = tuple(sorted(set(p1[:-1]) | set(p2[:-1])))
     walk = list(reversed(p1)) + list(p2[1:])  # terminal(p1) .. x .. terminal(p2)
-    seq = ear_color_sequence(s, t)
+    seq = ear_color_sequence(len(added))
     slots = [(norm_edge(walk[i], walk[i + 1]), seq[i]) for i in range(len(walk) - 1)]
     if e0 is not None:
         slots.append((e0, REUSE))
-    return ExtensionPlan(kind, added, tuple(slots), s=s, t=t)
+    return ExtensionPlan(kind, added, tuple(slots))
 
 
 def _companion_dispatch(state: GrowState, fans, ext, center: int, e0: Edge,
@@ -359,16 +363,14 @@ def _companion_dispatch(state: GrowState, fans, ext, center: int, e0: Edge,
         links = [norm_edge(w, p[1]) for p in fan.paths]
         if lens == [1, 1, 1]:
             slots = arch + [(links[0], 1), (links[1], 1), (links[2], 2)]
-            return ExtensionPlan(ARCH_111, tuple(sorted(base | {w})), tuple(slots),
-                                 s=1, t=1)
+            return ExtensionPlan(ARCH_111, tuple(sorted(base | {w})), tuple(slots))
         if lens == [1, 1, 2]:
             vp, bp = fan.paths[2][1], fan.paths[2][2]
             if vp in base:
                 continue
             slots = arch + [(links[0], 1), (norm_edge(w, vp), 1),
                             (links[1], 2), (norm_edge(vp, bp), 3)]
-            return ExtensionPlan(ARCH_112, tuple(sorted(base | {w, vp})), tuple(slots),
-                                 s=1, t=1)
+            return ExtensionPlan(ARCH_112, tuple(sorted(base | {w, vp})), tuple(slots))
         if lens == [1, 2, 2]:
             up, ap = fan.paths[1][1], fan.paths[1][2]
             vp, bp = fan.paths[2][1], fan.paths[2][2]
@@ -376,16 +378,14 @@ def _companion_dispatch(state: GrowState, fans, ext, center: int, e0: Edge,
                 continue
             slots = arch + [(norm_edge(ap, up), 1), (norm_edge(w, vp), 1),
                             (norm_edge(up, w), 2), (links[0], 3), (norm_edge(vp, bp), 3)]
-            return ExtensionPlan(ARCH_122, tuple(sorted(base | {w, up, vp})), tuple(slots),
-                                 s=1, t=1)
+            return ExtensionPlan(ARCH_122, tuple(sorted(base | {w, up, vp})), tuple(slots))
         if lens == [1, 1, 3]:
             vp, vq, bp = fan.paths[2][1], fan.paths[2][2], fan.paths[2][3]
             if vp in base or vq in base:
                 continue
             slots = arch + [(norm_edge(vp, vq), 1), (norm_edge(w, vp), 2),
                             (links[0], 3), (links[1], 3), (norm_edge(vq, bp), 3)]
-            return ExtensionPlan(ARCH_113, tuple(sorted(base | {w, vp, vq})), tuple(slots),
-                                 s=1, t=1)
+            return ExtensionPlan(ARCH_113, tuple(sorted(base | {w, vp, vq})), tuple(slots))
     return _fallback_absorb_plan(state)
 
 
@@ -403,8 +403,7 @@ def _fork_leaves_plan(x: int, v1: int, b: int, e0: Edge, e1: Edge,
     for w in (x1, x2):
         links = [norm_edge(w, p[1]) for p in fans[w].paths]
         slots.extend([(links[0], 1), (links[1], 1), (links[2], 2)])
-    return ExtensionPlan(FORK_LEAVES, tuple(sorted({x, v1, x1, x2})), tuple(slots),
-                         s=0, t=1)
+    return ExtensionPlan(FORK_LEAVES, tuple(sorted({x, v1, x1, x2})), tuple(slots))
 
 
 def _fork_fork_plan(x: int, v1: int, b: int, e0: Edge, e1: Edge,
@@ -413,8 +412,7 @@ def _fork_fork_plan(x: int, v1: int, b: int, e0: Edge, e1: Edge,
     links = [norm_edge(x1, p[1]) for p in fan.paths]
     slots = [(e0, 1), (e1, 1), (norm_edge(x, v1), 1), (norm_edge(v1, b), 1),
              (links[0], 2), (links[1], 2), (norm_edge(x1, vp), 2), (norm_edge(vp, bp), 2)]
-    return ExtensionPlan(FORK_FORK, tuple(sorted({x, v1, x1, vp})), tuple(slots),
-                         s=0, t=1)
+    return ExtensionPlan(FORK_FORK, tuple(sorted({x, v1, x1, vp})), tuple(slots))
 
 
 def _fallback_absorb_plan(state: GrowState) -> ExtensionPlan:
@@ -433,17 +431,6 @@ def _fallback_absorb_plan(state: GrowState) -> ExtensionPlan:
         pool.discard(w)
         reach.add(w)
     return ExtensionPlan(FALLBACK_ABSORB, tuple(take), ())
-
-
-def plan_budget_row(plan: ExtensionPlan) -> tuple[int, int]:
-    """(vertices added, fresh colors allowed) for a plan kind."""
-    if plan.kind in (EAR, EAR_FALLBACK):
-        q = plan.s + plan.t + 1
-        return q, (q + 1) // 2
-    rows = {FOUR_LEAVES: (4, 2), TRIPOD: (4, 2), ARCH_111: (4, 2),
-            ARCH_112: (5, 3), ARCH_122: (6, 3), ARCH_113: (6, 3),
-            FORK_LEAVES: (4, 2), FORK_FORK: (4, 2), FALLBACK_ABSORB: (4, 2)}
-    return rows[plan.kind]
 
 
 def _try_coloring(state: GrowState, added: tuple[int, ...],
@@ -566,13 +553,11 @@ def apply_extension(state: GrowState, plan: ExtensionPlan) -> GrowState:
         raise ValueError("plan adds vertices already inside the grown subgraph")
     if any(not (0 <= v < state.host.n) for v in added):
         raise ValueError("plan adds vertices outside the host")
-    exp_v, exp_k = plan_budget_row(plan)
-    if len(added) != exp_v:
-        raise ValueError(f"plan {plan.kind} must add {exp_v} vertices, adds {len(added)}")
+    budget = move_budget(len(added))
 
     repaired = False
     if plan.kind == FALLBACK_ABSORB:
-        patch = repair_step(state, added, exp_k)
+        patch = repair_step(state, added, budget)
         if patch is None:
             raise ConstructionError("repair failed on a fallback absorption", state.trace)
     else:
@@ -583,17 +568,16 @@ def apply_extension(state: GrowState, plan: ExtensionPlan) -> GrowState:
                  for e, slot in plan.slots}
         if _try_coloring(state, added, patch) is not None:
             log.warning("scripted %s coloring rejected; invoking repair", plan.kind)
-            patch = repair_step(state, added, exp_k)
+            patch = repair_step(state, added, budget)
             repaired = True
             if patch is None:
                 raise ConstructionError(f"repair failed after a {plan.kind} move", state.trace)
 
     used = _commit(state, added, patch)
-    if used > exp_k:
+    if used > budget:
         raise ConstructionError(
-            f"{plan.kind} spent {used} fresh colors, budget row allows {exp_k}", state.trace)
-    state.check_budget()
-    state.record(plan.kind, added, used, repaired=repaired, s=plan.s, t=plan.t)
+            f"{plan.kind} spent {used} fresh colors, its budget allows {budget}", state.trace)
+    state.record(plan.kind, added, used, repaired=repaired)
     return state
 
 
@@ -667,7 +651,7 @@ def run_constructive(g: Graph, force: bool = False) -> ConstructionResult:
             f"vertex connectivity {kappa} < 3; pass force to attempt anyway")
     guaranteed = kappa >= 3
     try:
-        state = seed_subgraph(g, enforce_budget=guaranteed)
+        state = seed_subgraph(g)
         while len(state.externals()) >= 4:
             h_before = state.h
             plan = classify_extension(state)

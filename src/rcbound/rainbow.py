@@ -93,8 +93,9 @@ def find_rainbow_witness(g: Graph, coloring: EdgeColoring,
     """None when every pair is rainbow connected, otherwise the
     lexicographically smallest failing pair.
 
-    `vertices` restricts the pair universe to a subset (used to verify a
-    subgraph); the restricted universe must still be connected.
+    `vertices` restricts the pair universe to a subset of 0..n-1 (used to
+    verify a subgraph); the restricted universe must be non-empty and
+    connected.
 
     `sources`, a subset of the universe, restricts the check to the pairs
     with at least one end in it: one search runs from each source in
@@ -104,6 +105,10 @@ def find_rainbow_witness(g: Graph, coloring: EdgeColoring,
     """
     _require_covers(g, coloring)
     verts = sorted(vertices) if vertices is not None else list(range(g.n))
+    if not verts:
+        raise ValueError("vertex universe is empty")
+    if verts[0] < 0 or verts[-1] >= g.n:
+        raise ValueError(f"vertex universe must lie in 0..{g.n - 1}")
     dist = bfs_distances(g, verts[0])
     if any(dist[v] < 0 for v in verts):
         raise ValueError("vertex universe is not connected")

@@ -1,13 +1,14 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rcbound import construct, rainbow
-from rcbound.construct import (ConstructionError, GrowState, PreconditionError, apply_extension,
-                               classify_extension, color_bound, ear_color_sequence,
-                               REUSE, final_absorb, plan_budget_row, repair_step,
-                               run_constructive, seed_subgraph)
+from rcbound.construct import (ConstructionError, ExtensionPlan, GrowState, PreconditionError,
+                               apply_extension, classify_extension, color_bound,
+                               ear_color_sequence, REUSE, final_absorb, move_budget,
+                               repair_step, run_constructive, seed_subgraph)
 from rcbound.connectivity import vertex_connectivity
 from rcbound.graphs import gen_family, is_connected, iter_labeled_graphs, make_graph, norm_edge
 from rcbound.rainbow import EdgeColoring, find_rainbow_witness, rc_exact
@@ -77,18 +78,31 @@ class TestSeed:
 
 
 class TestEarColorSequence:
+    # the names give s + t, the ear's length beyond the center; q = s + t + 1
     def test_even_four(self):
-        assert ear_color_sequence(2, 2) == [1, 2, 3, 1, 2, 3]
+        assert ear_color_sequence(5) == [1, 2, 3, 1, 2, 3]
 
     def test_odd_three(self):
-        assert ear_color_sequence(1, 2) == [1, 2, REUSE, 1, 2]
+        assert ear_color_sequence(4) == [1, 2, REUSE, 1, 2]
 
     def test_odd_five(self):
-        assert ear_color_sequence(2, 3) == [1, 2, 3, REUSE, 1, 2, 3]
+        assert ear_color_sequence(6) == [1, 2, 3, REUSE, 1, 2, 3]
 
     def test_too_short(self):
-        with pytest.raises(ValueError, match="s\\+t >= 3"):
-            ear_color_sequence(1, 1)
+        with pytest.raises(ValueError, match="at least 4"):
+            ear_color_sequence(3)
+
+
+class TestMoveBudget:
+    @pytest.mark.parametrize("q", range(4, 13))
+    def test_half_rounded_up_keeps_invariant(self, q):
+        assert move_budget(q) == (q + 1) // 2
+        assert 5 * move_budget(q) <= 3 * q
+
+    @pytest.mark.parametrize("q", range(-1, 4))
+    def test_fewer_than_four_rejected(self, q):
+        with pytest.raises(ValueError, match="at least 4"):
+            move_budget(q)
 
 
 SYNTHETIC = {
@@ -123,8 +137,11 @@ class TestClassify:
         assert plan.vertices == (3, 4, 5, 6)
 
     def test_ear_params(self):
+        # center 5 links straight to 1; the ear runs 0-4-5-6-7-2 (s = 1, t = 2)
         plan = classify_extension(state_on(SYNTHETIC["ear"][0]))
-        assert (plan.s, plan.t) == (1, 2)
+        assert plan.vertices == (4, 5, 6, 7)
+        assert plan.slots == (((0, 4), 1), ((4, 5), 2), ((5, 6), REUSE),
+                              ((6, 7), 1), ((2, 7), 2), ((1, 5), REUSE))
 
     def test_long_path_shifts_center_to_tripod(self):
         extra = [(4, 0), (4, 1), (4, 5), (5, 6), (6, 2), (5, 7), (7, 3)]
@@ -153,7 +170,7 @@ class TestApply:
         apply_extension(state, plan)
         assert state.repair_calls == 0, "scripted move must not invoke repair"
         assert (state.h - h0, state.colors_used - k0) == (dv, dk)
-        assert plan_budget_row(plan) == (dv, dk)
+        assert (len(plan.vertices), move_budget(len(plan.vertices))) == (dv, dk)
         assert 5 * state.colors_used <= 3 * state.h - 1
 
     def test_four_leaves_budget(self):
@@ -172,7 +189,7 @@ class TestApply:
     def test_ear_lengths(self, st_sum, extra):
         state = state_on(extra)
         plan = classify_extension(state)
-        assert plan.kind == "ear" and plan.s + plan.t == st_sum
+        assert plan.kind == "ear" and len(plan.vertices) == st_sum + 1
         apply_extension(state, plan)
         assert state.repair_calls == 0
         assert state.trace[-1].new_colors == (st_sum + 2) // 2
@@ -215,6 +232,23 @@ class TestApply:
         state = state_on([(4, 0), (4, 1), (4, 2), (0, 2)], n=5)
         with pytest.raises(AssertionError, match="added vertex"):
             construct._try_coloring(state, (4,), patch)
+
+    def test_overspent_script_rejected(self):
+        # a leaf link moved to a third fresh slot still passes the checker
+        # (a color used once breaks no path), but 4 vertices may take only 2
+        state = seed_subgraph(gen_family("complete", 7))
+        plan = classify_extension(state)
+        slots = ((plan.slots[0][0], 3),) + plan.slots[1:]
+        assert sorted({slot for _, slot in slots}) == [1, 2, 3]
+        with pytest.raises(ConstructionError, match="spent 3 fresh colors"):
+            apply_extension(state, replace(plan, slots=slots))
+        assert state.repair_calls == 0
+
+    def test_three_vertex_plan_rejected(self):
+        state = seed_subgraph(gen_family("complete", 7))
+        slots = tuple((norm_edge(w, q), 1) for w in (3, 4, 5) for q in (0, 1, 2))
+        with pytest.raises(ValueError, match="at least 4"):
+            apply_extension(state, ExtensionPlan("four_leaves", (3, 4, 5), slots))
 
     def test_plan_state_mismatch_rejected(self):
         state = state_on(SYNTHETIC["ear"][0])
@@ -305,6 +339,23 @@ class TestRunConstructive:
         assert vertex_connectivity(g) == 3 and rc_exact(g)[0] == 3
         res = run_constructive(g)
         assert res.colors_used <= res.bound == 6
+
+    def test_ear_fallback_pinned(self):
+        # 3, 4 and 5 are three 3-link leaves of the seed triangle, one too
+        # few for four_leaves; 6..9 reach it only through them, so no fan
+        # mixes a direct link with a longer path and 6's fan becomes an
+        # ear with no center link
+        edges = [(0, 1), (1, 2), (0, 2)]
+        edges += [(u, v) for u in (3, 4, 5) for v in (0, 1, 2)]
+        edges += [(3, 6), (4, 7), (5, 8), (6, 7), (7, 8), (6, 8), (6, 9), (7, 9), (8, 9)]
+        g = make_graph(10, edges)
+        assert vertex_connectivity(g) == 3
+        res = run_constructive(g)
+        assert [rec.kind for rec in res.trace] == ["seed_triangle", "ear_fallback",
+                                                   "final_absorb"]
+        assert res.trace[1].fallback and not res.trace[1].repaired
+        assert res.colors_used == res.bound == 6
+        assert find_rainbow_witness(g, res.coloring) is None
 
     def test_low_connectivity_refused(self):
         with pytest.raises(PreconditionError, match="force"):

@@ -104,6 +104,22 @@ class TestWitness:
         with pytest.raises(ValueError, match="sources"):
             find_rainbow_witness(g, col, vertices=[0, 1, 2], sources={3})
 
+    def test_empty_universe_rejected(self):
+        g = gen_family("cycle", 5)
+        with pytest.raises(ValueError, match="empty"):
+            find_rainbow_witness(g, cycle_coloring(5), vertices=[])
+
+    def test_universe_past_last_vertex_rejected(self):
+        g = gen_family("cycle", 5)
+        with pytest.raises(ValueError, match="0..4"):
+            find_rainbow_witness(g, cycle_coloring(5), vertices=[7])
+
+    def test_negative_universe_vertex_rejected(self):
+        # -1 must not wrap around to vertex 4
+        g = gen_family("cycle", 5)
+        with pytest.raises(ValueError, match="0..4"):
+            find_rainbow_witness(g, cycle_coloring(5), vertices=[-1, 0])
+
 
 class TestCycleColoring:
     def test_triangle_single_color(self):
