@@ -2,12 +2,17 @@
 
 Disjoint paths come from unit-capacity augmentation with vertex
 capacities (Even & Tarjan), kept on the graph itself: the flow is the set
-of directed edges that carry a unit. Every vertex but the source passes
-at most one path, so two paths meet only at the source. A path stops at
-the first target it touches, and a target ends one path unless it is the
-only target. Augmentation follows a shortest residual path in a fixed
-scan order, which keeps the returned paths short and the output
-deterministic.
+of directed edges that carry a unit, stored as each vertex's one used
+out-edge (the source has several) and its used in-edges, so a search
+steps back along a used edge without scanning the neighbours. Every
+vertex but the source passes at most one path, so two paths meet only at
+the source. A path stops at the first target it touches, and a target
+ends one path unless it is the only target. Augmentation follows a
+shortest residual path in a fixed scan order, which keeps the returned
+paths short and the output deterministic. Each search stops when it
+queues a target with room rather than when it pops it; the queue is FIFO
+and a state's predecessor is fixed when it is queued, so the path found
+is the same.
 
 Vertex connectivity runs that flow on few pairs: around one vertex v of
 minimum degree d it takes the pairs (v, w) for every w not adjacent to v
@@ -20,6 +25,7 @@ minimal, so v has a neighbour on each of its sides.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -39,73 +45,91 @@ def _flow_paths(g: Graph, x: int, targets: Sequence[int], want: int) -> list[lis
     """Up to `want` pairwise internally disjoint paths from x into targets,
     shortest first, ties in lexicographic order.
 
-    `used` holds the directed edges that carry a unit, `through` the vertices
-    a path passes and `load` the paths ending at each target. The search runs
-    over vertex halves: state 2v enters v and 2v+1 leaves it. Leaving v it steps
-    back into v if v is on a path, then along each unused edge. Entering v
-    it stops at a target with room or passes a free non-target v, then
-    steps back along each used edge into v. Neighbours go in ascending order.
+    The flow is the set of directed edges that carry a unit, kept as
+    `succ`, the one used edge out of each path vertex other than x;
+    `out_x`, the used edges out of x; and `into`, each vertex's used
+    in-edges in ascending order. `through` marks the vertices a path
+    passes. The search runs over vertex halves: state 2v enters v and 2v+1
+    leaves it. Leaving v it steps back into v if v is on a path, then along
+    each unused edge. Entering v it passes a free non-target v, then steps
+    back along each used edge into v. Neighbours go in ascending order, and
+    no step enters x.
+
+    The search ends when it queues the entering half of a target with room.
+    Waiting to pop that state gives the same path: the queue is FIFO, so
+    the first such state queued is the first one popped, and prev[state]
+    is fixed when a state is queued, so the walk back to x is the same.
     """
     adj = g.adj
-    tset = set(targets)
-    cap = want if len(tset) == 1 else 1
-    used: set[tuple[int, int]] = set()
-    through: set[int] = set()
-    load = dict.fromkeys(tset, 0)
+    is_target = bytearray(g.n)
+    for t in targets:
+        is_target[t] = 1
+    room = set(targets)  # targets that can still end a path
+    lone = len(room) == 1  # a lone target takes every path
+    succ = [-1] * g.n
+    out_x: set[int] = set()
+    into: list[list[int]] = [[] for _ in range(g.n)]
+    through = bytearray(g.n)
     src = 2 * x + 1
     for _ in range(want):
         prev = [-1] * (2 * g.n)
-        prev[src] = src
+        prev[src] = prev[src - 1] = src
         queue = [src]
-        end = None
+        end = -1
         for state in queue:
             v = state >> 1
             if state & 1:
-                if v in through and prev[state - 1] == -1:
+                if through[v] and prev[state - 1] == -1:
                     prev[state - 1] = state
                     queue.append(state - 1)
+                used = out_x if v == x else (succ[v],)
                 for b in adj[v]:
-                    if b != x and prev[2 * b] == -1 and (v, b) not in used:
+                    if prev[2 * b] == -1 and b not in used:
                         prev[2 * b] = state
+                        if b in room:
+                            end = b
+                            break
                         queue.append(2 * b)
+                if end >= 0:
+                    break
             else:
-                if v in tset:
-                    if load[v] < cap:
-                        end = v
-                        break
-                elif v not in through and prev[state + 1] == -1:
+                if not is_target[v] and not through[v] and prev[state + 1] == -1:
                     prev[state + 1] = state
                     queue.append(state + 1)
-                for a in adj[v]:
-                    if a != x and prev[2 * a + 1] == -1 and (a, v) in used:
+                for a in into[v]:
+                    if prev[2 * a + 1] == -1:
                         prev[2 * a + 1] = state
                         queue.append(2 * a + 1)
-        if end is None:
+        if end < 0:
             break
-        load[end] += 1
+        if not lone:
+            room.discard(end)
         state = 2 * end
         while state != src:
             before = prev[state]
             u, v = before >> 1, state >> 1
             if u == v:  # between v's halves: v joins or leaves the paths
-                through ^= {v}
+                through[v] ^= 1
             elif state & 1:  # back along v -> u, cancelling its unit
-                used.remove((v, u))
+                into[u].remove(v)
+                if succ[v] == u:  # v may already hold its new out-edge
+                    succ[v] = -1
             else:
-                used.add((u, v))
+                insort(into[v], u)
+                if u == x:
+                    out_x.add(v)
+                else:
+                    succ[u] = v
             state = before
 
     paths: list[list[int]] = []
-    for first in adj[x]:
-        if (x, first) not in used:
-            continue
+    for first in out_x:
         path = [x, first]
-        while path[-1] not in tset:
+        while not is_target[path[-1]]:
             v = path[-1]
-            nxt = next((b for b in adj[v] if (v, b) in used), None)
-            if nxt is None:
+            if succ[v] < 0:
                 raise AssertionError(f"flow enters vertex {v} but never leaves it")
-            path.append(nxt)
+            path.append(succ[v])
         paths.append(path)
     return sorted(paths, key=lambda p: (len(p), p))
 

@@ -448,15 +448,22 @@ def _try_coloring(state: GrowState, added: tuple[int, ...],
                                 vertices=state.vertices | aset, sources=aset or None)
 
 
-def _commit(state: GrowState, added: tuple[int, ...], patch: dict[Edge, int]) -> int:
-    """Apply a verified patch; returns the number of fresh colors consumed."""
+def _fresh_count(state: GrowState, patch: dict[Edge, int]) -> int:
+    """The number of fresh colors a patch takes; they must follow the
+    palette of H without a gap."""
     fresh = sorted({c for c in patch.values() if c > state.colors_used})
     if fresh != list(range(state.colors_used + 1, state.colors_used + 1 + len(fresh))):
         raise AssertionError(f"fresh colors not contiguous: {fresh}")
+    return len(fresh)
+
+
+def _commit(state: GrowState, added: tuple[int, ...], patch: dict[Edge, int]) -> int:
+    """Apply a verified patch; returns the number of fresh colors consumed."""
+    used = _fresh_count(state, patch)
     state.vertices.update(added)
     state.coloring.update(patch)
-    state.colors_used += len(fresh)
-    return len(fresh)
+    state.colors_used += used
+    return used
 
 
 def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict[Edge, int] | None:
@@ -573,10 +580,12 @@ def apply_extension(state: GrowState, plan: ExtensionPlan) -> GrowState:
             if patch is None:
                 raise ConstructionError(f"repair failed after a {plan.kind} move", state.trace)
 
-    used = _commit(state, added, patch)
+    # an over-budget move is refused before it touches the state
+    used = _fresh_count(state, patch)
     if used > budget:
         raise ConstructionError(
             f"{plan.kind} spent {used} fresh colors, its budget allows {budget}", state.trace)
+    _commit(state, added, patch)
     state.record(plan.kind, added, used, repaired=repaired)
     return state
 

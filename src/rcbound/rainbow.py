@@ -57,7 +57,9 @@ def _colored_adj(g: Graph, coloring: EdgeColoring) -> list[list[tuple[int, int]]
 
 def _rainbow_reach(adjc: list[list[tuple[int, int]]], source: int,
                    targets: set[int]) -> set[int]:
-    """Vertices of `targets` reachable from source along rainbow walks."""
+    """Vertices of `targets` reachable from source along rainbow walks; the
+    source counts as reached. The search returns as soon as the last
+    target is reached, without finishing the current level."""
     remaining = set(targets)
     remaining.discard(source)
     seen = {(source, 0)}
@@ -72,7 +74,10 @@ def _rainbow_reach(adjc: list[list[tuple[int, int]]], source: int,
                 if state in seen:
                     continue
                 seen.add(state)
-                remaining.discard(w)
+                if w in remaining:
+                    remaining.discard(w)
+                    if not remaining:
+                        return set(targets)
                 nxt.append(state)
         frontier = nxt
     return targets - remaining

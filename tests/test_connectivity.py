@@ -5,9 +5,10 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcbound import connectivity
+from rcbound import connectivity, construct
 from rcbound.connectivity import (check_fan, find_fan, internally_disjoint_paths,
                                   vertex_connectivity)
+from rcbound.construct import run_constructive
 from rcbound.graphs import gen_family, make_graph
 
 from _oracles import (brute_has_disjoint_paths, brute_vertex_connectivity,
@@ -322,3 +323,38 @@ class TestPairReduction:
                             st.integers(0, (1 << (n * (n - 1) // 2)) - 1))))
     def test_matches_pairwise_on_random_graphs(self, g):
         assert vertex_connectivity(g) == pairwise_vertex_connectivity(g)
+
+
+# The fan queries the construction really makes: every find_fan(host, w, H, 3)
+# call while run_constructive colors these graphs, with its answer. H grows to
+# most of the graph, so these target sets are far larger than the ones
+# FLOW_SHA256 covers.
+CONSTRUCTION_FAN_GRAPHS = [
+    ("wheel32", gen_family("wheel", 32)),
+    ("q5", hypercube(5)),
+    ("gp16_2", generalized_petersen(16, 2)),
+    ("mobius32", mobius_ladder(32)),
+    ("k3_9", complete_bipartite(3, 9)),
+]
+FAN_QUERY_SHA256 = "1d66845cc4c61b2bfbf5d9a2e5f2bc4d26ea0d79a51f866d7538e8e74177afb2"
+
+
+class TestConstructionFanQueries:
+    def test_fan_queries_pinned(self, monkeypatch):
+        lines = []
+        real = construct.find_fan
+
+        def recorded(g, x, targets, k):
+            fan = real(g, x, targets, k)
+            lines.append(f"{x} {sorted(targets)} {k} {fan.paths if fan else None}")
+            return fan
+
+        monkeypatch.setattr(construct, "find_fan", recorded)
+        digest = hashlib.sha256()
+        for name, g in CONSTRUCTION_FAN_GRAPHS:
+            lines.clear()
+            run_constructive(g)
+            assert lines, f"{name} made no fan query"
+            digest.update(f"# {name} {len(lines)}\n".encode())
+            digest.update("".join(line + "\n" for line in lines).encode())
+        assert digest.hexdigest() == FAN_QUERY_SHA256

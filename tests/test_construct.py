@@ -240,9 +240,12 @@ class TestApply:
         plan = classify_extension(state)
         slots = ((plan.slots[0][0], 3),) + plan.slots[1:]
         assert sorted({slot for _, slot in slots}) == [1, 2, 3]
+        before = (state.h, state.colors_used, dict(state.coloring), list(state.trace))
         with pytest.raises(ConstructionError, match="spent 3 fresh colors"):
             apply_extension(state, replace(plan, slots=slots))
         assert state.repair_calls == 0
+        # the refused move leaves no trace in the state
+        assert (state.h, state.colors_used, state.coloring, state.trace) == before
 
     def test_three_vertex_plan_rejected(self):
         state = seed_subgraph(gen_family("complete", 7))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcbound.graphs import gen_family, is_connected, make_graph
-from rcbound.rainbow import (BudgetExhaustedError, EdgeColoring, cycle_color_sequence,
-                             cycle_coloring, find_rainbow_witness, parse_coloring,
-                             rainbow_path_exists, rc_exact, serialize_coloring)
+from rcbound.rainbow import (BudgetExhaustedError, EdgeColoring, _colored_adj, _rainbow_reach,
+                             cycle_color_sequence, cycle_coloring, find_rainbow_witness,
+                             parse_coloring, rainbow_path_exists, rc_exact, serialize_coloring)
 
 from _oracles import brute_rainbow_witness, brute_rc, canonical_colorings, has_rainbow_path
 from test_graphs import graph_from_mask
@@ -41,6 +41,34 @@ class TestRainbowPath:
         col = EdgeColoring({e: 1 for e in g.edges})
         with pytest.raises(ValueError, match="range"):
             rainbow_path_exists(g, col, 0, 9)
+
+
+class TestRainbowReach:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 2 ** 21 - 1), st.integers(1, 6),
+           st.booleans(), st.randoms(use_true_random=False))
+    def test_matches_path_enumeration(self, n, mask, palette, with_source, rng):
+        # any graph, connected or not; the target set may be empty and may
+        # hold the source, which counts as reached
+        g = graph_from_mask(n, mask % (1 << (n * (n - 1) // 2)))
+        col = EdgeColoring({e: rng.randint(1, palette) for e in g.edges})
+        source = rng.randrange(n)
+        targets = set(rng.sample(range(n), rng.randint(0, n))) - {source}
+        if with_source:
+            targets.add(source)
+        asked = set(targets)
+        reached = _rainbow_reach(_colored_adj(g, col), source, targets)
+        assert targets == asked
+        assert reached == {t for t in targets
+                           if t == source or has_rainbow_path(g, col.colors, source, t)}
+
+    def test_source_among_targets(self):
+        g = make_graph(3, [(1, 2)])
+        adjc = _colored_adj(g, EdgeColoring({(1, 2): 1}))
+        assert _rainbow_reach(adjc, 0, {0}) == {0}
+        assert _rainbow_reach(adjc, 0, {0, 1}) == {0}
+        assert _rainbow_reach(adjc, 1, {1, 2}) == {1, 2}  # returns on reaching 2
+        assert _rainbow_reach(adjc, 1, set()) == set()
 
 
 class TestWitness:
