@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from rcbound import connectivity, construct
 from rcbound.connectivity import (check_fan, find_fan, internally_disjoint_paths,
                                   vertex_connectivity)
-from rcbound.construct import run_constructive
 from rcbound.graphs import gen_family, make_graph
 
 from _oracles import (brute_has_disjoint_paths, brute_vertex_connectivity,
@@ -353,7 +352,7 @@ class TestConstructionFanQueries:
         digest = hashlib.sha256()
         for name, g in CONSTRUCTION_FAN_GRAPHS:
             lines.clear()
-            run_constructive(g)
+            construct.run_constructive(g)
             assert lines, f"{name} made no fan query"
             digest.update(f"# {name} {len(lines)}\n".encode())
             digest.update("".join(line + "\n" for line in lines).encode())
