@@ -7,14 +7,16 @@ remain outside, one bulk move fires per round. Every move obeys one rule,
 move_budget: q >= 4 added vertices may take at most ceil(q/2) fresh
 colors, so the budget survives by arithmetic alone. The last at most three
 vertices are absorbed with at most two extra colors, which lands the
-total at 5k <= 3n + 3, i.e. k <= floor((3n + 3) / 5). Each move's
-coloring is checked once by the rainbow-connectivity checker before it
-commits; if a scripted coloring fails, a bounded structured repair search
-takes over, and a repair failure aborts with a ConstructionError that
-carries the full trace. A move check covers only the pairs with an added
-vertex: a move colors only new edges at its added vertices, so every pair
-already inside H keeps its rainbow path. The finished coloring gets one
-full check.
+total at 5k <= 3n + 3, i.e. k <= floor((3n + 3) / 5). Every growth step
+(seed, move, final absorption) is checked once by the rainbow-connectivity
+checker, then commits through one path: fresh colors follow H's palette
+without a gap, an over-budget step is refused before the state changes,
+and each step adds one trace line. A failed scripted coloring hands over
+to a bounded repair search; a repair failure aborts with a
+ConstructionError that carries the full trace. A move check covers only
+the pairs with an added vertex: a move colors only new edges at its added
+vertices, so every pair already inside H keeps its rainbow path. The
+finished coloring gets one full check.
 
 Move kinds
   four_leaves      four outside vertices, three host links each
@@ -128,17 +130,6 @@ class GrowState:
     def externals(self) -> list[int]:
         return sorted(set(range(self.host.n)) - self.vertices)
 
-    def record(self, kind: str, added: tuple[int, ...], new_colors: int,
-               repaired: bool = False) -> None:
-        self.trace.append(StepRecord(len(self.trace), kind, added, new_colors,
-                                     self.h, self.colors_used, repaired))
-
-    def verify(self) -> None:
-        witness = _try_coloring(self, (), {})
-        if witness is not None:
-            raise ConstructionError(
-                f"grown subgraph lost rainbow connectivity at pair {witness}", self.trace)
-
 
 def move_budget(q: int) -> int:
     """Fresh colors a move that adds q >= 4 vertices may take: ceil(q/2).
@@ -199,9 +190,13 @@ def seed_subgraph(g: Graph) -> GrowState:
     seq = cycle_color_sequence(glen)
     coloring = {norm_edge(cycle[i], cycle[(i + 1) % glen]): seq[i] for i in range(glen)}
     coloring.update(pendant)
-    state = GrowState(g, {v for e in coloring for v in e}, coloring, max(seq))
-    state.verify()
-    state.record(kind, tuple(sorted(state.vertices)), state.colors_used)
+    state = GrowState(g, set(), {}, 0)
+    added = tuple(sorted({v for e in coloring for v in e}))
+    witness = _try_coloring(state, added, coloring)
+    if witness is not None:
+        raise ConstructionError(
+            f"grown subgraph lost rainbow connectivity at pair {witness}", state.trace)
+    _commit(state, kind, added, coloring, max(coloring.values()))
     return state
 
 
@@ -448,22 +443,23 @@ def _try_coloring(state: GrowState, added: tuple[int, ...],
                                 vertices=state.vertices | aset, sources=aset or None)
 
 
-def _fresh_count(state: GrowState, patch: dict[Edge, int]) -> int:
-    """The number of fresh colors a patch takes; they must follow the
-    palette of H without a gap."""
+def _commit(state: GrowState, kind: str, added: tuple[int, ...], patch: dict[Edge, int],
+            budget: int, repaired: bool = False) -> None:
+    """Commit one checked growth step: its fresh colors must follow the
+    palette of H without a gap, and more than `budget` of them is refused
+    before the state changes. Then H grows and the step is recorded."""
     fresh = sorted({c for c in patch.values() if c > state.colors_used})
-    if fresh != list(range(state.colors_used + 1, state.colors_used + 1 + len(fresh))):
+    used = len(fresh)
+    if fresh != list(range(state.colors_used + 1, state.colors_used + 1 + used)):
         raise AssertionError(f"fresh colors not contiguous: {fresh}")
-    return len(fresh)
-
-
-def _commit(state: GrowState, added: tuple[int, ...], patch: dict[Edge, int]) -> int:
-    """Apply a verified patch; returns the number of fresh colors consumed."""
-    used = _fresh_count(state, patch)
+    if used > budget:
+        raise ConstructionError(
+            f"{kind} spent {used} fresh colors, its budget allows {budget}", state.trace)
     state.vertices.update(added)
     state.coloring.update(patch)
     state.colors_used += used
-    return used
+    state.trace.append(StepRecord(len(state.trace), kind, added, used,
+                                  state.h, state.colors_used, repaired))
 
 
 def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict[Edge, int] | None:
@@ -516,77 +512,59 @@ def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict
             out[e] = c
         return out
 
-    tried: set[tuple[int, ...]] = set()
-
-    def attempt(patch: dict[Edge, int]) -> dict[Edge, int] | None:
-        key = tuple(patch[e] for e in cand)
-        if key in tried:
-            return None
-        tried.add(key)
-        if _try_coloring(state, added, patch) is None:
-            return normalize(patch)
-        return None
-
-    # label each added vertex with a star pattern
+    # each added vertex's star patterns as partial patches, one per label,
+    # over the inner edges it owns (its smaller end) and its links into H
     options: list[object] = list(fresh) + [1]
     if len(fresh) >= 2:
         options.append("alt")
+    stars = []
+    for w in added:
+        owned = [e for e in cand if e[0] == w and e[1] in aset]
+        links = [e for e in cand if w in e and not (e[0] in aset and e[1] in aset)]
+        star = {o: dict.fromkeys(owned + links, o) for o in [*fresh, 1]}
+        if len(fresh) >= 2:
+            star["alt"] = {**dict.fromkeys(owned, fresh[1]),
+                           **{e: fresh[i % 2] for i, e in enumerate(links)}}
+        stars.append(star)
+    tried: set[tuple[int, ...]] = set()
     for combo in itertools.product(options, repeat=len(added)):
-        label = dict(zip(added, combo))
         patch: dict[Edge, int] = {}
-        for e in cand:
-            u, v = e
-            if u in aset and v in aset:
-                owner = label[min(u, v)]
-                patch[e] = fresh[1] if owner == "alt" else int(owner)
-            else:
-                w = u if u in aset else v
-                if label[w] == "alt":
-                    hooked = [f for f in cand if w in f and not (f[0] in aset and f[1] in aset)]
-                    patch[e] = fresh[hooked.index(e) % 2]
-                else:
-                    patch[e] = int(label[w])
-        found = attempt(patch)
-        if found is not None:
-            return found
+        for star, label in zip(stars, combo):
+            patch.update(star[label])
+        key = tuple(patch[e] for e in cand)
+        if key not in tried:
+            tried.add(key)
+            if _try_coloring(state, added, patch) is None:
+                return normalize(patch)
     return None
 
 
 def apply_extension(state: GrowState, plan: ExtensionPlan) -> GrowState:
     """Absorb the plan's vertices: check the scripted coloring once, and
-    repair when it fails."""
+    repair when it fails. A plan with no slots is colored by repair search
+    alone."""
     added = plan.vertices
+    if len(set(added)) < len(added):
+        raise ValueError("plan lists a vertex twice")
     if set(added) & state.vertices:
         raise ValueError("plan adds vertices already inside the grown subgraph")
     if any(not (0 <= v < state.host.n) for v in added):
         raise ValueError("plan adds vertices outside the host")
     budget = move_budget(len(added))
+    for e, _ in plan.slots:
+        if not state.host.has_edge(*e):
+            raise ValueError(f"plan colors a missing edge {e}")
 
-    repaired = False
-    if plan.kind == FALLBACK_ABSORB:
+    patch = {e: (1 if slot == REUSE else state.colors_used + slot) for e, slot in plan.slots}
+    repaired = bool(plan.slots) and _try_coloring(state, added, patch) is not None
+    if repaired:
+        log.warning("scripted %s coloring rejected; invoking repair", plan.kind)
+    if repaired or not plan.slots:
         patch = repair_step(state, added, budget)
         if patch is None:
-            raise ConstructionError("repair failed on a fallback absorption", state.trace)
-    else:
-        for e, _ in plan.slots:
-            if not state.host.has_edge(*e):
-                raise ValueError(f"plan colors a missing edge {e}")
-        patch = {e: (1 if slot == REUSE else state.colors_used + slot)
-                 for e, slot in plan.slots}
-        if _try_coloring(state, added, patch) is not None:
-            log.warning("scripted %s coloring rejected; invoking repair", plan.kind)
-            patch = repair_step(state, added, budget)
-            repaired = True
-            if patch is None:
-                raise ConstructionError(f"repair failed after a {plan.kind} move", state.trace)
-
-    # an over-budget move is refused before it touches the state
-    used = _fresh_count(state, patch)
-    if used > budget:
-        raise ConstructionError(
-            f"{plan.kind} spent {used} fresh colors, its budget allows {budget}", state.trace)
-    _commit(state, added, patch)
-    state.record(plan.kind, added, used, repaired=repaired)
+            raise ConstructionError(f"repair failed after a {plan.kind} move" if repaired
+                                    else "repair failed on a fallback absorption", state.trace)
+    _commit(state, plan.kind, added, patch, budget, repaired)
     return state
 
 
@@ -596,21 +574,19 @@ def final_absorb(state: GrowState) -> GrowState:
     host edge inside H color 1 so the coloring becomes total. The absorbed
     patch is checked by the repair search; the total coloring is checked by
     run_constructive."""
-    ext = state.externals()
+    ext = tuple(state.externals())
     r = len(ext)
     if r > 3:
         raise ValueError(f"final absorption handles at most 3 vertices, got {r}")
-    used = 0
+    patch = {}
     if r:
-        budget = 1 if r == 1 else 2
-        patch = repair_step(state, ext, budget)
+        patch = repair_step(state, ext, min(r, 2))
         if patch is None:
             raise ConstructionError("repair failed during final absorption", state.trace)
-        used = _commit(state, tuple(ext), patch)
+    _commit(state, FINAL_ABSORB, ext, patch, min(r, 2))
     # leftovers add color-1 edges and recolor none, so no rainbow path is lost
     for e in state.host.edges:
         state.coloring.setdefault(e, 1)
-    state.record(FINAL_ABSORB, tuple(ext), used)
     return state
 
 
@@ -661,12 +637,10 @@ def run_constructive(g: Graph, force: bool = False) -> ConstructionResult:
     guaranteed = kappa >= 3
     try:
         state = seed_subgraph(g)
+        # a committed move adds at least 4 distinct outside vertices (fewer,
+        # repeated or inside ones are refused), so every round grows H
         while len(state.externals()) >= 4:
-            h_before = state.h
-            plan = classify_extension(state)
-            apply_extension(state, plan)
-            if state.h <= h_before:
-                raise ConstructionError("growth step made no progress", state.trace)
+            apply_extension(state, classify_extension(state))
         final_absorb(state)
         colors, trace = state.coloring, state.trace
     except (ConstructionError, PreconditionError) as exc:

@@ -38,7 +38,7 @@ def state_on(extra_edges, n=None):
     size = n or max(max(e) for e in extra_edges) + 1
     g = make_graph(size, C4_EDGES + list(extra_edges))
     state = GrowState(g, {0, 1, 2, 3}, dict(C4_COLORS), 2)
-    state.verify()
+    assert construct._try_coloring(state, (), {}) is None
     return state
 
 
@@ -71,6 +71,12 @@ class TestSeed:
         pendant = [c for e, c in state.coloring.items() if min(degree[v] for v in e) == 1]
         assert pendant == [3]
         assert len(calls) == 1
+
+    def test_failing_seed_check_names_pair(self, monkeypatch):
+        monkeypatch.setattr(construct, "cycle_color_sequence", lambda n: [1] * n)
+        with pytest.raises(ConstructionError, match=r"at pair \(0, 3\)"):
+            seed_subgraph(make_graph(8, [(u, u | b) for u in range(8) for b in (1, 2, 4)
+                                         if not u & b]))
 
     def test_acyclic_rejected(self):
         with pytest.raises(PreconditionError, match="acyclic"):
@@ -253,6 +259,44 @@ class TestApply:
         with pytest.raises(ValueError, match="at least 4"):
             apply_extension(state, ExtensionPlan("four_leaves", (3, 4, 5), slots))
 
+    def test_repeated_vertex_rejected(self):
+        # 3, 3, 3, 4, 5 would size the budget for five vertices but grow H
+        # by three; refusing it keeps every committed move at 4 or more new
+        # vertices, which is why run_constructive needs no progress guard
+        state = seed_subgraph(gen_family("complete", 7))
+        slots = tuple((norm_edge(w, q), slot) for w, slot in ((3, 1), (4, 2), (5, 3))
+                      for q in (0, 1, 2))
+        before = (state.h, state.colors_used, dict(state.coloring), list(state.trace))
+        with pytest.raises(ValueError, match="twice"):
+            apply_extension(state, ExtensionPlan("four_leaves", (3, 3, 3, 4, 5), slots))
+        assert (state.h, state.colors_used, state.coloring, state.trace) == before
+
+    def test_slotless_plan_is_one_repair_search(self, monkeypatch):
+        state = seed_subgraph(gen_family("complete", 7))
+        searches = []
+        real = construct.repair_step
+
+        def counted(*args):
+            searches.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(construct, "repair_step", counted)
+        apply_extension(state, ExtensionPlan("fallback_absorb", (3, 4, 5, 6), ()))
+        assert searches == [((3, 4, 5, 6), move_budget(4))]
+        step = state.trace[-1]
+        assert (step.kind, step.added, step.h) == ("fallback_absorb", (3, 4, 5, 6), 7)
+        assert step.fallback and not step.repaired
+        assert 0 < step.new_colors <= move_budget(4)
+        assert find_rainbow_witness(state.host, EdgeColoring(state.coloring)) is None
+
+    def test_failed_search_leaves_state(self, monkeypatch):
+        state = seed_subgraph(gen_family("complete", 7))
+        monkeypatch.setattr(construct, "repair_step", lambda *args: None)
+        before = (state.h, state.colors_used, dict(state.coloring), list(state.trace))
+        with pytest.raises(ConstructionError, match="repair failed on a fallback absorption"):
+            apply_extension(state, ExtensionPlan("fallback_absorb", (3, 4, 5, 6), ()))
+        assert (state.h, state.colors_used, state.coloring, state.trace) == before
+
     def test_plan_state_mismatch_rejected(self):
         state = state_on(SYNTHETIC["ear"][0])
         plan = classify_extension(state)
@@ -283,6 +327,20 @@ class TestRepair:
         state = state_on([(4, 0), (4, 1), (4, 2)], n=5)
         with pytest.raises(ValueError, match="outside"):
             repair_step(state, [0], 1)
+
+    def test_star_patterns_in_label_order(self, monkeypatch):
+        # 4 owns the inner edge (4, 5); "alt" alternates the first two
+        # fresh colors over a vertex's links into H in edge order
+        state = state_on([(4, 0), (4, 1), (4, 5), (5, 2), (5, 3)])
+        tried = []
+        monkeypatch.setattr(construct, "_try_coloring",
+                            lambda state, added, patch: tried.append(patch) or (0, 1))
+        assert repair_step(state, [4, 5], 2) is None
+        assert len(tried) == 4 ** 2
+        assert tried[0] == dict.fromkeys([(0, 4), (1, 4), (2, 5), (3, 5), (4, 5)], 3)
+        # labels (1, 3): the inner edge follows 4
+        assert tried[8] == {(0, 4): 1, (1, 4): 1, (4, 5): 1, (2, 5): 3, (3, 5): 3}
+        assert tried[-1] == {(0, 4): 3, (1, 4): 4, (4, 5): 4, (2, 5): 3, (3, 5): 4}
 
     def test_failure_is_bounded(self, monkeypatch):
         # a triangle hung off vertex 4: reaching 0 from 6 takes three
@@ -410,9 +468,16 @@ class TestRunConstructive:
         assert len(calls) == 1
 
     def test_force_triangle_seeds_and_closes(self):
-        res = run_constructive(gen_family("complete", 3), force=True)
-        assert [rec.kind for rec in res.trace] == ["seed_triangle", "final_absorb"]
-        assert res.colors_used == 1
+        for g, kinds, k in [
+            (gen_family("complete", 3), ["seed_triangle", "final_absorb"], 1),
+            # the 5-cycle has no pendant to take, so its seed keeps 3 colors
+            # over the budget 5k <= 3h - 1 instead of a spanning tree's 4
+            (gen_family("cycle", 5), ["seed_cycle", "final_absorb"], 3),
+        ]:
+            res = run_constructive(g, force=True)
+            assert [rec.kind for rec in res.trace] == kinds
+            assert res.colors_used == k
+            assert find_rainbow_witness(g, res.coloring) is None
 
     @pytest.mark.parametrize("edges", [
         [(0, 1)],
