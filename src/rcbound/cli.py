@@ -46,7 +46,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    result = run_constructive(_load_graph(args.graph), force=args.force)
+    g = _load_graph(args.graph)
+    try:
+        result = run_constructive(g, force=args.force)
+    except ConstructionError as exc:
+        if args.trace:
+            for rec in exc.trace:
+                print(rec.format())
+        raise
     if args.output:
         Path(args.output).write_text(serialize_coloring(result.coloring))
     if args.trace:

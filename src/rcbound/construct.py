@@ -204,32 +204,6 @@ def _fan_lengths(fan) -> list[int]:
     return [len(p) - 1 for p in fan.paths]
 
 
-def _short_escape(g: Graph, source: int, hset: frozenset[int],
-                  avoid: set[int]) -> list[int] | None:
-    """Shortest path from source to the grown set that dodges `avoid` and
-    meets the grown set only at its last vertex."""
-    prev: dict[int, int | None] = {source: None}
-    queue = [source]
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        for w in g.adj[u]:
-            if w in avoid or w in prev:
-                continue
-            prev[w] = u
-            if w in hset:
-                path = [w]
-                node: int | None = u
-                while node is not None:
-                    path.append(node)
-                    node = prev[node]
-                path.reverse()
-                return path
-            queue.append(w)
-    return None
-
-
 def classify_extension(state: GrowState) -> ExtensionPlan:
     """Choose the next bulk move.
 
@@ -277,29 +251,22 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
             if s == 1:
                 return _companion_dispatch(state, fans, ext, center=x, e0=e0,
                                            u1=p1[1], a=p1[2], v1=p2[1], b=p2[2])
-            # s == 0, t == 2: shift the center onto the long path's first vertex
-            a = p1[1]
+            # s == 0, t == 2: shift the center onto the long path's first
+            # vertex, whose lowest link into H (if any) becomes e0
             v1, v2, b = p2[1], p2[2], p2[3]
-            escape = _short_escape(host, v1, hset, avoid={x, v2})
-            if escape is not None and len(escape) == 2:
-                return _companion_dispatch(state, fans, ext, center=v1,
-                                           e0=norm_edge(v1, escape[1]),
-                                           u1=x, a=a, v1=v2, b=b)
-            if escape is not None and len(escape) == 3:
-                return _tripod_plan(a=a, u1=x, center=v1, v1=v2, b=b,
-                                    x1=escape[1], c=escape[2])
-            return _fallback_absorb_plan(state)
+            links = [q for q in host.adj[v1] if q in hset]
+            return _companion_dispatch(state, fans, ext, center=v1,
+                                       e0=norm_edge(v1, links[0]) if links else None,
+                                       u1=x, a=p1[1], v1=v2, b=b)
         # st == 1: a fork (two direct links, one 2-step path)
         v1, b = p2[1], p2[2]
         e1 = norm_edge(x, p1[1])
-        others = [w for w in ext if w not in (x, v1)]
-        twins = [w for w in others
-                 if fans[w] is not None and _fan_lengths(fans[w]) == [1, 1, 1]]
+        twins = [w for w in leaves if w != v1]
         if len(twins) >= 2:
             return _fork_leaves_plan(x, v1, b, e0, e1, fans, twins[0], twins[1])
-        for w in others:
+        for w in ext:
             fan = fans[w]
-            if fan is None or _fan_lengths(fan) != [1, 1, 2]:
+            if w in (x, v1) or fan is None or _fan_lengths(fan) != [1, 1, 2]:
                 continue
             vp = fan.paths[2][1]
             if vp not in (x, v1):
@@ -333,9 +300,11 @@ def _ear_plan(kind: str, p1, p2, e0: Edge | None) -> ExtensionPlan:
     return ExtensionPlan(kind, added, tuple(slots))
 
 
-def _companion_dispatch(state: GrowState, fans, ext, center: int, e0: Edge,
+def _companion_dispatch(state: GrowState, fans, ext, center: int, e0: Edge | None,
                         u1: int, a: int, v1: int, b: int) -> ExtensionPlan:
-    """Pick the fourth vertex joining a 2-2 double bridge around `center`."""
+    """Pick the fourth vertex joining a 2-2 double bridge around `center`:
+    a tripod companion first, else (when the center links H through e0) an
+    arch companion."""
     host = state.host
     base = {center, u1, v1}
     for w in ext:
@@ -346,6 +315,8 @@ def _companion_dispatch(state: GrowState, fans, ext, center: int, e0: Edge,
             if into_h:
                 return _tripod_plan(a=a, u1=u1, center=center, v1=v1, b=b,
                                     x1=w, c=min(into_h))
+    if e0 is None:
+        return _fallback_absorb_plan(state)
     arch = [(norm_edge(a, u1), 1), (e0, 1), (norm_edge(center, v1), 1),
             (norm_edge(u1, center), 2), (norm_edge(v1, b), 2)]
     for w in ext:

@@ -1,5 +1,6 @@
 import pytest
 
+from rcbound import construct
 from rcbound.cli import CSV_HEADER, main
 from rcbound.graphs import gen_family, serialize_graph
 
@@ -56,6 +57,20 @@ class TestConstructCheck:
         code, out, _ = run(capsys, "construct", str(gpath))
         assert code == 0
         assert out.strip() == "k=2 bound=3 ok"
+
+    def test_failed_run_prints_trace(self, capsys, tmp_path, monkeypatch):
+        gpath = tmp_path / "k4.txt"
+        gpath.write_text(serialize_graph(gen_family("complete", 4)))
+        monkeypatch.setattr(construct, "repair_step", lambda *args: None)
+        code, out, err = run(capsys, "construct", str(gpath), "--trace")
+        assert code == 4
+        assert out == ("step=0 kind=seed_triangle added=0,1,2 new_colors=1 h=3 k=1 "
+                       "budget_lhs=5 budget_rhs=8\n")
+        assert "repair failed during final absorption" in err
+        # without --trace the failure prints nothing to stdout
+        code, out, err = run(capsys, "construct", str(gpath))
+        assert (code, out) == (4, "")
+        assert "repair failed during final absorption" in err
 
     def test_c5_kappa_gate(self, capsys, c5_file):
         code, _, err = run(capsys, "construct", c5_file)

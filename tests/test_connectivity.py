@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -131,6 +132,25 @@ class TestFindFan:
     def test_small_target_set_rejected(self):
         with pytest.raises(ValueError, match="smaller than"):
             find_fan(gen_family("complete", 4), 0, [1, 2], 3)
+
+    # the Petersen fan from 0 into {7, 8, 9} is (0,4,9), (0,5,7), (0,1,6,8);
+    # each corruption breaks one invariant and passes every earlier one
+    @pytest.mark.parametrize("paths,message", [
+        (((0, 4, 9), (0, 5, 7)), "expected 3 paths, got 2"),
+        (((4, 9), (0, 5, 7), (0, 1, 6, 8)), "does not start at 0"),
+        (((0, 4, 3, 4, 9), (0, 5, 7), (0, 1, 6, 8)), "repeats a vertex"),
+        (((0, 9), (0, 5, 7), (0, 1, 6, 8)), r"missing edge \(0, 9\)"),
+        (((0, 4, 3), (0, 5, 7), (0, 1, 6, 8)), "does not end in the target set"),
+        (((0, 4, 9), (0, 5, 7, 9), (0, 1, 6, 8)), "touches the target set"),
+        (((0, 4, 9), (0, 5, 7), (0, 1, 6, 9)), "terminals are not pairwise distinct"),
+        (((0, 4, 9), (0, 5, 7), (0, 4, 3, 8)), r"share \[4\]"),
+    ])
+    def test_check_fan_refuses_corrupted_fan(self, paths, message):
+        g = gen_family("petersen")
+        fan = find_fan(g, 0, [7, 8, 9], 3)
+        assert fan.paths == ((0, 4, 9), (0, 5, 7), (0, 1, 6, 8))
+        with pytest.raises(ValueError, match=message):
+            check_fan(g, replace(fan, paths=paths), 0, [7, 8, 9], 3)
 
     def test_monotone_in_width(self):
         g = gen_family("random3c", 12, 3, seed=5)

@@ -19,6 +19,12 @@ C4_EDGES = [(0, 1), (1, 2), (2, 3), (0, 3)]
 
 C4_COLORS = {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2}
 
+# a sparse 3-connected graph on nine vertices with rc = 3, seeded by the
+# triangle {0, 3, 7}
+SPARSE_NINE_EDGES = [(0, 3), (0, 4), (0, 6), (0, 7), (0, 8), (1, 5), (1, 6), (1, 8),
+                     (2, 3), (2, 5), (2, 6), (2, 7), (2, 8), (3, 7), (4, 5), (4, 6),
+                     (4, 7), (4, 8), (6, 7), (6, 8)]
+
 
 def count_checks(monkeypatch):
     """A list that gains one entry per checker call made inside construct."""
@@ -160,6 +166,21 @@ class TestClassify:
         assert plan.kind == "arch_111"
         assert set(plan.vertices) == {4, 5, 6, 7}
 
+    def test_long_path_shift_without_link_or_tripod_falls_back(self):
+        # 4's fan (4,0), (4,7), (4,5,2,3) shifts the center to 5, which has
+        # no link into the seed {0, 3, 7}, and 5's only other neighbour 1
+        # has none either: no tripod, and no e0 for an arch
+        state = seed_subgraph(make_graph(9, SPARSE_NINE_EDGES))
+        assert state.vertices == {0, 3, 7}
+        assert classify_extension(state) == ExtensionPlan("fallback_absorb", (2, 4, 5, 1), ())
+
+    def test_long_path_shift_without_link_skips_arch(self):
+        # as above, but leaf 7 would complete an arch_111 if 5 had a link
+        # into H to play e0
+        extra = [(4, 0), (4, 1), (4, 5), (5, 6), (6, 2), (7, 0), (7, 1), (7, 2)]
+        assert classify_extension(state_on(extra)) == ExtensionPlan(
+            "fallback_absorb", (4, 5, 6, 7), ())
+
     def test_needs_four_externals(self):
         state = state_on([(4, 0), (4, 1), (4, 2)], n=5)
         with pytest.raises(ValueError, match="4 outside"):
@@ -297,6 +318,19 @@ class TestApply:
             apply_extension(state, ExtensionPlan("fallback_absorb", (3, 4, 5, 6), ()))
         assert (state.h, state.colors_used, state.coloring, state.trace) == before
 
+    @pytest.mark.parametrize("vertices,slots,message", [
+        ((3, 4, 5, 7), (), "outside the host"),
+        ((3, 4, 5, -1), (), "outside the host"),
+        ((3, 4, 5, 6), (((3, 4), 1), ((3, 9), 1)), "missing edge"),
+    ])
+    def test_bad_plan_leaves_state(self, vertices, slots, message):
+        state = seed_subgraph(gen_family("complete", 7))
+        before = (state.h, state.colors_used, dict(state.coloring), list(state.trace))
+        with pytest.raises(ValueError, match=message):
+            apply_extension(state, ExtensionPlan("four_leaves", vertices, slots))
+        assert (state.h, state.colors_used, state.coloring, state.trace) == before
+        assert state.repair_calls == 0
+
     def test_plan_state_mismatch_rejected(self):
         state = state_on(SYNTHETIC["ear"][0])
         plan = classify_extension(state)
@@ -317,6 +351,13 @@ class TestRepair:
         state = GrowState(g, {0, 1, 2}, {(0, 1): 1, (1, 2): 1, (0, 2): 1}, 1)
         assert repair_step(state, [3], 0) is None
         assert repair_step(state, [3], 1) == {(0, 3): 2}
+
+    def test_unlinked_vertex_fails_without_checks(self, monkeypatch):
+        # 5 reaches H only through 6, which is not added
+        state = state_on([(4, 0), (4, 1), (4, 2), (5, 6), (6, 0), (6, 1), (6, 2)])
+        calls = count_checks(monkeypatch)
+        assert repair_step(state, [4, 5], 2) is None
+        assert calls == [] and state.repair_calls == 1
 
     def test_deterministic(self):
         a = repair_step(state_on([(4, 0), (4, 1), (4, 2)], n=5), [4], 2)
@@ -394,9 +435,7 @@ class TestRunConstructive:
                        reason="repair finds no coloring for the fallback absorption "
                               "right after the seed triangle")
     def test_sparse_nine_vertex_graph(self):
-        g = make_graph(9, [(0, 3), (0, 4), (0, 6), (0, 7), (0, 8), (1, 5), (1, 6), (1, 8),
-                           (2, 3), (2, 5), (2, 6), (2, 7), (2, 8), (3, 7), (4, 5), (4, 6),
-                           (4, 7), (4, 8), (6, 7), (6, 8)])
+        g = make_graph(9, SPARSE_NINE_EDGES)
         assert vertex_connectivity(g) == 3 and rc_exact(g)[0] == 3
         res = run_constructive(g)
         assert res.colors_used <= res.bound == 6

@@ -69,6 +69,36 @@ class TestParse:
             parse_graph("3 1\n0 1\n1 2\n")
 
 
+    @pytest.mark.parametrize("text,message", [
+        ("a 3\n", "line 1: header must be two integers"),
+        ("3 1.5\n0 1\n", "line 1: header must be two integers"),
+        ("0 0\n", "line 1: vertex count must be positive, got 0"),
+        ("3 -1\n", "line 1: edge count must be non-negative, got -1"),
+        ("3 1\n0 1 2\n", "line 2: edge line must be 'u v'"),
+        ("3 1\n0\n", "line 2: edge line must be 'u v'"),
+        ("3 1\n0 x\n", "line 2: edge endpoints must be integers"),
+        ("", "no header line"),
+        ("# only a comment\n\n", "no header line"),
+    ])
+    def test_malformed_document(self, text, message):
+        with pytest.raises(GraphFormatError, match=message):
+            parse_graph(text)
+
+
+class TestMakeGraph:
+    @pytest.mark.parametrize("n,edges,message", [
+        (0, [], "at least one vertex, got n=0"),
+        (-2, [], "at least one vertex"),
+        (3, [(0, 3)], r"edge \(0, 3\) out of range for n=3"),
+        (3, [(-1, 2)], "out of range"),
+        (3, [(1, 1)], "self-loop at vertex 1"),
+        (3, [(0, 1), (2, 1), (1, 0)], r"duplicate edge \(0, 1\)"),
+    ])
+    def test_rejected(self, n, edges, message):
+        with pytest.raises(ValueError, match=message):
+            make_graph(n, edges)
+
+
 class TestSerialize:
     def test_triangle(self):
         g = make_graph(3, [(1, 2), (0, 1), (0, 2)])

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcbound.graphs import gen_family, is_connected, make_graph
+from rcbound.graphs import GraphFormatError, gen_family, is_connected, make_graph
 from rcbound.rainbow import (BudgetExhaustedError, EdgeColoring, _colored_adj, _rainbow_reach,
                              cycle_color_sequence, cycle_coloring, find_rainbow_witness,
                              parse_coloring, rainbow_path_exists, rc_exact, serialize_coloring)
@@ -279,6 +279,23 @@ class TestColoringIO:
         assert parse_coloring(serialize_coloring(EdgeColoring({})), g).colors == {}
         with pytest.raises(ValueError, match="outside"):
             parse_coloring("0\n0 1 1\n", make_graph(2, [(0, 1)]))
+
+
+    @pytest.mark.parametrize("text,message", [
+        ("1 2\n0 1 1\n", "line 1: first line must be the color count"),
+        ("x\n0 1 1\n", "line 1: color count must be an integer"),
+        ("-1\n0 1 1\n", "line 1: color count must be non-negative, got -1"),
+        ("1\n0 1\n", "line 2: coloring line must be 'u v c'"),
+        ("1\n0 1 1 1\n", "line 2: coloring line must be 'u v c'"),
+        ("1\n0 1 a\n", "line 2: coloring line must hold three integers"),
+        ("1\n0 b 1\n", "line 2: coloring line must hold three integers"),
+        ("1\n0 1 1\n1 0 1\n", r"line 3: edge \(0, 1\) colored twice"),
+        ("", "no color count line"),
+        ("# comment only\n", "no color count line"),
+    ])
+    def test_malformed_document(self, text, message):
+        with pytest.raises(GraphFormatError, match=message):
+            parse_coloring(text, make_graph(2, [(0, 1)]))
 
 
 def test_checker_vs_oracle_on_themed_colorings():
