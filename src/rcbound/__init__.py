@@ -11,8 +11,8 @@ from .construct import (ConstructionError, ConstructionResult, ExtensionPlan,
 from .graphs import (Graph, GraphFormatError, diameter, gen_family, girth,
                      is_connected, iter_labeled_graphs, make_graph, min_degree,
                      norm_edge, parse_graph, serialize_graph, shortest_cycle)
-from .rainbow import (BudgetExhaustedError, EdgeColoring, cycle_color_sequence,
-                      cycle_coloring, find_rainbow_witness, parse_coloring,
-                      rainbow_path_exists, rc_exact, serialize_coloring)
+from .rainbow import (BudgetExhaustedError, EdgeColoring, NoColoringError,
+                      cycle_color_sequence, cycle_coloring, find_rainbow_witness,
+                      parse_coloring, rainbow_path_exists, rc_exact, serialize_coloring)
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from pathlib import Path
 from .connectivity import find_fan, vertex_connectivity
 from .construct import ConstructionError, PreconditionError, run_constructive
 from .graphs import Graph, GraphFormatError, gen_family, parse_graph, serialize_graph
-from .rainbow import (BudgetExhaustedError, find_rainbow_witness,
+from .rainbow import (BudgetExhaustedError, NoColoringError, find_rainbow_witness,
                       parse_coloring, rc_exact, serialize_coloring)
 
 CSV_HEADER = ["graph_id", "n", "m", "kappa", "constructive_k", "bound",
@@ -77,7 +77,11 @@ def cmd_check(args) -> int:
 
 def cmd_exact(args) -> int:
     g = _load_graph(args.graph)
-    k, coloring = rc_exact(g, max_colors=args.max_colors, node_budget=args.node_budget)
+    try:
+        k, coloring = rc_exact(g, max_colors=args.max_colors, node_budget=args.node_budget)
+    except NoColoringError as exc:
+        print(exc)
+        return 1
     if args.output:
         Path(args.output).write_text(serialize_coloring(coloring))
     print(f"k={k}")

@@ -2,15 +2,14 @@
 
 A path is rainbow when all its edge colors differ, and a coloring makes a
 graph rainbow connected when every vertex pair is joined by some rainbow
-path. Searches run over (vertex, used-color-set) states with color sets
-as bit masks; a rainbow path never exceeds k edges, so the exact solver's
-feasibility probes are depth-capped at the palette size.
+path. One search over (vertex, used-color bit mask) states serves the
+checker and, with wildcards and walks capped at the palette size k (a
+rainbow path never exceeds k edges), the exact solver's feasibility probe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graphs import Edge, Graph, GraphFormatError, bfs_distances, diameter, gen_family, norm_edge
 
@@ -37,6 +36,11 @@ class BudgetExhaustedError(RuntimeError):
         self.nodes = nodes
 
 
+class NoColoringError(ValueError):
+    """No coloring with at most max_colors colors makes the graph rainbow
+    connected: a verdict on valid input, not an input error."""
+
+
 def _require_covers(g: Graph, coloring: EdgeColoring) -> None:
     if set(coloring.colors) != set(g.edges):
         raise ValueError("coloring does not cover exactly the host edge set")
@@ -56,15 +60,19 @@ def _colored_adj(g: Graph, coloring: EdgeColoring) -> list[list[tuple[int, int]]
 
 
 def _rainbow_reach(adjc: list[list[tuple[int, int]]], source: int,
-                   targets: set[int]) -> set[int]:
-    """Vertices of `targets` reachable from source along rainbow walks; the
-    source counts as reached. The search returns as soon as the last
-    target is reached, without finishing the current level."""
+                   targets: set[int], max_len: int | None = None) -> set[int]:
+    """Vertices of `targets` reachable from source along rainbow walks of
+    at most `max_len` edges (any length when None); the source counts as
+    reached. An edge with color bit 0 is a wildcard: it never blocks a
+    walk and adds no color. The search returns as soon as the last target
+    is reached, without finishing the current level."""
     remaining = set(targets)
     remaining.discard(source)
     seen = {(source, 0)}
     frontier = [(source, 0)]
-    while frontier and remaining:
+    levels = 0
+    while frontier and remaining and levels != max_len:
+        levels += 1
         nxt = []
         for v, mask in frontier:
             for w, bit in adjc[v]:
@@ -223,16 +231,19 @@ def cycle_coloring(n: int) -> EdgeColoring:
 
 def rc_exact(g: Graph, max_colors: int | None = None,
              node_budget: int = 10 ** 8) -> tuple[int, EdgeColoring]:
-    """Smallest k admitting a rainbow-connected coloring, with one coloring.
+    """Smallest k admitting a rainbow-connected coloring, with one coloring;
+    NoColoringError (a ValueError) when no k up to `max_colors` works.
 
     k runs upward from the diameter. For each k the search walks canonical
     colorings depth-first (edge i may use at most one more color than the
     maximum used before it, which quotients out color permutations) and
     returns the lexicographically smallest success. Every node is vetted
-    with an optimistic feasibility probe: uncolored edges act as wildcards
-    and a pair with no possible rainbow path of at most k edges kills the
-    subtree. `node_budget` caps the total number of assignments tried;
-    running past it raises BudgetExhaustedError rather than truncating.
+    with an optimistic feasibility probe, the checker's own search
+    `_rainbow_reach` run on the partial coloring: uncolored edges act as
+    wildcards, walks are capped at k edges, and a non-adjacent pair with
+    no such rainbow walk kills the subtree. `node_budget` caps the total
+    number of assignments tried; running past it raises
+    BudgetExhaustedError rather than truncating.
     """
     m = g.m
     if max_colors is None:
@@ -245,45 +256,27 @@ def rc_exact(g: Graph, max_colors: int | None = None,
     if m == 0:
         return 0, EdgeColoring({})
 
+    # the partial coloring as colored adjacency, uncolored edges as bit-0
+    # wildcards; slot[i] locates edge i in its two endpoint lists
     edges = g.edges
-    adj_e: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(edges):
-        adj_e[u].append((v, i))
-        adj_e[v].append((u, i))
-    for lst in adj_e:
-        lst.sort()
-    nonadj = [(u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)]
+    adjc: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    slot = []
+    for u, v in edges:
+        slot.append((len(adjc[u]), len(adjc[v])))
+        adjc[u].append((v, 0))
+        adjc[v].append((u, 0))
+    far = [(u, t) for u in range(g.n)
+           for t in [set(range(u + 1, g.n)).difference(g.adj[u])] if t]
 
     col = [0] * m
     nodes = 0
 
-    def feasible(u: int, v: int, k: int) -> bool:
-        # wildcard-optimistic reachability, capped at k steps
-        seen: dict[int, set[int]] = {u: {0}}
-        frontier = [(u, 0)]
-        for _ in range(k):
-            nxt = []
-            for a, mask in frontier:
-                for b, ei in adj_e[a]:
-                    c = col[ei]
-                    if c:
-                        bit = 1 << (c - 1)
-                        if mask & bit:
-                            continue
-                        nm = mask | bit
-                    else:
-                        nm = mask
-                    if b == v:
-                        return True
-                    known = seen.setdefault(b, set())
-                    if nm in known:
-                        continue
-                    known.add(nm)
-                    nxt.append((b, nm))
-            if not nxt:
-                return False
-            frontier = nxt
-        return False
+    def paint(i: int, c: int) -> None:
+        col[i] = c
+        bit = 1 << (c - 1) if c else 0
+        (u, v), (su, sv) = edges[i], slot[i]
+        adjc[u][su] = (v, bit)
+        adjc[v][sv] = (u, bit)
 
     def search(i: int, used: int, k: int) -> bool:
         nonlocal nodes
@@ -293,18 +286,18 @@ def rc_exact(g: Graph, max_colors: int | None = None,
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExhaustedError(k, nodes)
-            col[i] = c
+            paint(i, c)
             now_used = max(used, c)
             # every color must still be reachable with the edges left
-            if k - now_used <= m - i - 1 and all(feasible(u, v, k) for u, v in nonadj):
+            if k - now_used <= m - i - 1 and all(
+                    _rainbow_reach(adjc, u, t, k) == t for u, t in far):
                 if search(i + 1, now_used, k):
                     return True
-        col[i] = 0
+        paint(i, 0)
         return False
 
+    # a failed search leaves every edge uncolored again
     for k in range(lower, max_colors + 1):
-        for i in range(m):
-            col[i] = 0
         if search(0, 0, k):
             return k, EdgeColoring({edges[i]: col[i] for i in range(m)})
-    raise ValueError(f"no rainbow-connected coloring with at most {max_colors} colors")
+    raise NoColoringError(f"no rainbow-connected coloring with at most {max_colors} colors")

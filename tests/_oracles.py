@@ -35,6 +35,20 @@ def has_rainbow_path(g: Graph, colors: dict, u: int, v: int) -> bool:
     return False
 
 
+def has_capped_rainbow_path(g: Graph, colors: dict, u: int, v: int,
+                            max_len: int) -> bool:
+    """True when some simple u-v path of at most max_len edges repeats no
+    color among its colored edges; edges missing from `colors` are
+    uncolored and never clash."""
+    for path in all_simple_paths(g, u, v):
+        if len(path) - 1 > max_len:
+            continue
+        cs = [colors[e] for e in map(norm_edge, path, path[1:]) if e in colors]
+        if len(set(cs)) == len(cs):
+            return True
+    return False
+
+
 def brute_rainbow_witness(g: Graph, colors: dict, vertices=None):
     """Lexicographically smallest pair with no rainbow path, else None."""
     verts = sorted(vertices) if vertices is not None else range(g.n)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from rcbound import construct
@@ -152,6 +157,13 @@ class TestExact:
         code, out, _ = run(capsys, "exact", petersen_file, "--node-budget", "10")
         assert code == 5 and out.strip() == "budget-exhausted at k=3"
 
+    def test_too_few_colors_is_negative_verdict(self, capsys, tmp_path):
+        g = tmp_path / "k2.txt"
+        g.write_text("2 1\n0 1\n")
+        code, out, err = run(capsys, "exact", str(g), "--max-colors", "0")
+        assert code == 1 and err == ""
+        assert out.strip() == "no rainbow-connected coloring with at most 0 colors"
+
     def test_negative_budget_is_input_error(self, capsys, petersen_file):
         code, out, err = run(capsys, "exact", petersen_file, "--node-budget", "-1")
         assert code == 2 and out == "" and "node_budget" in err
@@ -220,3 +232,28 @@ class TestBench:
     def test_empty_corpus_dir(self, capsys, tmp_path):
         code, _, err = run(capsys, "bench", "--corpus", str(tmp_path))
         assert code == 2 and "no *.txt" in err
+
+
+class TestModuleEntry:
+    """`python -m rcbound` passes main's return value out as the exit code."""
+
+    @staticmethod
+    def run_module(*argv, cwd):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-m", "rcbound", *argv], cwd=cwd,
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    def test_gen_petersen(self, tmp_path):
+        proc = self.run_module("gen", "petersen", cwd=tmp_path)
+        assert proc.returncode == 0 and proc.stdout.splitlines()[0] == "10 15"
+
+    def test_malformed_file(self, tmp_path):
+        (tmp_path / "bad.txt").write_text("3 1\n0 7\n")
+        proc = self.run_module("construct", "bad.txt", cwd=tmp_path)
+        assert proc.returncode == 2 and proc.stderr.startswith("error:")
+
+    def test_cycle_construct(self, tmp_path):
+        (tmp_path / "c6.txt").write_text(serialize_graph(gen_family("cycle", 6)))
+        proc = self.run_module("construct", "c6.txt", cwd=tmp_path)
+        assert proc.returncode == 3 and proc.stderr.startswith("error:")

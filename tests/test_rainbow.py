@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcbound.graphs import GraphFormatError, gen_family, is_connected, make_graph
-from rcbound.rainbow import (BudgetExhaustedError, EdgeColoring, _colored_adj, _rainbow_reach,
-                             cycle_color_sequence, cycle_coloring, find_rainbow_witness,
-                             parse_coloring, rainbow_path_exists, rc_exact, serialize_coloring)
+from rcbound.rainbow import (BudgetExhaustedError, EdgeColoring, NoColoringError, _colored_adj,
+                             _rainbow_reach, cycle_color_sequence, cycle_coloring,
+                             find_rainbow_witness, parse_coloring, rainbow_path_exists,
+                             rc_exact, serialize_coloring)
 
-from _oracles import brute_rainbow_witness, brute_rc, canonical_colorings, has_rainbow_path
+from _oracles import (brute_rainbow_witness, brute_rc, canonical_colorings,
+                      has_capped_rainbow_path, has_rainbow_path)
 from test_graphs import graph_from_mask
 
 
@@ -61,6 +63,25 @@ class TestRainbowReach:
         assert targets == asked
         assert reached == {t for t in targets
                            if t == source or has_rainbow_path(g, col.colors, source, t)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 2 ** 21 - 1), st.integers(1, 6),
+           st.integers(1, 4), st.randoms(use_true_random=False))
+    def test_capped_wildcard_walks_match_paths(self, n, mask, palette, max_len, rng):
+        # a partial coloring as rc_exact's probe sees it: color 0 marks an
+        # uncolored edge, which carries bit 0 and acts as a wildcard
+        g = graph_from_mask(n, mask % (1 << (n * (n - 1) // 2)))
+        colors = {e: rng.randint(0, palette) for e in g.edges}
+        adjc = [[] for _ in range(n)]
+        for (u, v), c in colors.items():
+            bit = 1 << (c - 1) if c else 0
+            adjc[u].append((v, bit))
+            adjc[v].append((u, bit))
+        source = rng.randrange(n)
+        targets = set(rng.sample(range(n), rng.randint(0, n))) - {source}
+        colored = {e: c for e, c in colors.items() if c}
+        assert _rainbow_reach(adjc, source, targets, max_len) == {
+            t for t in targets if has_capped_rainbow_path(g, colored, source, t, max_len)}
 
     def test_source_among_targets(self):
         g = make_graph(3, [(1, 2)])
@@ -219,8 +240,25 @@ class TestRcExact:
             rc_exact(gen_family("petersen"), node_budget=-1)
 
     def test_max_colors_too_small(self):
-        with pytest.raises(ValueError, match="no rainbow-connected"):
+        with pytest.raises(ValueError, match="no rainbow-connected") as info:
             rc_exact(gen_family("cycle", 6), max_colors=2)
+        assert isinstance(info.value, NoColoringError)
+
+    # node counts of complete runs: a probe that prunes more or less than
+    # the wildcard, k-capped reachability test changes them
+    @pytest.mark.parametrize("g,k,nodes", [
+        (gen_family("petersen"), 3, 31),
+        (gen_family("prism", 4), 3, 18),
+        (gen_family("cycle", 7), 4, 104),
+        (gen_family("wheel", 7), 2, 17),
+        (make_graph(6, [(i, j) for i in range(3) for j in range(3, 6)]), 2, 11),
+        (gen_family("random3c", 10, 2, seed=42), 2, 35),
+    ], ids=["petersen", "prism4", "C7", "W7", "K33", "random3c-n10-e2-s42"])
+    def test_pinned_node_counts(self, g, k, nodes):
+        assert rc_exact(g, node_budget=nodes)[0] == k
+        with pytest.raises(BudgetExhaustedError) as info:
+            rc_exact(g, node_budget=nodes - 1)
+        assert (info.value.k, info.value.nodes) == (k, nodes)
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="connected"):
