@@ -105,7 +105,10 @@ def cmd_fan(args) -> int:
 
 
 def builtin_corpus(seed: int):
-    """The benchmark corpus: (graph_id, builder) pairs, deterministic for a seed."""
+    """The benchmark corpus: (graph_id, (family, params, seed)) pairs,
+    deterministic for a seed. layerbench's small_exact workload reads this
+    recipe shape and builds each graph with gen_family(family, *params,
+    seed=seed)."""
     entries = []
     for n in range(4, 9):
         entries.append((f"K{n}", ("complete", (n,), 0)))

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .connectivity import find_fan, vertex_connectivity
@@ -200,10 +201,6 @@ def seed_subgraph(g: Graph) -> GrowState:
     return state
 
 
-def _fan_lengths(fan) -> list[int]:
-    return [len(p) - 1 for p in fan.paths]
-
-
 def classify_extension(state: GrowState) -> ExtensionPlan:
     """Choose the next bulk move.
 
@@ -220,16 +217,14 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
     if len(ext) < 4:
         raise ValueError(f"classification needs at least 4 outside vertices, have {len(ext)}")
     hset = frozenset(state.vertices)
-    fans = {w: find_fan(host, w, hset, 3) for w in ext}
+    # only vertices with a fan, in label order, and each fan's path lengths
+    fans = {w: fan for w in ext if (fan := find_fan(host, w, hset, 3)) is not None}
+    profiles = {w: [len(p) - 1 for p in fan.paths] for w, fan in fans.items()}
 
     leaves: list[int] = []
     mixed: list[tuple[int, int]] = []  # (s + t, vertex)
     longs: list[tuple[int, int]] = []
-    for w in ext:
-        fan = fans[w]
-        if fan is None:
-            continue
-        lens = _fan_lengths(fan)
+    for w, lens in profiles.items():
         if lens == [1, 1, 1]:
             leaves.append(w)
         elif lens[0] == 1:
@@ -249,13 +244,13 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
             return _ear_plan(EAR, p1, p2, e0)
         if st == 2:
             if s == 1:
-                return _companion_dispatch(state, fans, ext, center=x, e0=e0,
+                return _companion_dispatch(state, fans, profiles, center=x, e0=e0,
                                            u1=p1[1], a=p1[2], v1=p2[1], b=p2[2])
             # s == 0, t == 2: shift the center onto the long path's first
             # vertex, whose lowest link into H (if any) becomes e0
             v1, v2, b = p2[1], p2[2], p2[3]
             links = [q for q in host.adj[v1] if q in hset]
-            return _companion_dispatch(state, fans, ext, center=v1,
+            return _companion_dispatch(state, fans, profiles, center=v1,
                                        e0=norm_edge(v1, links[0]) if links else None,
                                        u1=x, a=p1[1], v1=v2, b=b)
         # st == 1: a fork (two direct links, one 2-step path)
@@ -264,9 +259,8 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
         twins = [w for w in leaves if w != v1]
         if len(twins) >= 2:
             return _fork_leaves_plan(x, v1, b, e0, e1, fans, twins[0], twins[1])
-        for w in ext:
-            fan = fans[w]
-            if w in (x, v1) or fan is None or _fan_lengths(fan) != [1, 1, 2]:
+        for w, fan in fans.items():
+            if w in (x, v1) or profiles[w] != [1, 1, 2]:
                 continue
             vp = fan.paths[2][1]
             if vp not in (x, v1):
@@ -300,32 +294,28 @@ def _ear_plan(kind: str, p1, p2, e0: Edge | None) -> ExtensionPlan:
     return ExtensionPlan(kind, added, tuple(slots))
 
 
-def _companion_dispatch(state: GrowState, fans, ext, center: int, e0: Edge | None,
+def _companion_dispatch(state: GrowState, fans, profiles, center: int, e0: Edge | None,
                         u1: int, a: int, v1: int, b: int) -> ExtensionPlan:
     """Pick the fourth vertex joining a 2-2 double bridge around `center`:
     a tripod companion first, else (when the center links H through e0) an
     arch companion."""
     host = state.host
     base = {center, u1, v1}
-    for w in ext:
-        if w in base:
+    for w in host.adj[center]:
+        if w in base or w in state.vertices:
             continue
-        if host.has_edge(center, w):
-            into_h = [q for q in host.adj[w] if q in state.vertices]
-            if into_h:
-                return _tripod_plan(a=a, u1=u1, center=center, v1=v1, b=b,
-                                    x1=w, c=min(into_h))
+        into_h = [q for q in host.adj[w] if q in state.vertices]
+        if into_h:
+            return _tripod_plan(a=a, u1=u1, center=center, v1=v1, b=b,
+                                x1=w, c=min(into_h))
     if e0 is None:
         return _fallback_absorb_plan(state)
     arch = [(norm_edge(a, u1), 1), (e0, 1), (norm_edge(center, v1), 1),
             (norm_edge(u1, center), 2), (norm_edge(v1, b), 2)]
-    for w in ext:
+    for w, fan in fans.items():
         if w in base:
             continue
-        fan = fans.get(w)
-        if fan is None:
-            continue
-        lens = _fan_lengths(fan)
+        lens = profiles[w]
         links = [norm_edge(w, p[1]) for p in fan.paths]
         if lens == [1, 1, 1]:
             slots = arch + [(links[0], 1), (links[1], 1), (links[2], 2)]
@@ -381,22 +371,28 @@ def _fork_fork_plan(x: int, v1: int, b: int, e0: Edge, e1: Edge,
     return ExtensionPlan(FORK_FORK, tuple(sorted({x, v1, x1, vp})), tuple(slots))
 
 
-def _fallback_absorb_plan(state: GrowState) -> ExtensionPlan:
-    """Four outside vertices reachable from H, to be colored by repair search."""
-    host = state.host
+def _reach_order(state: GrowState, pool) -> Iterator[int]:
+    """The vertices of `pool` that H reaches through pool vertices, each
+    step taking the lowest label next to H or to a vertex already taken."""
     reach = set(state.vertices)
-    pool = set(state.externals())
-    take: list[int] = []
-    while len(take) < 4:
-        candidates = sorted(w for w in pool if any(q in reach for q in host.adj[w]))
-        if not candidates:
-            raise ConstructionError("outside vertices unreachable from the grown subgraph",
-                                    state.trace)
-        w = candidates[0]
-        take.append(w)
+    pool = set(pool)
+    while True:
+        near = [w for w in pool if any(q in reach for q in state.host.adj[w])]
+        if not near:
+            return
+        w = min(near)
+        yield w
         pool.discard(w)
         reach.add(w)
-    return ExtensionPlan(FALLBACK_ABSORB, tuple(take), ())
+
+
+def _fallback_absorb_plan(state: GrowState) -> ExtensionPlan:
+    """Four outside vertices reachable from H, to be colored by repair search."""
+    take = tuple(itertools.islice(_reach_order(state, state.externals()), 4))
+    if len(take) < 4:
+        raise ConstructionError("outside vertices unreachable from the grown subgraph",
+                                state.trace)
+    return ExtensionPlan(FALLBACK_ABSORB, take, ())
 
 
 def _try_coloring(state: GrowState, added: tuple[int, ...],
@@ -443,8 +439,8 @@ def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict
     are tried in a fixed lexicographic order, one checker call per distinct
     patch, so a search costs at most (budget + 2) ** len(added) calls.
     Returns the first patch the checker accepts, with its fresh colors
-    renumbered from the lowest, or None when no pattern works; the caller
-    then aborts with a ConstructionError.
+    renumbered by first appearance over the sorted edges, or None when no
+    pattern works; the caller then aborts with a ConstructionError.
     """
     added = tuple(sorted(added_vertices))
     if set(added) & state.vertices:
@@ -452,36 +448,12 @@ def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict
     state.repair_calls += 1
     log.info("repair search over %d vertices with budget %d", len(added), new_color_budget)
 
-    verts = state.vertices | set(added)
+    # every added vertex needs a link into the enlarged subgraph at all
+    if len(list(_reach_order(state, added))) < len(added):
+        return None
     aset = set(added)
-    cand = sorted(e for e in state.host.edges
-                  if e[0] in verts and e[1] in verts and (e[0] in aset or e[1] in aset))
     base = state.colors_used
     fresh = [base + 1 + i for i in range(new_color_budget)]
-
-    # every added vertex needs a link into the enlarged subgraph at all
-    linked = set(state.vertices)
-    grew = True
-    while grew:
-        grew = False
-        for w in added:
-            if w not in linked and any(q in linked for q in state.host.adj[w]):
-                linked.add(w)
-                grew = True
-    if not aset <= linked:
-        return None
-
-    def normalize(patch: dict[Edge, int]) -> dict[Edge, int]:
-        remap: dict[int, int] = {}
-        out: dict[Edge, int] = {}
-        for e in cand:
-            c = patch[e]
-            if c > base:
-                if c not in remap:
-                    remap[c] = base + 1 + len(remap)
-                c = remap[c]
-            out[e] = c
-        return out
 
     # each added vertex's star patterns as partial patches, one per label,
     # over the inner edges it owns (its smaller end) and its links into H
@@ -490,13 +462,14 @@ def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict
         options.append("alt")
     stars = []
     for w in added:
-        owned = [e for e in cand if e[0] == w and e[1] in aset]
-        links = [e for e in cand if w in e and not (e[0] in aset and e[1] in aset)]
+        owned = [(w, q) for q in state.host.adj[w] if q > w and q in aset]
+        links = [norm_edge(w, q) for q in state.host.adj[w] if q in state.vertices]
         star = {o: dict.fromkeys(owned + links, o) for o in [*fresh, 1]}
         if len(fresh) >= 2:
             star["alt"] = {**dict.fromkeys(owned, fresh[1]),
                            **{e: fresh[i % 2] for i, e in enumerate(links)}}
         stars.append(star)
+    cand = sorted(e for star in stars for e in star[1])  # every label covers the same edges
     tried: set[tuple[int, ...]] = set()
     for combo in itertools.product(options, repeat=len(added)):
         patch: dict[Edge, int] = {}
@@ -506,7 +479,12 @@ def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict
         if key not in tried:
             tried.add(key)
             if _try_coloring(state, added, patch) is None:
-                return normalize(patch)
+                # fresh colors renumbered by first appearance in edge order
+                remap: dict[int, int] = {}
+                for e in cand:
+                    if patch[e] > base:
+                        remap.setdefault(patch[e], base + 1 + len(remap))
+                return {e: remap.get(patch[e], patch[e]) for e in cand}
     return None
 
 

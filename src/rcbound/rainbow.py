@@ -232,7 +232,9 @@ def cycle_coloring(n: int) -> EdgeColoring:
 def rc_exact(g: Graph, max_colors: int | None = None,
              node_budget: int = 10 ** 8) -> tuple[int, EdgeColoring]:
     """Smallest k admitting a rainbow-connected coloring, with one coloring;
-    NoColoringError (a ValueError) when no k up to `max_colors` works.
+    NoColoringError (a ValueError) when no k up to `max_colors` works. A
+    cap of m or more is no cap (m distinct colors always suffice); a
+    negative cap is a ValueError.
 
     k runs upward from the diameter. For each k the search walks canonical
     colorings depth-first (edge i may use at most one more color than the
@@ -246,10 +248,9 @@ def rc_exact(g: Graph, max_colors: int | None = None,
     BudgetExhaustedError rather than truncating.
     """
     m = g.m
-    if max_colors is None:
-        max_colors = m
-    if not 0 <= max_colors <= m:
-        raise ValueError(f"max_colors must lie in 0..{m}, got {max_colors}")
+    max_colors = m if max_colors is None else min(max_colors, m)
+    if max_colors < 0:
+        raise ValueError(f"max_colors must be non-negative, got {max_colors}")
     if node_budget < 0:
         raise ValueError(f"node_budget must be non-negative, got {node_budget}")
     lower = max(1, diameter(g))  # also rejects disconnected input

@@ -164,6 +164,10 @@ class TestExact:
         assert code == 1 and err == ""
         assert out.strip() == "no rainbow-connected coloring with at most 0 colors"
 
+    def test_cap_above_edge_count_is_no_cap(self, capsys, petersen_file):
+        code, out, _ = run(capsys, "exact", petersen_file, "--max-colors", "20")
+        assert code == 0 and out.strip() == "k=3"
+
     def test_negative_budget_is_input_error(self, capsys, petersen_file):
         code, out, err = run(capsys, "exact", petersen_file, "--node-budget", "-1")
         assert code == 2 and out == "" and "node_budget" in err

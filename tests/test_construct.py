@@ -383,6 +383,12 @@ class TestRepair:
         assert tried[8] == {(0, 4): 1, (1, 4): 1, (4, 5): 1, (2, 5): 3, (3, 5): 3}
         assert tried[-1] == {(0, 4): 3, (1, 4): 4, (4, 5): 4, (2, 5): 3, (3, 5): 4}
 
+    def test_accepted_patch_renumbered_in_edge_order(self):
+        # the accepted labels give 4 color 3 and 5 color 4; renumbering by
+        # first appearance over the sorted edges hands color 3 to (0, 5)
+        state = state_on([(4, 1), (4, 2), (5, 0), (5, 3)])
+        assert repair_step(state, [4, 5], 2) == {(0, 5): 3, (1, 4): 4, (2, 4): 4, (3, 5): 3}
+
     def test_failure_is_bounded(self, monkeypatch):
         # a triangle hung off vertex 4: reaching 0 from 6 takes three
         # distinct colors, but one fresh color plus color 1 gives two

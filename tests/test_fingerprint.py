@@ -15,6 +15,7 @@ import pytest
 from rcbound import connectivity, construct, rainbow
 from rcbound.cli import _build, builtin_corpus
 from rcbound.construct import run_constructive
+from rcbound.graphs import gen_family
 from rcbound.rainbow import serialize_coloring
 
 CORPUS_SEED = 42
@@ -49,3 +50,17 @@ TRACED_NAMES = [
 def test_traced_name_is_module_function(module, name):
     fn = getattr(module, name, None)
     assert inspect.isfunction(fn) and fn.__module__ == module.__name__
+
+
+def test_benchmark_reads_corpus_recipes_and_trace_flags():
+    # layerbench/workloads.small_exact unpacks each corpus entry as
+    # (graph_id, (family, params, seed)) and rebuilds it with gen_family;
+    # layerbench/harness._execute sums rec.fallback and rec.repaired over
+    # the trace. A change to either shape breaks the benchmark, not a test.
+    for graph_id, (family, params, seed) in builtin_corpus(CORPUS_SEED):
+        assert isinstance(graph_id, str)
+        assert gen_family(family, *params, seed=seed) == _build((family, params, seed))
+    trace = run_constructive(gen_family("complete", 4)).trace
+    assert [(rec.kind, rec.fallback, rec.repaired) for rec in trace] == [
+        ("seed_triangle", False, False), ("final_absorb", False, False)]
+    assert sum(rec.fallback for rec in trace) == sum(rec.repaired for rec in trace) == 0

@@ -244,6 +244,14 @@ class TestRcExact:
             rc_exact(gen_family("cycle", 6), max_colors=2)
         assert isinstance(info.value, NoColoringError)
 
+    def test_cap_above_edge_count_is_no_cap(self):
+        # Petersen has m = 15 edges
+        assert rc_exact(gen_family("petersen"), max_colors=20)[0] == 3
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="max_colors"):
+            rc_exact(gen_family("petersen"), max_colors=-1)
+
     # node counts of complete runs: a probe that prunes more or less than
     # the wildcard, k-capped reachability test changes them
     @pytest.mark.parametrize("g,k,nodes", [
