@@ -5,6 +5,11 @@ graph rainbow connected when every vertex pair is joined by some rainbow
 path. One search over (vertex, used-color bit mask) states serves the
 checker and, with wildcards and walks capped at the palette size k (a
 rainbow path never exceeds k edges), the exact solver's feasibility probe.
+The search runs one walk length at a time and drops a walk whose colors
+hold those of a walk already kept at the same vertex: the dropped walk is
+no shorter and can only go where the kept one goes. The pruning is exact,
+so it changes no answer, and a failing check holds a few masks per vertex
+instead of every color set that reaches it.
 """
 
 from __future__ import annotations
@@ -65,10 +70,19 @@ def _rainbow_reach(adjc: list[list[tuple[int, int]]], source: int,
     at most `max_len` edges (any length when None); the source counts as
     reached. An edge with color bit 0 is a wildcard: it never blocks a
     walk and adds no color. The search returns as soon as the last target
-    is reached, without finishing the current level."""
+    is reached, without finishing the current level.
+
+    States are (vertex, used-color mask) pairs, explored one level (walk
+    length) at a time. A walk reaching w with colors `new` is dropped when
+    a walk kept at w has colors m with m & new == m: every continuation
+    of the dropped walk avoids m as well, so it also runs from the kept
+    walk. The kept walk came from this level or an earlier one, so it is
+    no longer and the continuation stays within `max_len`; a wildcard
+    adds no bit, so it leaves both masks as they are. The reached set is
+    therefore the one a search of every state would return."""
     remaining = set(targets)
     remaining.discard(source)
-    seen = {(source, 0)}
+    kept = {source: [0]}  # vertex -> masks of the walks kept there
     frontier = [(source, 0)]
     levels = 0
     while frontier and remaining and levels != max_len:
@@ -78,15 +92,23 @@ def _rainbow_reach(adjc: list[list[tuple[int, int]]], source: int,
             for w, bit in adjc[v]:
                 if mask & bit:
                     continue
-                state = (w, mask | bit)
-                if state in seen:
+                new = mask | bit
+                masks = kept.get(w)
+                if masks is None:
+                    kept[w] = [new]
+                    if w in remaining:
+                        remaining.discard(w)
+                        if not remaining:
+                            return set(targets)
+                else:
+                    for m in masks:
+                        if m & new == m:
+                            break
+                    else:
+                        masks.append(new)
+                        nxt.append((w, new))
                     continue
-                seen.add(state)
-                if w in remaining:
-                    remaining.discard(w)
-                    if not remaining:
-                        return set(targets)
-                nxt.append(state)
+                nxt.append((w, new))
         frontier = nxt
     return targets - remaining
 

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +94,43 @@ class TestRainbowReach:
         assert _rainbow_reach(adjc, 0, {0, 1}) == {0}
         assert _rainbow_reach(adjc, 1, {1, 2}) == {1, 2}  # returns on reaching 2
         assert _rainbow_reach(adjc, 1, set()) == set()
+
+    def test_kept_walk_colors_are_a_subset_of_the_dropped(self):
+        # 0-1 and 1-3 share color 1; 0-2 and 2-1 are wildcards. The direct
+        # walk reaches 1 first with colors {1}, the wildcard walk 0-2-1 one
+        # level later with none, and only the latter goes on to 3. A rule
+        # dropping the later walk because {} is a subset of {1} misses 3.
+        adjc = [[(1, 1), (2, 0)], [(0, 1), (2, 0), (3, 1)], [(0, 0), (1, 0)], [(1, 1)]]
+        assert _rainbow_reach(adjc, 0, {3}, 3) == {3}
+        assert _rainbow_reach(adjc, 0, {3}) == {3}
+
+    def test_pinned_q6_in_bounded_memory(self):
+        # Q6 under one fixed labeling, whose final absorption makes failing
+        # checks that once held about 150 MB of search states; the
+        # construction must now finish within 64 MB of address space above
+        # what the process holds when it starts
+        pytest.importorskip("resource")
+        if not os.path.exists("/proc/self/statm"):
+            pytest.skip("the process's address-space size is read from /proc")
+        child = """
+import random, resource
+from rcbound.construct import run_constructive
+from rcbound.graphs import make_graph
+edges = [(v, v | 1 << b) for v in range(64) for b in range(6) if not v & 1 << b]
+perm = list(range(64))
+random.Random(1).shuffle(perm)
+g = make_graph(64, [(perm[u], perm[v]) for u, v in edges])
+with open("/proc/self/statm") as f:
+    cap = int(f.read().split()[0]) * resource.getpagesize() + (64 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+r = run_constructive(g)
+print(r.colors_used, r.bound)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", child], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["33", "39"]
 
 
 class TestWitness:
