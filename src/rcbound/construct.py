@@ -395,19 +395,59 @@ def _fallback_absorb_plan(state: GrowState) -> ExtensionPlan:
     return ExtensionPlan(FALLBACK_ABSORB, take, ())
 
 
+def _color_clash(coloring: dict[Edge, int], patch: dict[Edge, int], aset: set[int],
+                 universe: set[int]) -> Edge | None:
+    """A pair no rainbow path joins, found without a search, or None.
+
+    The pair is an added vertex u and a universe vertex w that are not
+    adjacent, where every colored edge at u and every colored edge at w
+    has one and the same color: each u-w path then starts and ends on
+    that color. Of all such pairs, the one with the lowest u, then the
+    lowest w, comes back as (min, max). None proves nothing. The patch alone settles the common case: an added vertex
+    with two colors in the patch keeps them in the whole coloring, so
+    the per-vertex table is built only when some added vertex has one."""
+    lone: dict[int, int] = {}  # added vertex -> its one patch color, 0 when mixed
+    for e, c in patch.items():
+        for x in e:
+            if x in aset and lone.setdefault(x, c) != c:
+                lone[x] = 0
+    if not any(lone.values()):
+        return None
+    color_at: dict[int, int] = {}  # vertex -> its one color, 0 when mixed
+    for e, c in coloring.items():
+        for x in e:
+            if color_at.setdefault(x, c) != c:
+                color_at[x] = 0
+    mono = sorted(w for w, c in color_at.items() if c and w in universe)
+    for u in mono:
+        if u in aset:
+            for w in mono:
+                pair = norm_edge(u, w)
+                if w != u and color_at[w] == color_at[u] and pair not in coloring:
+                    return pair
+    return None
+
+
 def _try_coloring(state: GrowState, added: tuple[int, ...],
                   patch: dict[Edge, int]) -> Edge | None:
     """Check H plus the patch; with vertices added, only the pairs that
     touch them, which is sound while the patch colors only new edges at
-    added vertices."""
+    added vertices. A candidate with a color clash (_color_clash) is
+    rejected with that pair before the graph is built or searched; every
+    other candidate, and every accepted one, goes through
+    find_rainbow_witness."""
     aset = set(added)
     for e in patch:
         if e in state.coloring or not aset & set(e):
             raise AssertionError(f"patch edge {e} is not a new edge at an added vertex")
     coloring = {**state.coloring, **patch}
+    universe = state.vertices | aset
+    clash = _color_clash(coloring, patch, aset, universe)
+    if clash is not None:
+        return clash
     sub = make_graph(state.host.n, sorted(coloring))
     return find_rainbow_witness(sub, EdgeColoring(coloring),
-                                vertices=state.vertices | aset, sources=aset or None)
+                                vertices=universe, sources=aset or None)
 
 
 def _commit(state: GrowState, kind: str, added: tuple[int, ...], patch: dict[Edge, int],
@@ -436,8 +476,11 @@ def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict
     Each added vertex gets a star pattern: one color from the fresh
     palette or color 1 on all its edges, or (with two fresh colors) the
     first two fresh colors alternating over its links into H. The labels
-    are tried in a fixed lexicographic order, one checker call per distinct
-    patch, so a search costs at most (budget + 2) ** len(added) calls.
+    are tried in a fixed lexicographic order, each distinct patch once
+    through _try_coloring, so a search costs at most
+    (budget + 2) ** len(added) checker calls; a patch with a color clash
+    (two non-adjacent vertices whose edges all share one color, say two
+    added vertices on one fresh star color) is rejected without one.
     Returns the first patch the checker accepts, with its fresh colors
     renumbered by first appearance over the sorted edges, or None when no
     pattern works; the caller then aborts with a ConstructionError.

@@ -10,9 +10,12 @@ from rcbound.construct import (ConstructionError, ExtensionPlan, GrowState, Prec
                                ear_color_sequence, REUSE, final_absorb, move_budget,
                                repair_step, run_constructive, seed_subgraph)
 from rcbound.connectivity import vertex_connectivity
-from rcbound.graphs import gen_family, is_connected, iter_labeled_graphs, make_graph, norm_edge
+from rcbound.graphs import (bfs_distances, gen_family, is_connected, iter_labeled_graphs,
+                            make_graph, norm_edge)
 from rcbound.rainbow import EdgeColoring, find_rainbow_witness, rc_exact
 
+from _capped import run_capped
+from _oracles import has_rainbow_path
 from test_graphs import graph_from_mask, ladder
 
 C4_EDGES = [(0, 1), (1, 2), (2, 3), (0, 3)]
@@ -389,6 +392,18 @@ class TestRepair:
         state = state_on([(4, 1), (4, 2), (5, 0), (5, 3)])
         assert repair_step(state, [4, 5], 2) == {(0, 5): 3, (1, 4): 4, (2, 4): 4, (3, 5): 3}
 
+    def test_color_clash_skips_the_checker(self, monkeypatch):
+        # the first labels give the non-adjacent 4 and 5 the one fresh color
+        # 3 on all their edges, so every 4-5 path starts and ends on 3
+        state = state_on([(4, 1), (4, 2), (5, 0), (5, 3)])
+        calls = count_checks(monkeypatch)
+        first = dict.fromkeys([(1, 4), (2, 4), (0, 5), (3, 5)], 3)
+        assert construct._try_coloring(state, (4, 5), first) == (4, 5)
+        assert calls == []
+        # the next labels (3, 4) are accepted, and only they reach the checker
+        assert repair_step(state, [4, 5], 2) == {(0, 5): 3, (1, 4): 4, (2, 4): 4, (3, 5): 3}
+        assert len(calls) == 1
+
     def test_failure_is_bounded(self, monkeypatch):
         # a triangle hung off vertex 4: reaching 0 from 6 takes three
         # distinct colors, but one fresh color plus color 1 gives two
@@ -396,6 +411,46 @@ class TestRepair:
         calls = count_checks(monkeypatch)
         assert repair_step(state, [4, 5, 6, 7], 1) is None
         assert 0 < len(calls) <= 2 ** 4
+
+
+class TestColorClash:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(4, 7).flatmap(
+        lambda n: st.tuples(st.builds(graph_from_mask, st.just(n),
+                                      st.integers(0, (1 << (n * (n - 1) // 2)) - 1)),
+                            st.integers(1, n - 1))),
+           st.booleans(), st.randoms(use_true_random=False))
+    def test_clash_pair_has_no_rainbow_path(self, drawn, star, rng):
+        # H is a BFS prefix of the host with random colors on its edges;
+        # the added vertices get a star patch (one color per vertex) or a
+        # random one over their edges into H and among themselves
+        (g, h), colors = drawn, [1, 2, 3]
+        assume(is_connected(g))
+        order, seen = [0], {0}
+        for u in order:
+            for w in g.adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+        hset = set(order[:h])
+        added = tuple(sorted(rng.sample(order[h:], rng.randint(1, g.n - h))))
+        aset = set(added)
+        coloring = {e: rng.choice(colors) for e in g.edges if set(e) <= hset}
+        label = {w: rng.choice(colors) for w in added}
+        patch = {e: label[min(set(e) & aset)] if star else rng.choice(colors)
+                 for e in g.edges if set(e) & aset and set(e) <= hset | aset}
+        full = {**coloring, **patch}
+        sub = make_graph(g.n, sorted(full))
+        universe = hset | aset
+        dist = bfs_distances(sub, added[0])
+        assume(all(dist[v] >= 0 for v in universe))
+        state = GrowState(g, hset, coloring, max(coloring.values(), default=0))
+        pair = construct._color_clash(full, patch, aset, universe)
+        if pair is not None:
+            assert set(pair) & aset and set(pair) <= universe
+            assert not has_rainbow_path(sub, full, *pair)
+        verdict = find_rainbow_witness(sub, EdgeColoring(full), vertices=universe, sources=aset)
+        assert (construct._try_coloring(state, added, patch) is None) == (verdict is None)
 
 
 class TestFinalAbsorb:
@@ -462,6 +517,17 @@ class TestRunConstructive:
         assert res.trace[1].fallback and not res.trace[1].repaired
         assert res.colors_used == res.bound == 6
         assert find_rainbow_witness(g, res.coloring) is None
+
+    @pytest.mark.parametrize("n,extra,seed,k,bound", [(120, 30, 3, 61, 72),
+                                                     (160, 40, 2, 83, 96)])
+    def test_hard_random3c_in_bounded_time_and_memory(self, n, extra, seed, k, bound):
+        # final-absorption candidates whose exhaustive check once ran past
+        # 100 s; a color clash now rejects them without a search
+        setup = ("from rcbound.construct import run_constructive\n"
+                 "from rcbound.graphs import gen_family\n"
+                 f"g = gen_family('random3c', {n}, {extra}, seed={seed})\n")
+        body = "r = run_constructive(g)\nprint(r.colors_used, r.bound)\n"
+        assert run_capped(setup, body, headroom_mb=64, timeout=60) == [str(k), str(bound)]
 
     def test_low_connectivity_refused(self):
         with pytest.raises(PreconditionError, match="force"):

@@ -1,9 +1,5 @@
-import os
 import random
-import subprocess
-import sys
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +10,22 @@ from rcbound.rainbow import (BudgetExhaustedError, EdgeColoring, NoColoringError
                              find_rainbow_witness, parse_coloring, rainbow_path_exists,
                              rc_exact, serialize_coloring)
 
+from _capped import run_capped
 from _oracles import (brute_rainbow_witness, brute_rc, canonical_colorings,
                       has_capped_rainbow_path, has_rainbow_path)
 from test_graphs import graph_from_mask
+
+
+# the pinned Q6 labeling of the families benchmark, as child-process setup
+Q6_PINNED = """
+import random
+from rcbound.construct import run_constructive
+from rcbound.graphs import make_graph
+edges = [(v, v | 1 << b) for v in range(64) for b in range(6) if not v & 1 << b]
+perm = list(range(64))
+random.Random(1).shuffle(perm)
+g = make_graph(64, [(perm[u], perm[v]) for u, v in edges])
+"""
 
 
 def c6_striped():
@@ -109,28 +118,16 @@ class TestRainbowReach:
         # checks that once held about 150 MB of search states; the
         # construction must now finish within 64 MB of address space above
         # what the process holds when it starts
-        pytest.importorskip("resource")
-        if not os.path.exists("/proc/self/statm"):
-            pytest.skip("the process's address-space size is read from /proc")
-        child = """
-import random, resource
-from rcbound.construct import run_constructive
-from rcbound.graphs import make_graph
-edges = [(v, v | 1 << b) for v in range(64) for b in range(6) if not v & 1 << b]
-perm = list(range(64))
-random.Random(1).shuffle(perm)
-g = make_graph(64, [(perm[u], perm[v]) for u, v in edges])
-with open("/proc/self/statm") as f:
-    cap = int(f.read().split()[0]) * resource.getpagesize() + (64 << 20)
-resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
-r = run_constructive(g)
-print(r.colors_used, r.bound)
-"""
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        proc = subprocess.run([sys.executable, "-c", child], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout.split() == ["33", "39"]
+        body = "r = run_constructive(g)\nprint(r.colors_used, r.bound)\n"
+        assert run_capped(Q6_PINNED, body, headroom_mb=64, timeout=120) == ["33", "39"]
+
+    def test_pinned_q6_searches_in_bounded_memory(self):
+        # the same run with the construction's color-clash rejection turned
+        # off, so its failing final-absorption candidates reach this search
+        body = ("from rcbound import construct\n"
+                "construct._color_clash = lambda *args: None\n"
+                "r = run_constructive(g)\nprint(r.colors_used, r.bound)\n")
+        assert run_capped(Q6_PINNED, body, headroom_mb=64, timeout=120) == ["33", "39"]
 
 
 class TestWitness:
