@@ -1,8 +1,8 @@
 """Rainbow connection toolkit: checker, exact solver, and a budgeted
 constructive colorer for 3-connected graphs."""
 
-from .connectivity import (FanPaths, check_fan, find_fan,
-                           internally_disjoint_paths, vertex_connectivity)
+from .connectivity import (check_fan, find_fan, internally_disjoint_paths,
+                           vertex_connectivity)
 from .construct import (ConstructionError, ConstructionResult, ExtensionPlan,
                         GrowState, PreconditionError, StepRecord,
                         apply_extension, classify_extension, color_bound,

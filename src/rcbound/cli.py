@@ -99,7 +99,7 @@ def cmd_fan(args) -> int:
     if fan is None:
         print("insufficient")
         return 1
-    for path in fan.paths:
+    for path in fan:
         print(" ".join(map(str, path)))
     return 0
 

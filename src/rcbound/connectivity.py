@@ -26,24 +26,16 @@ minimal, so v has a neighbour on each of its sides.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from collections.abc import Collection, Iterable
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class FanPaths:
-    """k internally disjoint paths from one vertex into a target set."""
-    source: int
-    targets: frozenset[int]
-    paths: tuple[tuple[int, ...], ...]
-
-
-def _flow_paths(g: Graph, x: int, targets: Sequence[int], want: int) -> list[list[int]]:
+def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int) -> list[list[int]]:
     """Up to `want` pairwise internally disjoint paths from x into targets,
-    shortest first, ties in lexicographic order.
+    shortest first, ties in lexicographic order. Only membership in
+    targets is read, so their order is unused.
 
     The flow is the set of directed edges that carry a unit, kept as
     `succ`, the one used edge out of each path vertex other than x;
@@ -146,8 +138,10 @@ def internally_disjoint_paths(g: Graph, x: int, y: int, k: int) -> list[list[int
     return paths if len(paths) == k else None
 
 
-def find_fan(g: Graph, x: int, targets: Iterable[int], k: int) -> FanPaths | None:
-    """A k-fan from x into the target set, or None when none exists.
+def find_fan(g: Graph, x: int, targets: Iterable[int],
+             k: int) -> tuple[tuple[int, ...], ...] | None:
+    """A k-fan from x into the target set, as a tuple of its k paths (each
+    a vertex tuple from x to a target), or None when none exists.
 
     Any graph whose vertex connectivity is at least k admits one whenever
     the target set has at least k vertices, so None on such a graph
@@ -165,21 +159,21 @@ def find_fan(g: Graph, x: int, targets: Iterable[int], k: int) -> FanPaths | Non
         raise ValueError(f"fan width must be positive, got {k}")
     if len(tset) < k:
         raise ValueError(f"target set smaller than fan width: {len(tset)} < {k}")
-    paths = _flow_paths(g, x, sorted(tset), k)
+    paths = _flow_paths(g, x, tset, k)
     if len(paths) < k:
         return None
-    fan = FanPaths(x, frozenset(tset), tuple(map(tuple, paths)))
+    fan = tuple(map(tuple, paths))
     check_fan(g, fan, x, tset, k)
     return fan
 
 
-def check_fan(g: Graph, fan: FanPaths, x: int, targets: Iterable[int], k: int) -> None:
-    """Raise ValueError unless fan satisfies all structural invariants."""
+def check_fan(g: Graph, fan: tuple, x: int, targets: Iterable[int], k: int) -> None:
+    """Raise ValueError unless fan, a tuple of paths, satisfies all structural invariants."""
     tset = set(targets)
-    if len(fan.paths) != k:
-        raise ValueError(f"expected {k} paths, got {len(fan.paths)}")
+    if len(fan) != k:
+        raise ValueError(f"expected {k} paths, got {len(fan)}")
     terminals = []
-    for p in fan.paths:
+    for p in fan:
         if p[0] != x:
             raise ValueError(f"path {p} does not start at {x}")
         if len(set(p)) != len(p):
@@ -194,7 +188,7 @@ def check_fan(g: Graph, fan: FanPaths, x: int, targets: Iterable[int], k: int) -
         terminals.append(p[-1])
     if len(set(terminals)) != k:
         raise ValueError(f"terminals are not pairwise distinct: {terminals}")
-    for p, q in combinations(fan.paths, 2):
+    for p, q in combinations(fan, 2):
         shared = set(p) & set(q)
         if shared != {x}:
             raise ValueError(f"paths {p} and {q} share {sorted(shared - {x})}")

@@ -116,13 +116,14 @@ class ExtensionPlan:
 @dataclass
 class GrowState:
     """Mutable growth state: the subgraph's vertices, its coloring (whose
-    keys are the subgraph's edges) and the step trace."""
+    keys are the subgraph's edges) and the step trace. The trace records
+    every repair search: a step flagged repaired, a fallback_absorb step,
+    or a final_absorb step that adds a vertex."""
     host: Graph
     vertices: set[int]
     coloring: dict[Edge, int]
     colors_used: int
     trace: list[StepRecord] = field(default_factory=list)
-    repair_calls: int = 0
 
     @property
     def h(self) -> int:
@@ -219,7 +220,7 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
     hset = frozenset(state.vertices)
     # only vertices with a fan, in label order, and each fan's path lengths
     fans = {w: fan for w in ext if (fan := find_fan(host, w, hset, 3)) is not None}
-    profiles = {w: [len(p) - 1 for p in fan.paths] for w, fan in fans.items()}
+    profiles = {w: [len(p) - 1 for p in fan] for w, fan in fans.items()}
 
     leaves: list[int] = []
     mixed: list[tuple[int, int]] = []  # (s + t, vertex)
@@ -237,7 +238,7 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
 
     if mixed:
         st, x = max(mixed, key=lambda item: (item[0], -item[1]))
-        p0, p1, p2 = fans[x].paths
+        p0, p1, p2 = fans[x]
         s = len(p1) - 2
         e0 = norm_edge(x, p0[1])
         if st >= 3:
@@ -262,7 +263,7 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
         for w, fan in fans.items():
             if w in (x, v1) or profiles[w] != [1, 1, 2]:
                 continue
-            vp = fan.paths[2][1]
+            vp = fan[2][1]
             if vp not in (x, v1):
                 return _fork_fork_plan(x, v1, b, e0, e1, w, fan)
         return _fallback_absorb_plan(state)
@@ -270,7 +271,7 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
     earable = [(st, w) for st, w in longs if st >= 3]
     if earable:
         st, w = max(earable, key=lambda item: (item[0], -item[1]))
-        p1, p2 = fans[w].paths[1], fans[w].paths[2]
+        p1, p2 = fans[w][1], fans[w][2]
         return _ear_plan(EAR_FALLBACK, p1, p2, e0=None)
     return _fallback_absorb_plan(state)
 
@@ -278,7 +279,7 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
 def _four_leaves_plan(fans, picked: list[int]) -> ExtensionPlan:
     slots: list[tuple[Edge, int]] = []
     for w in picked:
-        links = sorted(norm_edge(w, p[1]) for p in fans[w].paths)
+        links = sorted(norm_edge(w, p[1]) for p in fans[w])
         slots.append((links[0], 1))
         slots.extend((e, 2) for e in links[1:])
     return ExtensionPlan(FOUR_LEAVES, tuple(picked), tuple(slots))
@@ -316,27 +317,27 @@ def _companion_dispatch(state: GrowState, fans, profiles, center: int, e0: Edge 
         if w in base:
             continue
         lens = profiles[w]
-        links = [norm_edge(w, p[1]) for p in fan.paths]
+        links = [norm_edge(w, p[1]) for p in fan]
         if lens == [1, 1, 1]:
             slots = arch + [(links[0], 1), (links[1], 1), (links[2], 2)]
             return ExtensionPlan(ARCH_111, tuple(sorted(base | {w})), tuple(slots))
         if lens == [1, 1, 2]:
-            vp, bp = fan.paths[2][1], fan.paths[2][2]
+            vp, bp = fan[2][1], fan[2][2]
             if vp in base:
                 continue
             slots = arch + [(links[0], 1), (norm_edge(w, vp), 1),
                             (links[1], 2), (norm_edge(vp, bp), 3)]
             return ExtensionPlan(ARCH_112, tuple(sorted(base | {w, vp})), tuple(slots))
         if lens == [1, 2, 2]:
-            up, ap = fan.paths[1][1], fan.paths[1][2]
-            vp, bp = fan.paths[2][1], fan.paths[2][2]
+            up, ap = fan[1][1], fan[1][2]
+            vp, bp = fan[2][1], fan[2][2]
             if up in base or vp in base:
                 continue
             slots = arch + [(norm_edge(ap, up), 1), (norm_edge(w, vp), 1),
                             (norm_edge(up, w), 2), (links[0], 3), (norm_edge(vp, bp), 3)]
             return ExtensionPlan(ARCH_122, tuple(sorted(base | {w, up, vp})), tuple(slots))
         if lens == [1, 1, 3]:
-            vp, vq, bp = fan.paths[2][1], fan.paths[2][2], fan.paths[2][3]
+            vp, vq, bp = fan[2][1], fan[2][2], fan[2][3]
             if vp in base or vq in base:
                 continue
             slots = arch + [(norm_edge(vp, vq), 1), (norm_edge(w, vp), 2),
@@ -357,15 +358,15 @@ def _fork_leaves_plan(x: int, v1: int, b: int, e0: Edge, e1: Edge,
                       fans, x1: int, x2: int) -> ExtensionPlan:
     slots = [(e0, 1), (norm_edge(x, v1), 1), (e1, 2), (norm_edge(v1, b), 2)]
     for w in (x1, x2):
-        links = [norm_edge(w, p[1]) for p in fans[w].paths]
+        links = [norm_edge(w, p[1]) for p in fans[w]]
         slots.extend([(links[0], 1), (links[1], 1), (links[2], 2)])
     return ExtensionPlan(FORK_LEAVES, tuple(sorted({x, v1, x1, x2})), tuple(slots))
 
 
 def _fork_fork_plan(x: int, v1: int, b: int, e0: Edge, e1: Edge,
                     x1: int, fan) -> ExtensionPlan:
-    vp, bp = fan.paths[2][1], fan.paths[2][2]
-    links = [norm_edge(x1, p[1]) for p in fan.paths]
+    vp, bp = fan[2][1], fan[2][2]
+    links = [norm_edge(x1, p[1]) for p in fan]
     slots = [(e0, 1), (e1, 1), (norm_edge(x, v1), 1), (norm_edge(v1, b), 1),
              (links[0], 2), (links[1], 2), (norm_edge(x1, vp), 2), (norm_edge(vp, bp), 2)]
     return ExtensionPlan(FORK_FORK, tuple(sorted({x, v1, x1, vp})), tuple(slots))
@@ -403,9 +404,11 @@ def _color_clash(coloring: dict[Edge, int], patch: dict[Edge, int], aset: set[in
     adjacent, where every colored edge at u and every colored edge at w
     has one and the same color: each u-w path then starts and ends on
     that color. Of all such pairs, the one with the lowest u, then the
-    lowest w, comes back as (min, max). None proves nothing. The patch alone settles the common case: an added vertex
-    with two colors in the patch keeps them in the whole coloring, so
-    the per-vertex table is built only when some added vertex has one."""
+    lowest w, comes back as (min, max). None proves nothing.
+
+    The patch alone settles the common case: an added vertex with two
+    colors in the patch keeps them in the whole coloring, so the
+    per-vertex table is built only when some added vertex has one."""
     lone: dict[int, int] = {}  # added vertex -> its one patch color, 0 when mixed
     for e, c in patch.items():
         for x in e:
@@ -488,7 +491,6 @@ def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict
     added = tuple(sorted(added_vertices))
     if set(added) & state.vertices:
         raise ValueError("added vertices must lie outside the grown subgraph")
-    state.repair_calls += 1
     log.info("repair search over %d vertices with budget %d", len(added), new_color_budget)
 
     # every added vertex needs a link into the enlarged subgraph at all

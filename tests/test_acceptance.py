@@ -161,7 +161,7 @@ def test_criterion_7_step_validity_per_kind():
     state = seed_subgraph(gen_family("complete", 7))
     plan = classify_extension(state)
     apply_extension(state, plan)
-    outcomes["four_leaves"] = (plan.kind == "four_leaves" and state.repair_calls == 0)
+    outcomes["four_leaves"] = (plan.kind == "four_leaves" and not state.trace[-1].repaired)
 
     ears = {3: [(0, 4), (4, 5), (5, 1), (5, 6), (6, 7), (7, 2)],
             4: [(0, 4), (4, 5), (5, 6), (6, 1), (6, 7), (7, 8), (8, 2)],
@@ -171,7 +171,7 @@ def test_criterion_7_step_validity_per_kind():
         plan = classify_extension(state)
         apply_extension(state, plan)
         outcomes[f"ear_{st_sum}"] = (plan.kind == "ear" and len(plan.vertices) == st_sum + 1
-                                     and state.repair_calls == 0)
+                                     and not state.trace[-1].repaired)
 
     for kind in ("tripod", "arch_111", "arch_112", "arch_122", "arch_113",
                  "fork_leaves", "fork_fork"):
@@ -180,7 +180,7 @@ def test_criterion_7_step_validity_per_kind():
         plan = classify_extension(state)
         h0, k0 = state.h, state.colors_used
         apply_extension(state, plan)
-        outcomes[kind] = (plan.kind == kind and state.repair_calls == 0
+        outcomes[kind] = (plan.kind == kind and not state.trace[-1].repaired
                           and (state.h - h0, state.colors_used - k0) == (dv, dk)
                           and (len(plan.vertices), move_budget(len(plan.vertices)))
                           == (dv, dk))

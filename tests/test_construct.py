@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rcbound import construct, rainbow
+from rcbound.cli import _build, builtin_corpus
 from rcbound.construct import (ConstructionError, ExtensionPlan, GrowState, PreconditionError,
                                apply_extension, classify_extension, color_bound,
                                ear_color_sequence, REUSE, final_absorb, move_budget,
@@ -29,17 +30,25 @@ SPARSE_NINE_EDGES = [(0, 3), (0, 4), (0, 6), (0, 7), (0, 8), (1, 5), (1, 6), (1,
                      (4, 7), (4, 8), (6, 7), (6, 8)]
 
 
-def count_checks(monkeypatch):
-    """A list that gains one entry per checker call made inside construct."""
+def count_calls(monkeypatch, name="find_rainbow_witness"):
+    """A list that gains the positional arguments of each call to the
+    construct function `name` (by default the checker)."""
     calls = []
-    real = construct.find_rainbow_witness
+    real = getattr(construct, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(construct, "find_rainbow_witness", counted)
+    monkeypatch.setattr(construct, name, counted)
     return calls
+
+
+def traced_repairs(trace) -> int:
+    """The repair searches a trace shows: repaired steps, fallback
+    absorptions, and a final absorption that adds a vertex."""
+    return sum(rec.repaired or rec.kind == "fallback_absorb"
+               or (rec.kind == "final_absorb" and rec.added != ()) for rec in trace)
 
 
 def state_on(extra_edges, n=None):
@@ -74,7 +83,7 @@ class TestSeed:
     @pytest.mark.parametrize("perm", [list(range(10)), [(3 * v + 7) % 10 for v in range(10)]])
     def test_pendant_color_is_scripted(self, perm, monkeypatch):
         g = make_graph(10, [(perm[u], perm[v]) for u, v in gen_family("petersen").edges])
-        calls = count_checks(monkeypatch)
+        calls = count_calls(monkeypatch)
         state = seed_subgraph(g)
         degree = Counter(v for e in state.coloring for v in e)
         pendant = [c for e, c in state.coloring.items() if min(degree[v] for v in e) == 1]
@@ -198,7 +207,7 @@ class TestApply:
         h0, k0 = state.h, state.colors_used
         plan = classify_extension(state)
         apply_extension(state, plan)
-        assert state.repair_calls == 0, "scripted move must not invoke repair"
+        assert not state.trace[-1].repaired, "scripted move must not invoke repair"
         assert (state.h - h0, state.colors_used - k0) == (dv, dk)
         assert (len(plan.vertices), move_budget(len(plan.vertices))) == (dv, dk)
         assert 5 * state.colors_used <= 3 * state.h - 1
@@ -206,7 +215,7 @@ class TestApply:
     def test_four_leaves_budget(self):
         state = seed_subgraph(gen_family("complete", 7))
         apply_extension(state, classify_extension(state))
-        assert state.repair_calls == 0
+        assert not state.trace[-1].repaired
         assert (state.h, state.colors_used) == (7, 3)
 
     @pytest.mark.parametrize("st_sum,extra", [
@@ -221,7 +230,7 @@ class TestApply:
         plan = classify_extension(state)
         assert plan.kind == "ear" and len(plan.vertices) == st_sum + 1
         apply_extension(state, plan)
-        assert state.repair_calls == 0
+        assert not state.trace[-1].repaired
         assert state.trace[-1].new_colors == (st_sum + 2) // 2
 
     def test_four_leaves_asymmetric_variant_also_valid(self):
@@ -251,7 +260,7 @@ class TestApply:
 
         monkeypatch.setattr(rainbow, "_rainbow_reach", counted)
         apply_extension(state, plan)
-        assert state.repair_calls == 0
+        assert not state.trace[-1].repaired
         assert searches == sorted(plan.vertices)
 
     @pytest.mark.parametrize("patch", [
@@ -263,17 +272,18 @@ class TestApply:
         with pytest.raises(AssertionError, match="added vertex"):
             construct._try_coloring(state, (4,), patch)
 
-    def test_overspent_script_rejected(self):
+    def test_overspent_script_rejected(self, monkeypatch):
         # a leaf link moved to a third fresh slot still passes the checker
         # (a color used once breaks no path), but 4 vertices may take only 2
         state = seed_subgraph(gen_family("complete", 7))
+        repairs = count_calls(monkeypatch, "repair_step")
         plan = classify_extension(state)
         slots = ((plan.slots[0][0], 3),) + plan.slots[1:]
         assert sorted({slot for _, slot in slots}) == [1, 2, 3]
         before = (state.h, state.colors_used, dict(state.coloring), list(state.trace))
         with pytest.raises(ConstructionError, match="spent 3 fresh colors"):
             apply_extension(state, replace(plan, slots=slots))
-        assert state.repair_calls == 0
+        assert repairs == []
         # the refused move leaves no trace in the state
         assert (state.h, state.colors_used, state.coloring, state.trace) == before
 
@@ -297,21 +307,27 @@ class TestApply:
 
     def test_slotless_plan_is_one_repair_search(self, monkeypatch):
         state = seed_subgraph(gen_family("complete", 7))
-        searches = []
-        real = construct.repair_step
-
-        def counted(*args):
-            searches.append(args[1:])
-            return real(*args)
-
-        monkeypatch.setattr(construct, "repair_step", counted)
+        searches = count_calls(monkeypatch, "repair_step")
         apply_extension(state, ExtensionPlan("fallback_absorb", (3, 4, 5, 6), ()))
-        assert searches == [((3, 4, 5, 6), move_budget(4))]
+        assert [args[1:] for args in searches] == [((3, 4, 5, 6), move_budget(4))]
         step = state.trace[-1]
         assert (step.kind, step.added, step.h) == ("fallback_absorb", (3, 4, 5, 6), 7)
         assert step.fallback and not step.repaired
         assert 0 < step.new_colors <= move_budget(4)
         assert find_rainbow_witness(state.host, EdgeColoring(state.coloring)) is None
+
+    def test_rejected_script_is_repaired(self, monkeypatch, caplog):
+        # the one branch that flags a step repaired: with every slot 1 the
+        # four leaves clash, so the script is rejected
+        state = seed_subgraph(gen_family("complete", 7))
+        plan = classify_extension(state)
+        repairs = count_calls(monkeypatch, "repair_step")
+        apply_extension(state, replace(plan, slots=tuple((e, 1) for e, _ in plan.slots)))
+        assert len(repairs) == traced_repairs(state.trace) == 1
+        step = state.trace[-1]
+        assert (step.kind, step.added, step.repaired) == ("four_leaves", (3, 4, 5, 6), True)
+        assert step.format().endswith(" repaired=1")
+        assert "scripted four_leaves coloring rejected; invoking repair" in caplog.text
 
     def test_failed_search_leaves_state(self, monkeypatch):
         state = seed_subgraph(gen_family("complete", 7))
@@ -326,13 +342,14 @@ class TestApply:
         ((3, 4, 5, -1), (), "outside the host"),
         ((3, 4, 5, 6), (((3, 4), 1), ((3, 9), 1)), "missing edge"),
     ])
-    def test_bad_plan_leaves_state(self, vertices, slots, message):
+    def test_bad_plan_leaves_state(self, vertices, slots, message, monkeypatch):
         state = seed_subgraph(gen_family("complete", 7))
+        repairs = count_calls(monkeypatch, "repair_step")
         before = (state.h, state.colors_used, dict(state.coloring), list(state.trace))
         with pytest.raises(ValueError, match=message):
             apply_extension(state, ExtensionPlan("four_leaves", vertices, slots))
         assert (state.h, state.colors_used, state.coloring, state.trace) == before
-        assert state.repair_calls == 0
+        assert repairs == []
 
     def test_plan_state_mismatch_rejected(self):
         state = state_on(SYNTHETIC["ear"][0])
@@ -358,9 +375,9 @@ class TestRepair:
     def test_unlinked_vertex_fails_without_checks(self, monkeypatch):
         # 5 reaches H only through 6, which is not added
         state = state_on([(4, 0), (4, 1), (4, 2), (5, 6), (6, 0), (6, 1), (6, 2)])
-        calls = count_checks(monkeypatch)
+        calls = count_calls(monkeypatch)
         assert repair_step(state, [4, 5], 2) is None
-        assert calls == [] and state.repair_calls == 1
+        assert calls == []
 
     def test_deterministic(self):
         a = repair_step(state_on([(4, 0), (4, 1), (4, 2)], n=5), [4], 2)
@@ -396,7 +413,7 @@ class TestRepair:
         # the first labels give the non-adjacent 4 and 5 the one fresh color
         # 3 on all their edges, so every 4-5 path starts and ends on 3
         state = state_on([(4, 1), (4, 2), (5, 0), (5, 3)])
-        calls = count_checks(monkeypatch)
+        calls = count_calls(monkeypatch)
         first = dict.fromkeys([(1, 4), (2, 4), (0, 5), (3, 5)], 3)
         assert construct._try_coloring(state, (4, 5), first) == (4, 5)
         assert calls == []
@@ -408,7 +425,7 @@ class TestRepair:
         # a triangle hung off vertex 4: reaching 0 from 6 takes three
         # distinct colors, but one fresh color plus color 1 gives two
         state = state_on([(4, 0), (4, 1), (4, 2), (4, 3), (4, 5), (5, 6), (6, 7), (5, 7)])
-        calls = count_checks(monkeypatch)
+        calls = count_calls(monkeypatch)
         assert repair_step(state, [4, 5, 6, 7], 1) is None
         assert 0 < len(calls) <= 2 ** 4
 
@@ -572,7 +589,7 @@ class TestRunConstructive:
             run_constructive(make_graph(1, []))
 
     def test_force_single_vertex_gets_empty_coloring(self, monkeypatch):
-        calls = count_checks(monkeypatch)
+        calls = count_calls(monkeypatch)
         res = run_constructive(make_graph(1, []), force=True)
         assert res.coloring.colors == {} and res.colors_used == 0 and res.kappa == 0
         assert [rec.kind for rec in res.trace] == ["spanning_tree"]
@@ -601,6 +618,21 @@ class TestRunConstructive:
         assert [rec.kind for rec in res.trace] == ["spanning_tree"]
         assert res.colors_used == g.n - 1
         assert find_rainbow_witness(g, res.coloring) is None
+
+    @pytest.mark.parametrize("family,n,kind", [("prism", 4, "fallback_absorb"),
+                                               ("complete", 4, "final_absorb")])
+    def test_trace_counts_repair_searches(self, family, n, kind, monkeypatch):
+        repairs = count_calls(monkeypatch, "repair_step")
+        res = run_constructive(gen_family(family, n))
+        assert kind in [rec.kind for rec in res.trace]
+        assert len(repairs) == traced_repairs(res.trace) == 1
+
+    def test_trace_counts_repair_searches_on_corpus(self, monkeypatch):
+        repairs = count_calls(monkeypatch, "repair_step")
+        for gid, recipe in builtin_corpus(42):
+            repairs.clear()
+            res = run_constructive(_build(recipe))
+            assert len(repairs) == traced_repairs(res.trace), gid
 
     def test_progress_and_trace_format(self):
         g = gen_family("random3c", 20, 5, seed=3)
