@@ -398,17 +398,27 @@ def _fallback_absorb_plan(state: GrowState) -> ExtensionPlan:
 
 def _color_clash(coloring: dict[Edge, int], patch: dict[Edge, int], aset: set[int],
                  universe: set[int]) -> Edge | None:
-    """A pair no rainbow path joins, found without a search, or None.
+    """A pair no rainbow path joins, found without the checker's search,
+    or None, which proves nothing.
 
-    The pair is an added vertex u and a universe vertex w that are not
-    adjacent, where every colored edge at u and every colored edge at w
-    has one and the same color: each u-w path then starts and ends on
-    that color. Of all such pairs, the one with the lowest u, then the
-    lowest w, comes back as (min, max). None proves nothing.
+    Let u be an added vertex whose colored edges all carry one color c.
+    A rainbow path from u leaves u on c and never uses c again; its first
+    inner vertex is a neighbour of u, and each later inner vertex is
+    entered and left on two different colors. So a search from u that
+    steps to u's neighbours, then follows only edges not colored c, and
+    goes on from a vertex only when it is a neighbour of u or carries more
+    than one color, reaches every end of a rainbow path from u: a universe
+    vertex it never reaches has no rainbow path to u. (A non-adjacent w
+    whose edges all carry c is the simplest case: no edge enters it.) Of
+    the added vertices in ascending order, the first with such a w comes
+    back with its lowest one, as (min, max).
 
-    The patch alone settles the common case: an added vertex with two
-    colors in the patch keeps them in the whole coloring, so the
-    per-vertex table is built only when some added vertex has one."""
+    The search runs from u only when some single-colored universe vertex
+    lies outside u and its neighbours; otherwise it seldom finds a pair
+    and mostly costs time on candidates the checker accepts. The patch
+    alone settles the common case: an added vertex with two colors in the
+    patch keeps them in the whole coloring, so the per-vertex tables are
+    built only when some added vertex has one."""
     lone: dict[int, int] = {}  # added vertex -> its one patch color, 0 when mixed
     for e, c in patch.items():
         for x in e:
@@ -417,17 +427,31 @@ def _color_clash(coloring: dict[Edge, int], patch: dict[Edge, int], aset: set[in
     if not any(lone.values()):
         return None
     color_at: dict[int, int] = {}  # vertex -> its one color, 0 when mixed
-    for e, c in coloring.items():
-        for x in e:
+    adjc: dict[int, list[tuple[int, int]]] = {}  # vertex -> (neighbour, color) pairs
+    for (a, b), c in coloring.items():
+        adjc.setdefault(a, []).append((b, c))
+        adjc.setdefault(b, []).append((a, c))
+        for x in (a, b):
             if color_at.setdefault(x, c) != c:
                 color_at[x] = 0
-    mono = sorted(w for w, c in color_at.items() if c and w in universe)
-    for u in mono:
-        if u in aset:
-            for w in mono:
-                pair = norm_edge(u, w)
-                if w != u and color_at[w] == color_at[u] and pair not in coloring:
-                    return pair
+    mono = [w for w, c in color_at.items() if c and w in universe]
+    for u in sorted(u for u, c in lone.items() if c):
+        near = {w for w, _ in adjc[u]}
+        if all(w == u or w in near for w in mono):
+            continue
+        c = lone[u]
+        seen = near | {u}
+        stack = list(near)
+        while stack:
+            for y, cy in adjc[stack.pop()]:
+                if cy != c and y not in seen:
+                    seen.add(y)
+                    if not color_at[y]:
+                        stack.append(y)
+        missed = universe - seen
+        if missed:
+            w = min(missed)
+            return (min(u, w), max(u, w))
     return None
 
 
@@ -481,9 +505,10 @@ def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict
     first two fresh colors alternating over its links into H. The labels
     are tried in a fixed lexicographic order, each distinct patch once
     through _try_coloring, so a search costs at most
-    (budget + 2) ** len(added) checker calls; a patch with a color clash
-    (two non-adjacent vertices whose edges all share one color, say two
-    added vertices on one fresh star color) is rejected without one.
+    (budget + 2) ** len(added) checker calls; a patch in which
+    _color_clash finds a vertex cut off from a single-colored added one
+    (say two non-adjacent added vertices on one fresh star color) is
+    rejected without one.
     Returns the first patch the checker accepts, with its fresh colors
     renumbered by first appearance over the sorted edges, or None when no
     pattern works; the caller then aborts with a ConstructionError.

@@ -69,6 +69,34 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, sorted_edges, tuple(tuple(sorted(a)) for a in neigh))
 
 
+def document_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, whitespace-split fields) for each line of a text
+    document that is neither blank nor a '#' comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if fields and not fields[0].startswith("#"):
+            yield lineno, fields
+
+
+def int_fields(fields: list[str], lineno: int, count: int, shape: str,
+               not_int: str) -> list[int]:
+    """The fields as integers: GraphFormatError(shape) unless there are
+    exactly `count` of them, GraphFormatError(not_int) when one is not an
+    integer."""
+    if len(fields) != count:
+        raise GraphFormatError(shape, lineno)
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise GraphFormatError(not_int, lineno) from None
+
+
+def check_vertices(n: int, lineno: int, *vs: int) -> None:
+    """GraphFormatError unless every vertex index lies in 0..n-1."""
+    if not all(0 <= v < n for v in vs):
+        raise GraphFormatError(f"vertex index out of range 0..{n - 1}", lineno)
+
+
 def parse_graph(text: str) -> Graph:
     """Parse an edge-list document.
 
@@ -77,47 +105,28 @@ def parse_graph(text: str) -> Graph:
     Endpoints may appear in either order; self-loops, duplicates and
     out-of-range indices are errors reported with their line number.
     """
-    n = m = 0
-    have_header = False
-    edges: list[Edge] = []
-    dup: set[Edge] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
-        parts = s.split()
-        if not have_header:
-            if len(parts) != 2:
-                raise GraphFormatError("header must be 'n m'", lineno)
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError("header must be two integers", lineno) from None
-            if n < 1:
-                raise GraphFormatError(f"vertex count must be positive, got {n}", lineno)
-            if m < 0:
-                raise GraphFormatError(f"edge count must be non-negative, got {m}", lineno)
-            have_header = True
-            continue
+    lines = document_lines(text)
+    lineno, fields = next(lines, (None, None))
+    if fields is None:
+        raise GraphFormatError("document contains no header line")
+    n, m = int_fields(fields, lineno, 2, "header must be 'n m'", "header must be two integers")
+    if n < 1:
+        raise GraphFormatError(f"vertex count must be positive, got {n}", lineno)
+    if m < 0:
+        raise GraphFormatError(f"edge count must be non-negative, got {m}", lineno)
+    edges: set[Edge] = set()
+    for lineno, fields in lines:
         if len(edges) == m:
             raise GraphFormatError(f"more than the declared {m} edge lines", lineno)
-        if len(parts) != 2:
-            raise GraphFormatError("edge line must be 'u v'", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError("edge endpoints must be integers", lineno) from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"vertex index out of range 0..{n - 1}", lineno)
+        u, v = int_fields(fields, lineno, 2, "edge line must be 'u v'",
+                          "edge endpoints must be integers")
+        check_vertices(n, lineno, u, v)
         if u == v:
             raise GraphFormatError(f"self-loop at vertex {u}", lineno)
         e = norm_edge(u, v)
-        if e in dup:
+        if e in edges:
             raise GraphFormatError(f"duplicate edge {e}", lineno)
-        dup.add(e)
-        edges.append(e)
-    if not have_header:
-        raise GraphFormatError("document contains no header line")
+        edges.add(e)
     if len(edges) != m:
         raise GraphFormatError(f"expected {m} edges, found {len(edges)}")
     return make_graph(n, edges)
@@ -198,28 +207,33 @@ def shortest_cycle(g: Graph) -> list[int]:
     if glen is None:
         raise ValueError("graph is acyclic: no cycle to return")
     for start in range(g.n):
-        path = [start]
-        found = _cycle_dfs(g, start, glen, path, {start})
+        found = _cycle_dfs(g, start, glen)
         if found is not None:
             return found
     raise AssertionError("girth reported a cycle but none was found")
 
 
-def _cycle_dfs(g: Graph, start: int, glen: int, path: list[int],
-               on_path: set[int]) -> list[int] | None:
-    if len(path) == glen:
-        return list(path) if start in g.adj[path[-1]] else None
-    for w in g.adj[path[-1]]:
-        # keep start as the cycle minimum so the traversal is canonical
-        if w <= start or w in on_path:
-            continue
-        path.append(w)
-        on_path.add(w)
-        found = _cycle_dfs(g, start, glen, path, on_path)
-        if found is not None:
-            return found
-        path.pop()
-        on_path.discard(w)
+def _cycle_dfs(g: Graph, start: int, glen: int) -> list[int] | None:
+    """The first glen-vertex cycle through start, above start elsewhere,
+    in depth-first order over the sorted adjacency lists; None if none."""
+    path, on_path = [start], {start}
+    todo = [iter(g.adj[start])]  # neighbours left to try at each path vertex
+    while todo:
+        for w in todo[-1]:
+            # keep start as the cycle minimum so the traversal is canonical
+            if w <= start or w in on_path:
+                continue
+            if len(path) + 1 == glen:
+                if start in g.adj[w]:
+                    return path + [w]
+                continue
+            path.append(w)
+            on_path.add(w)
+            todo.append(iter(g.adj[w]))
+            break
+        else:
+            todo.pop()
+            on_path.discard(path.pop())
     return None
 
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Edge, Graph, GraphFormatError, bfs_distances, diameter, gen_family, norm_edge
+from .graphs import (Edge, Graph, GraphFormatError, bfs_distances, check_vertices, diameter,
+                     document_lines, gen_family, int_fields, norm_edge)
 
 
 @dataclass
@@ -54,9 +55,13 @@ def _require_covers(g: Graph, coloring: EdgeColoring) -> None:
 
 
 def _colored_adj(g: Graph, coloring: EdgeColoring) -> list[list[tuple[int, int]]]:
+    """Per vertex, its (neighbour, color bit) pairs in neighbour order. The
+    i-th smallest color gets bit i, so a mask holds one bit per color used
+    whatever the color ids are: color 1 and color 10**30 need two bits."""
+    bits = {c: 1 << i for i, c in enumerate(sorted(set(coloring.colors.values())))}
     adjc: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for (u, v), c in coloring.colors.items():
-        bit = 1 << (c - 1)
+        bit = bits[c]
         adjc[u].append((v, bit))
         adjc[v].append((u, bit))
     for lst in adjc:
@@ -167,32 +172,23 @@ def parse_coloring(text: str, g: Graph) -> EdgeColoring:
     """Parse a coloring document against its host graph.
 
     Format: first meaningful line is the palette size k, then one line
-    "u v c" per host edge with 1 <= c <= k. Comment and blank lines follow
-    the edge-list rules. The edge set must match the host exactly.
+    "u v c" per host edge with 1 <= c <= k. Comment and blank lines, and
+    endpoints outside 0..n-1, follow the edge-list rules. The edge set
+    must match the host exactly.
     """
-    k = None
+    lines = document_lines(text)
+    lineno, fields = next(lines, (None, None))
+    if fields is None:
+        raise GraphFormatError("document contains no color count line")
+    (k,) = int_fields(fields, lineno, 1, "first line must be the color count",
+                      "color count must be an integer")
+    if k < 0:
+        raise GraphFormatError(f"color count must be non-negative, got {k}", lineno)
     colors: dict[Edge, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
-        parts = s.split()
-        if k is None:
-            if len(parts) != 1:
-                raise GraphFormatError("first line must be the color count", lineno)
-            try:
-                k = int(parts[0])
-            except ValueError:
-                raise GraphFormatError("color count must be an integer", lineno) from None
-            if k < 0:
-                raise GraphFormatError(f"color count must be non-negative, got {k}", lineno)
-            continue
-        if len(parts) != 3:
-            raise GraphFormatError("coloring line must be 'u v c'", lineno)
-        try:
-            u, v, c = (int(p) for p in parts)
-        except ValueError:
-            raise GraphFormatError("coloring line must hold three integers", lineno) from None
+    for lineno, fields in lines:
+        u, v, c = int_fields(fields, lineno, 3, "coloring line must be 'u v c'",
+                             "coloring line must hold three integers")
+        check_vertices(g.n, lineno, u, v)
         e = norm_edge(u, v)
         if not g.has_edge(u, v):
             raise GraphFormatError(f"edge {e} is not in the host graph", lineno)
@@ -201,8 +197,6 @@ def parse_coloring(text: str, g: Graph) -> EdgeColoring:
         if not 1 <= c <= k:
             raise GraphFormatError(f"color {c} outside 1..{k}", lineno)
         colors[e] = c
-    if k is None:
-        raise GraphFormatError("document contains no color count line")
     missing = set(g.edges) - set(colors)
     if missing:
         raise GraphFormatError(f"host edges missing from coloring: {sorted(missing)[:3]}")
@@ -301,26 +295,31 @@ def rc_exact(g: Graph, max_colors: int | None = None,
         adjc[u][su] = (v, bit)
         adjc[v][sv] = (u, bit)
 
-    def search(i: int, used: int, k: int) -> bool:
+    def search(k: int) -> bool:
+        """Depth-first over the edges in order; col[i] is edge i's color
+        (0 while uncolored) and used[i] the highest color before edge i."""
         nonlocal nodes
-        if i == m:
-            return True
-        for c in range(1, min(used + 1, k) + 1):
+        used = [0] * (m + 1)
+        i = 0
+        while 0 <= i < m:
+            c = col[i] + 1
+            if c > min(used[i] + 1, k):
+                paint(i, 0)  # every color tried: back to the previous edge
+                i -= 1
+                continue
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExhaustedError(k, nodes)
             paint(i, c)
-            now_used = max(used, c)
+            used[i + 1] = max(used[i], c)
             # every color must still be reachable with the edges left
-            if k - now_used <= m - i - 1 and all(
+            if k - used[i + 1] <= m - i - 1 and all(
                     _rainbow_reach(adjc, u, t, k) == t for u, t in far):
-                if search(i + 1, now_used, k):
-                    return True
-        paint(i, 0)
-        return False
+                i += 1
+        return i == m
 
     # a failed search leaves every edge uncolored again
     for k in range(lower, max_colors + 1):
-        if search(0, 0, k):
+        if search(k):
             return k, EdgeColoring({edges[i]: col[i] for i in range(m)})
     raise NoColoringError(f"no rainbow-connected coloring with at most {max_colors} colors")

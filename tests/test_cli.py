@@ -139,6 +139,25 @@ class TestConstructCheck:
         code, _, err = run(capsys, "check", c5_file, str(bad))
         assert code == 2 and "missing" in err
 
+    def test_check_endpoint_out_of_range(self, capsys, petersen_file, tmp_path):
+        # exit 1 is the negative verdict; an endpoint past n-1 is an input error
+        bad = tmp_path / "bad.txt"
+        bad.write_text("15\n99 0 1\n")
+        code, out, err = run(capsys, "check", petersen_file, str(bad))
+        assert (code, out) == (2, "")
+        assert "line 2: vertex index out of range 0..9" in err
+
+
+    def test_check_huge_color_id(self, capsys, petersen_file, tmp_path):
+        # a color id is a label: one of 10**30 must not become a 10**30-bit mask
+        big = tmp_path / "big.txt"
+        edges = gen_family("petersen").edges
+        k = 10 ** 30
+        big.write_text(f"{k}\n" + "".join(f"{u} {v} {k if i == 0 else 1}\n"
+                                          for i, (u, v) in enumerate(edges)))
+        code, out, _ = run(capsys, "check", petersen_file, str(big))
+        assert code == 1 and out.startswith("NOT rainbow-connected: witness")
+
 
 class TestExact:
     def test_c8(self, capsys, tmp_path):
@@ -146,6 +165,13 @@ class TestExact:
         g.write_text(serialize_graph(gen_family("cycle", 8)))
         code, out, _ = run(capsys, "exact", str(g))
         assert code == 0 and out.strip() == "k=4"
+
+    def test_k50_one_color(self, capsys, tmp_path):
+        # one search level per edge: 1 225 edges once overflowed the stack
+        g = tmp_path / "k50.txt"
+        g.write_text(serialize_graph(gen_family("complete", 50)))
+        code, out, _ = run(capsys, "exact", str(g))
+        assert code == 0 and out.strip() == "k=1"
 
     def test_path5_tree(self, capsys, tmp_path):
         g = tmp_path / "p5.txt"

@@ -470,6 +470,23 @@ class TestColorClash:
         assert (construct._try_coloring(state, added, patch) is None) == (verdict is None)
 
 
+    def test_unreachable_pair_without_a_shared_color(self, monkeypatch):
+        # H is the triangle {0, 1, 2} in color 1. Added 3 links to 0, 1, 2
+        # on color 2; added 4 links to 0, 1 and to 5 on color 3; added 5
+        # links to 1, 2 on color 2. The single-colored 3 and 4 differ in
+        # color, yet 5 is entered only on color 2 or from the
+        # single-colored 4, so no rainbow path leaves 3 for 5
+        h_colors = {(0, 1): 1, (0, 2): 1, (1, 2): 1}
+        patch = {(0, 3): 2, (1, 3): 2, (2, 3): 2, (0, 4): 3, (1, 4): 3, (4, 5): 3,
+                 (1, 5): 2, (2, 5): 2}
+        g = make_graph(6, [*h_colors, *patch])
+        state = GrowState(g, {0, 1, 2}, dict(h_colors), 1)
+        calls = count_calls(monkeypatch)
+        assert construct._try_coloring(state, (3, 4, 5), patch) == (3, 5)
+        assert calls == []
+        assert not has_rainbow_path(g, {**h_colors, **patch}, 3, 5)
+
+
 class TestFinalAbsorb:
     def test_k4_last_vertex(self):
         state = seed_subgraph(gen_family("complete", 4))
@@ -536,10 +553,13 @@ class TestRunConstructive:
         assert find_rainbow_witness(g, res.coloring) is None
 
     @pytest.mark.parametrize("n,extra,seed,k,bound", [(120, 30, 3, 61, 72),
-                                                     (160, 40, 2, 83, 96)])
+                                                     (160, 40, 2, 83, 96),
+                                                     (120, 30, 9, 61, 72),
+                                                     (200, 50, 2, 104, 120)])
     def test_hard_random3c_in_bounded_time_and_memory(self, n, extra, seed, k, bound):
         # final-absorption candidates whose exhaustive check once ran past
-        # 100 s; a color clash now rejects them without a search
+        # 20 s (100 s for the first two); _color_clash now rejects them
+        # without a search
         setup = ("from rcbound.construct import run_constructive\n"
                  "from rcbound.graphs import gen_family\n"
                  f"g = gen_family('random3c', {n}, {extra}, seed={seed})\n")

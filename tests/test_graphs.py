@@ -148,6 +148,10 @@ class TestShortestCycle:
     def test_c7_whole(self):
         assert shortest_cycle(gen_family("cycle", 7)) == [0, 1, 2, 3, 4, 5, 6]
 
+    def test_c1200_whole(self):
+        # one search level per cycle vertex: deeper than Python's stack
+        assert shortest_cycle(gen_family("cycle", 1200)) == list(range(1200))
+
     def test_prism_triangle(self):
         cyc = shortest_cycle(gen_family("prism", 3))
         assert len(cyc) == 3 == girth(gen_family("prism", 3))

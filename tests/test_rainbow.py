@@ -240,6 +240,10 @@ class TestRcExact:
     def test_cycles(self, n, expected):
         assert rc_exact(gen_family("cycle", n))[0] == expected
 
+    def test_k50_one_color(self):
+        # 1 225 edges, one search level each: deeper than Python's stack
+        assert rc_exact(gen_family("complete", 50))[0] == 1
+
     def test_path5(self):
         g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         assert rc_exact(g)[0] == 4
@@ -376,10 +380,14 @@ class TestColoringIO:
         ("1\n0 1 1\n1 0 1\n", r"line 3: edge \(0, 1\) colored twice"),
         ("", "no color count line"),
         ("# comment only\n", "no color count line"),
+        # endpoints outside 0..9 on the 10-vertex host; -1 would index vertex 9
+        ("1\n99 0 1\n", "line 2: vertex index out of range 0..9"),
+        ("1\n-1 4 1\n", "line 2: vertex index out of range 0..9"),
+        ("1\n0 -1 1\n", "line 2: vertex index out of range 0..9"),
     ])
     def test_malformed_document(self, text, message):
         with pytest.raises(GraphFormatError, match=message):
-            parse_coloring(text, make_graph(2, [(0, 1)]))
+            parse_coloring(text, gen_family("petersen"))
 
 
 def test_checker_vs_oracle_on_themed_colorings():
