@@ -205,12 +205,14 @@ def seed_subgraph(g: Graph) -> GrowState:
 def classify_extension(state: GrowState) -> ExtensionPlan:
     """Choose the next bulk move.
 
-    Every outside vertex gets a canonical 3-fan into H (shortest-path
-    preference). Vertices whose fan mixes a direct link with a longer path
-    drive the move choice: the one with the largest combined interior
-    s + t wins, long combinations become ears and short ones the scripted
-    small moves. When only 3-link leaves remain, four of them are absorbed
-    at once. Configurations none of the scripts cover fall back to a
+    Every outside vertex with a link into H gets a canonical 3-fan into H
+    (shortest-path preference). Vertices whose fan mixes a direct link with
+    a longer path drive the move choice: the one with the largest combined
+    interior s + t wins, long combinations become ears and short ones the
+    scripted small moves. When only 3-link leaves remain, four of them are
+    absorbed at once. Only when neither applies do the vertices with no
+    link into H get their fans, the long ones becoming ears with no center
+    link. Configurations none of the scripts cover fall back to a
     repair-searched absorption and are flagged in the trace.
     """
     host = state.host
@@ -218,20 +220,21 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
     if len(ext) < 4:
         raise ValueError(f"classification needs at least 4 outside vertices, have {len(ext)}")
     hset = frozenset(state.vertices)
-    # only vertices with a fan, in label order, and each fan's path lengths
-    fans = {w: fan for w in ext if (fan := find_fan(host, w, hset, 3)) is not None}
+    # only vertices with a link into H and a fan, in label order, and each
+    # fan's path lengths
+    fans = {w: fan for w in ext if not hset.isdisjoint(host.adj[w])
+            and (fan := find_fan(host, w, hset, 3)) is not None}
     profiles = {w: [len(p) - 1 for p in fan] for w, fan in fans.items()}
 
     leaves: list[int] = []
     mixed: list[tuple[int, int]] = []  # (s + t, vertex)
-    longs: list[tuple[int, int]] = []
     for w, lens in profiles.items():
+        # lens[0] == 1: the flow's first search takes w's lowest link and no
+        # later one enters w to cancel it, so only unlinked fans can be long
         if lens == [1, 1, 1]:
             leaves.append(w)
-        elif lens[0] == 1:
-            mixed.append((lens[1] + lens[2] - 2, w))
         else:
-            longs.append((lens[1] + lens[2] - 2, w))
+            mixed.append((lens[1] + lens[2] - 2, w))
 
     if not mixed and len(leaves) >= 4:
         return _four_leaves_plan(fans, leaves[:4])
@@ -268,11 +271,13 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
                 return _fork_fork_plan(x, v1, b, e0, e1, w, fan)
         return _fallback_absorb_plan(state)
 
-    earable = [(st, w) for st, w in longs if st >= 3]
-    if earable:
-        st, w = max(earable, key=lambda item: (item[0], -item[1]))
-        p1, p2 = fans[w][1], fans[w][2]
-        return _ear_plan(EAR_FALLBACK, p1, p2, e0=None)
+    # an unlinked vertex's fan has no 1-step path, so no branch above reads it
+    longs = {w: fan for w in ext if hset.isdisjoint(host.adj[w])
+             and (fan := find_fan(host, w, hset, 3)) is not None}
+    st, w = max(((len(p1) + len(p2) - 4, w) for w, (_, p1, p2) in longs.items()),
+                key=lambda item: (item[0], -item[1]), default=(0, -1))
+    if st >= 3:
+        return _ear_plan(EAR_FALLBACK, longs[w][1], longs[w][2], e0=None)
     return _fallback_absorb_plan(state)
 
 

@@ -342,18 +342,28 @@ class TestPairReduction:
         assert vertex_connectivity(g) == pairwise_vertex_connectivity(g)
 
 
+# 3, 4 and 5 are three 3-link leaves of the seed triangle, one too few for
+# four_leaves; 6..9 reach it only through them, so no fan mixes a direct link
+# with a longer path and 6's fan becomes an ear with no center link
+EAR_FALLBACK_GRAPH = make_graph(10, [(0, 1), (1, 2), (0, 2)]
+                                + [(u, v) for u in (3, 4, 5) for v in (0, 1, 2)]
+                                + [(3, 6), (4, 7), (5, 8), (6, 7), (7, 8), (6, 8), (6, 9),
+                                   (7, 9), (8, 9)])
+
 # The fan queries the construction really makes: every find_fan(host, w, H, 3)
 # call while run_constructive colors these graphs, with its answer. H grows to
 # most of the graph, so these target sets are far larger than the ones
-# FLOW_SHA256 covers.
+# FLOW_SHA256 covers. Outside vertices with no link into H are queried only
+# in a round that reaches the ear-fallback scan, as the last graph's does.
 CONSTRUCTION_FAN_GRAPHS = [
     ("wheel32", gen_family("wheel", 32)),
     ("q5", hypercube(5)),
     ("gp16_2", generalized_petersen(16, 2)),
     ("mobius32", mobius_ladder(32)),
     ("k3_9", complete_bipartite(3, 9)),
+    ("ear_fallback", EAR_FALLBACK_GRAPH),
 ]
-FAN_QUERY_SHA256 = "1d66845cc4c61b2bfbf5d9a2e5f2bc4d26ea0d79a51f866d7538e8e74177afb2"
+FAN_QUERY_SHA256 = "6efb0e7dcc8565f0b82d796d5ae8534ebd2201c27a4141adb1adcbd65e8ae64a"
 
 
 class TestConstructionFanQueries:

@@ -17,6 +17,7 @@ from rcbound.rainbow import EdgeColoring, find_rainbow_witness, rc_exact
 
 from _capped import run_capped
 from _oracles import has_rainbow_path
+from test_connectivity import CONSTRUCTION_FAN_GRAPHS, EAR_FALLBACK_GRAPH
 from test_graphs import graph_from_mask, ladder
 
 C4_EDGES = [(0, 1), (1, 2), (2, 3), (0, 3)]
@@ -192,6 +193,32 @@ class TestClassify:
         extra = [(4, 0), (4, 1), (4, 5), (5, 6), (6, 2), (7, 0), (7, 1), (7, 2)]
         assert classify_extension(state_on(extra)) == ExtensionPlan(
             "fallback_absorb", (4, 5, 6, 7), ())
+
+    def test_unlinked_fans_wait_for_the_ear_fallback_scan(self, monkeypatch):
+        # per classify_extension call: its plan kind and whether each fan
+        # query's source has a neighbour in H
+        rounds: list[list] = []
+        real_fan, real_classify = construct.find_fan, construct.classify_extension
+
+        def recorded_fan(g, x, targets, k):
+            rounds[-1][1].append(not set(targets).isdisjoint(g.adj[x]))
+            return real_fan(g, x, targets, k)
+
+        def recorded_classify(state):
+            rounds.append([None, []])
+            plan = real_classify(state)
+            rounds[-1][0] = plan.kind
+            return plan
+
+        monkeypatch.setattr(construct, "find_fan", recorded_fan)
+        monkeypatch.setattr(construct, "classify_extension", recorded_classify)
+        for _, g in CONSTRUCTION_FAN_GRAPHS:
+            run_constructive(g)
+        for kind, linked in rounds:
+            if kind not in ("ear_fallback", "fallback_absorb"):
+                assert all(linked), kind
+        # the ear-fallback round does query the unlinked vertices
+        assert any(kind == "ear_fallback" and not all(linked) for kind, linked in rounds)
 
     def test_needs_four_externals(self):
         state = state_on([(4, 0), (4, 1), (4, 2)], n=5)
@@ -536,14 +563,7 @@ class TestRunConstructive:
         assert res.colors_used <= res.bound == 6
 
     def test_ear_fallback_pinned(self):
-        # 3, 4 and 5 are three 3-link leaves of the seed triangle, one too
-        # few for four_leaves; 6..9 reach it only through them, so no fan
-        # mixes a direct link with a longer path and 6's fan becomes an
-        # ear with no center link
-        edges = [(0, 1), (1, 2), (0, 2)]
-        edges += [(u, v) for u in (3, 4, 5) for v in (0, 1, 2)]
-        edges += [(3, 6), (4, 7), (5, 8), (6, 7), (7, 8), (6, 8), (6, 9), (7, 9), (8, 9)]
-        g = make_graph(10, edges)
+        g = EAR_FALLBACK_GRAPH
         assert vertex_connectivity(g) == 3
         res = run_constructive(g)
         assert [rec.kind for rec in res.trace] == ["seed_triangle", "ear_fallback",
