@@ -14,13 +14,23 @@ queues a target with room rather than when it pops it; the queue is FIFO
 and a state's predecessor is fixed when it is queued, so the path found
 is the same.
 
-Vertex connectivity runs that flow on few pairs: around one vertex v of
-minimum degree d it takes the pairs (v, w) for every w not adjacent to v
-and the non-adjacent pairs of v's neighbours, at most n - 1 - d + C(d, 2)
-flows instead of one per non-adjacent pair (Esfahanian & Hakimi, "On
+Vertex connectivity examines few pairs: around one vertex v of minimum
+degree d it takes the pairs (v, w) for every w not adjacent to v and the
+non-adjacent pairs of v's neighbours, at most n - 1 - d + C(d, 2) pairs
+instead of every non-adjacent pair (Esfahanian & Hakimi, "On
 computing the connectivity of graphs and digraphs", 1984). A minimum
 separator that misses v leaves some w cut off from v; one that holds v is
 minimal, so v has a neighbour on each of its sides.
+
+Each of those pairs is non-adjacent, and before its flow it gets a greedy
+pass: breadth-first searches from one end to the other, each avoiding the
+inner vertices of the paths found before it. Paths found that way are
+internally disjoint, so when the pass finds as many as the current
+answer, the pair's connectivity is at least that answer and the pair
+cannot lower it; its flow is skipped. When the pass finds fewer, that
+proves nothing, since a greedy path may take a vertex two others need,
+and the flow decides. The fan and path queries run the flow alone, so
+the paths they return are the flow's.
 """
 
 from __future__ import annotations
@@ -126,6 +136,34 @@ def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int) -> list[l
     return sorted(paths, key=lambda p: (len(p), p))
 
 
+def _greedy_paths(g: Graph, a: int, b: int, want: int) -> bool:
+    """True when `want` breadth-first searches from a to the non-adjacent
+    b each find a path, every search avoiding the inner vertices of the
+    paths found before it. Those paths are internally disjoint, so True
+    proves kappa(a, b) >= want; False proves nothing, since a path taken
+    early may hold a vertex that two others need."""
+    adj = g.adj
+    blocked = bytearray(g.n)
+    for _ in range(want):
+        prev = [-1] * g.n
+        prev[a] = a
+        queue = [a]
+        for v in queue:
+            for w in adj[v]:
+                if prev[w] == -1 and not blocked[w]:
+                    prev[w] = v
+                    queue.append(w)
+            if prev[b] != -1:
+                break
+        else:
+            return False
+        v = prev[b]
+        while v != a:
+            blocked[v] = 1
+            v = prev[v]
+    return True
+
+
 def internally_disjoint_paths(g: Graph, x: int, y: int, k: int) -> list[list[int]] | None:
     """k paths from x to y sharing only x and y, or None when impossible."""
     if not (0 <= x < g.n and 0 <= y < g.n):
@@ -195,8 +233,10 @@ def check_fan(g: Graph, fan: tuple, x: int, targets: Iterable[int], k: int) -> N
 
 
 def vertex_connectivity(g: Graph) -> int:
-    """kappa(g), exact, from at most n - 1 - d + C(d, 2) flows around a
-    vertex v of minimum degree d (the lowest label on ties).
+    """kappa(g), exact, from at most n - 1 - d + C(d, 2) pairs around a
+    vertex v of minimum degree d (the lowest label on ties), each settled
+    by greedy paths when they reach the current answer and by a flow
+    otherwise.
 
     kappa is the smaller of d and the fewest internally disjoint paths over
     the pairs (v, w) with w not adjacent to v and the non-adjacent pairs of
@@ -217,5 +257,6 @@ def vertex_connectivity(g: Graph) -> int:
     for a, b in pairs:
         if best == 0:
             break
-        best = min(best, len(_flow_paths(g, a, (b,), best)))
+        if not _greedy_paths(g, a, b, best):
+            best = min(best, len(_flow_paths(g, a, (b,), best)))
     return best

@@ -103,7 +103,10 @@ def parse_graph(text: str) -> Graph:
     Format: first meaningful line is the header "n m", then exactly m lines
     "u v". Blank lines and lines starting with '#' are ignored anywhere.
     Endpoints may appear in either order; self-loops, duplicates and
-    out-of-range indices are errors reported with their line number.
+    out-of-range indices are errors reported with their line number. A
+    header with n > 2m + 1 is refused before any edge line is read: such a
+    graph has two or more isolated vertices, and the check keeps a short
+    document from asking for memory in proportion to n.
     """
     lines = document_lines(text)
     lineno, fields = next(lines, (None, None))
@@ -114,6 +117,9 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError(f"vertex count must be positive, got {n}", lineno)
     if m < 0:
         raise GraphFormatError(f"edge count must be non-negative, got {m}", lineno)
+    if n > 2 * m + 1:
+        raise GraphFormatError(f"vertex count {n} exceeds 2m + 1 = {2 * m + 1}: two or more "
+                               "vertices would touch no edge", lineno)
     edges: set[Edge] = set()
     for lineno, fields in lines:
         if len(edges) == m:
@@ -133,7 +139,8 @@ def parse_graph(text: str) -> Graph:
 
 
 def serialize_graph(g: Graph) -> str:
-    """Edge-list text with edges in sorted order; parse(serialize(g)) == g."""
+    """Edge-list text with edges in sorted order; parse(serialize(g)) == g
+    whenever g.n <= 2 * g.m + 1, the bound parse_graph enforces."""
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"

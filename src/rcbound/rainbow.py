@@ -10,6 +10,18 @@ hold those of a walk already kept at the same vertex: the dropped walk is
 no shorter and can only go where the kept one goes. The pruning is exact,
 so it changes no answer, and a failing check holds a few masks per vertex
 instead of every color set that reaches it.
+
+The checker runs a cheaper pass first. From each source, a breadth-first
+search keeps only the first rainbow walk to reach each vertex, with that
+walk's colors, and extends it along edges of colors it lacks. Each kept
+walk follows the search tree, so it is a rainbow path: every vertex the
+pass reaches is rainbow connected to the source. A missed target may
+still be reached by a later walk that the pass dropped, so the exact
+search runs from the source aimed at the missed targets alone. Its reached
+set does not depend on which other targets it is given, so the witness
+is the one the exact search alone would report. The pass stays out of
+`_rainbow_reach`: it has no cap on walk length, which `rc_exact`'s probe
+needs (walks of at most k edges).
 """
 
 from __future__ import annotations
@@ -118,6 +130,29 @@ def _rainbow_reach(adjc: list[list[tuple[int, int]]], source: int,
     return targets - remaining
 
 
+def _first_walk_misses(adjc: list[list[tuple[int, int]]], source: int,
+                       targets: set[int]) -> set[int]:
+    """Vertices of `targets` that a breadth-first pass from source misses
+    when it keeps only the first rainbow walk to reach each vertex. Every
+    vertex it reaches lies on that walk, a path in the search tree, so it
+    has a rainbow path; a missed target may still have one through a
+    later walk, which `_rainbow_reach` decides."""
+    mask_at = {source: 0}
+    queue = [source]
+    remaining = len(targets)
+    for v in queue:
+        mask = mask_at[v]
+        for w, bit in adjc[v]:
+            if w not in mask_at and not mask & bit:
+                mask_at[w] = mask | bit
+                queue.append(w)
+                if w in targets:
+                    remaining -= 1
+                    if not remaining:
+                        return set()
+    return targets.difference(mask_at)
+
+
 def rainbow_path_exists(g: Graph, coloring: EdgeColoring, u: int, v: int) -> bool:
     """True when some u-v path uses pairwise distinct colors; u == v counts."""
     if not (0 <= u < g.n and 0 <= v < g.n):
@@ -161,7 +196,8 @@ def find_rainbow_witness(g: Graph, coloring: EdgeColoring,
         targets.discard(u)
         if not targets:
             break
-        missing = targets - _rainbow_reach(adjc, u, targets)
+        missed = _first_walk_misses(adjc, u, targets)
+        missing = missed - _rainbow_reach(adjc, u, missed)
         if missing:
             w = min(missing)
             return (min(u, w), max(u, w))

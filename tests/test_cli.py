@@ -211,6 +211,12 @@ class TestQueries:
         code, out, _ = run(capsys, "kappa", petersen_file)
         assert code == 0 and out.strip() == "3"
 
+    def test_kappa_refuses_isolated_vertices(self, capsys, tmp_path):
+        g = tmp_path / "empty4.txt"
+        g.write_text("4 0\n")
+        code, out, err = run(capsys, "kappa", str(g))
+        assert code == 2 and out == "" and "touch no edge" in err
+
     def test_fan_k4(self, capsys, tmp_path):
         g = tmp_path / "k4.txt"
         g.write_text(serialize_graph(gen_family("complete", 4)))

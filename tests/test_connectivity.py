@@ -283,16 +283,16 @@ def named(graphs):
     return [pytest.param(g, id=name) for name, g in graphs]
 
 
-def count_flows(monkeypatch):
-    """A list that gains one entry per flow run inside connectivity."""
+def count_calls(monkeypatch, name):
+    """A list that gains one entry per call of connectivity's `name`."""
     calls = []
-    real = connectivity._flow_paths
+    real = getattr(connectivity, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(connectivity, "_flow_paths", counted)
+    monkeypatch.setattr(connectivity, name, counted)
     return calls
 
 
@@ -312,11 +312,26 @@ class TestPairReduction:
         pytest.param(gen_family("random3c", 40, 10, seed=0), 3, id="random3c40"),
     ])
     def test_flow_count_bounded(self, g, kappa, monkeypatch):
-        # one flow per non-adjacent pair would be hundreds on each of these
+        # every non-adjacent pair would be hundreds on each of these; the
+        # reduction examines few, and greedy paths settle each without a flow
         delta = min(map(len, g.adj))
-        calls = count_flows(monkeypatch)
+        pairs = count_calls(monkeypatch, "_greedy_paths")
+        flows = count_calls(monkeypatch, "_flow_paths")
         assert vertex_connectivity(g) == kappa
-        assert 0 < len(calls) <= g.n - 1 - delta + comb(delta, 2)
+        assert 0 < len(pairs) <= g.n - 1 - delta + comb(delta, 2)
+        assert len(flows) == 0
+
+    def test_greedy_trap_runs_the_flow(self, monkeypatch):
+        # around vertex 0 (degree 2) the shortest path 0-1-2-3 holds 1, which
+        # 0-1-6-7-3 needs, and 2, which 0-4-5-2-3 needs, so the greedy search
+        # finds one path where the flow finds two
+        g = make_graph(8, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 2),
+                           (1, 6), (6, 7), (7, 3)])
+        assert not connectivity._greedy_paths(g, 0, 3, 2)
+        assert internally_disjoint_paths(g, 0, 3, 2) is not None
+        flows = count_calls(monkeypatch, "_flow_paths")
+        assert vertex_connectivity(g) == brute_vertex_connectivity(g) == 2
+        assert len(flows) > 0
 
     @pytest.mark.parametrize("g", named(dict(FAN_GRAPHS + KAPPA_GRAPHS).items()))
     def test_matches_pairwise_on_pinned_graphs(self, g):

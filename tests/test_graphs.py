@@ -6,6 +6,7 @@ from rcbound.graphs import (GraphFormatError, diameter, gen_family, girth,
                             min_degree, parse_graph, serialize_graph,
                             shortest_cycle)
 
+from _capped import run_capped
 from _oracles import brute_girth
 
 
@@ -68,12 +69,25 @@ class TestParse:
         with pytest.raises(GraphFormatError, match="more than"):
             parse_graph("3 1\n0 1\n1 2\n")
 
+    def test_vertex_bound_reached(self):
+        # n = 2m + 1 vertices: m disjoint edges and one isolated vertex
+        assert parse_graph("1 0\n").n == 1
+        assert parse_graph("5 2\n0 1\n2 3\n").n == 5
+
+    def test_huge_header_refused_before_allocating(self):
+        # without the bound this 13-byte document asks for about 80 GB
+        body = ("try:\n    parse_graph('1000000000 0\\n')\n"
+                "except GraphFormatError:\n    print('refused')\n")
+        setup = "from rcbound.graphs import GraphFormatError, parse_graph\n"
+        assert run_capped(setup, body, headroom_mb=64, timeout=60) == ["refused"]
+
 
     @pytest.mark.parametrize("text,message", [
         ("a 3\n", "line 1: header must be two integers"),
         ("3 1.5\n0 1\n", "line 1: header must be two integers"),
         ("0 0\n", "line 1: vertex count must be positive, got 0"),
         ("3 -1\n", "line 1: edge count must be non-negative, got -1"),
+        ("6 2\n0 1\n2 3\n", r"line 1: vertex count 6 exceeds 2m \+ 1 = 5"),
         ("3 1\n0 1 2\n", "line 2: edge line must be 'u v'"),
         ("3 1\n0\n", "line 2: edge line must be 'u v'"),
         ("3 1\n0 x\n", "line 2: edge endpoints must be integers"),
@@ -115,7 +129,12 @@ class TestSerialize:
     @settings(max_examples=60, deadline=None)
     @given(st_small_graph)
     def test_round_trip(self, g):
-        assert parse_graph(serialize_graph(g)) == g
+        text = serialize_graph(g)
+        if g.n <= 2 * g.m + 1:
+            assert parse_graph(text) == g
+        else:  # two or more isolated vertices: refused at the header
+            with pytest.raises(GraphFormatError, match="line 1: vertex count"):
+                parse_graph(text)
 
 
 class TestGirth:

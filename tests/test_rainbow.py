@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rcbound import rainbow
 from rcbound.graphs import GraphFormatError, gen_family, is_connected, make_graph
 from rcbound.rainbow import (BudgetExhaustedError, EdgeColoring, NoColoringError, _colored_adj,
                              _rainbow_reach, cycle_color_sequence, cycle_coloring,
@@ -176,6 +177,27 @@ class TestWitness:
         witness = find_rainbow_witness(g, col, sources=sources)
         assert (witness is None) == (not failing)
         assert witness is None or witness in failing
+
+    # the first walk from 0 to 3 runs 0-1-3 with colors {1, 2}, so the edge
+    # 3-4 (color 1) cannot extend it; only the later walk 0-2-3 reaches 4
+    TRAP = make_graph(5, [(0, 1), (1, 3), (0, 2), (2, 3), (3, 4)])
+    TRAP_COLORS = {(0, 1): 1, (1, 3): 2, (0, 2): 3, (2, 3): 4, (3, 4): 1}
+
+    @pytest.mark.parametrize("recolor, witness", [({}, None), ({(2, 3): 1}, (0, 4))],
+                             ids=["passing", "failing"])
+    def test_first_walk_trap(self, recolor, witness, monkeypatch):
+        g, colors = self.TRAP, {**self.TRAP_COLORS, **recolor}
+        searched = []
+        real = rainbow._rainbow_reach
+
+        def recorded(adjc, source, targets, *args):
+            searched.append((source, set(targets)))
+            return real(adjc, source, targets, *args)
+
+        monkeypatch.setattr(rainbow, "_rainbow_reach", recorded)
+        assert find_rainbow_witness(g, EdgeColoring(colors)) == witness
+        assert brute_rainbow_witness(g, colors) == witness
+        assert searched[0] == (0, {4})
 
     def test_sources_skip_pairs_between_other_vertices(self):
         # monochrome C5 fails at (0, 2); from source 4 only 4-1 and 4-2 fail
