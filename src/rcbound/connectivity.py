@@ -42,10 +42,13 @@ from itertools import combinations
 from .graphs import Graph
 
 
-def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int) -> list[list[int]]:
+def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int,
+                entered: bytearray | None = None) -> list[list[int]]:
     """Up to `want` pairwise internally disjoint paths from x into targets,
     shortest first, ties in lexicographic order. Only membership in
-    targets is read, so their order is unused.
+    targets is read, so their order is unused. `entered`, when given, is
+    a bytearray of g.n entries in which every search sets entered[v] = 1
+    for each vertex v whose entering half it labels.
 
     The flow is the set of directed edges that carry a unit, kept as
     `succ`, the one used edge out of each path vertex other than x;
@@ -61,6 +64,20 @@ def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int) -> list[l
     Waiting to pop that state gives the same path: the queue is FIFO, so
     the first such state queued is the first one popped, and prev[state]
     is fixed when a state is queued, so the walk back to x is the same.
+
+    The target set is read only through `b in room` and `is_target[v]`,
+    and only at vertices whose entering half some search labels
+    (prev[2v] != -1, which sets entered[v]): a step tests `b in room` just
+    as it labels 2b, a popped state was labeled, and every vertex of the
+    returned paths was entered by the search that routed a path through
+    it. So take a larger target set T' that adds to T only vertices with
+    entered[v] = 0, while `lone` reads the same (both sets hold at least
+    two vertices). A fresh run on T' makes the same tests, gets the same
+    answers and returns the same paths. A caller whose target set only
+    grows can therefore keep an answer until a vertex with entered[v] = 1
+    joins the targets. One byte a vertex per call keeps that record far
+    smaller than the searches' label arrays, which hold a pointer per
+    vertex half.
     """
     adj = g.adj
     is_target = bytearray(g.n)
@@ -72,6 +89,8 @@ def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int) -> list[l
     out_x: set[int] = set()
     into: list[list[int]] = [[] for _ in range(g.n)]
     through = bytearray(g.n)
+    if entered is None:
+        entered = bytearray(g.n)
     src = 2 * x + 1
     for _ in range(want):
         prev = [-1] * (2 * g.n)
@@ -82,12 +101,14 @@ def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int) -> list[l
             v = state >> 1
             if state & 1:
                 if through[v] and prev[state - 1] == -1:
+                    # entered[v] is set: the search that routed a path through v entered it
                     prev[state - 1] = state
                     queue.append(state - 1)
                 used = out_x if v == x else (succ[v],)
                 for b in adj[v]:
                     if prev[2 * b] == -1 and b not in used:
                         prev[2 * b] = state
+                        entered[b] = 1
                         if b in room:
                             end = b
                             break
@@ -176,8 +197,8 @@ def internally_disjoint_paths(g: Graph, x: int, y: int, k: int) -> list[list[int
     return paths if len(paths) == k else None
 
 
-def find_fan(g: Graph, x: int, targets: Iterable[int],
-             k: int) -> tuple[tuple[int, ...], ...] | None:
+def find_fan(g: Graph, x: int, targets: Iterable[int], k: int,
+             entered: bytearray | None = None) -> tuple[tuple[int, ...], ...] | None:
     """A k-fan from x into the target set, as a tuple of its k paths (each
     a vertex tuple from x to a target), or None when none exists.
 
@@ -185,11 +206,16 @@ def find_fan(g: Graph, x: int, targets: Iterable[int],
     the target set has at least k vertices, so None on such a graph
     signals a bug. Among valid fans the search prefers short paths
     (shortest-path augmentation) with deterministic tie-breaking.
+    `entered`, a bytearray of g.n entries when given, gets entered[v] = 1
+    for each vertex v the search entered (see `_flow_paths`): the same fan
+    comes back for any larger target set that adds only vertices with
+    entered[v] = 0. A frozenset of targets is used as it is, without a
+    copy.
     """
-    tset = set(targets)
+    tset = frozenset(targets)
     if not 0 <= x < g.n:
         raise ValueError(f"vertex out of range 0..{g.n - 1}: source {x}")
-    if not all(0 <= y < g.n for y in tset):
+    if tset and (min(tset) < 0 or max(tset) >= g.n):
         raise ValueError(f"target out of range 0..{g.n - 1}")
     if x in tset:
         raise ValueError("source must not belong to the target set")
@@ -197,7 +223,9 @@ def find_fan(g: Graph, x: int, targets: Iterable[int],
         raise ValueError(f"fan width must be positive, got {k}")
     if len(tset) < k:
         raise ValueError(f"target set smaller than fan width: {len(tset)} < {k}")
-    paths = _flow_paths(g, x, tset, k)
+    if entered is not None and len(entered) != g.n:
+        raise ValueError(f"entered must hold one entry per vertex, holds {len(entered)}")
+    paths = _flow_paths(g, x, tset, k, entered)
     if len(paths) < k:
         return None
     fan = tuple(map(tuple, paths))
@@ -206,16 +234,16 @@ def find_fan(g: Graph, x: int, targets: Iterable[int],
 
 
 def check_fan(g: Graph, fan: tuple, x: int, targets: Iterable[int], k: int) -> None:
-    """Raise ValueError unless fan, a tuple of paths, satisfies all structural invariants."""
-    tset = set(targets)
+    """Raise ValueError unless fan, a tuple of paths, satisfies all
+    structural invariants. It takes time in the fan's length only when
+    `targets` is a frozenset, which is used without a copy."""
+    tset = frozenset(targets)
     if len(fan) != k:
         raise ValueError(f"expected {k} paths, got {len(fan)}")
-    terminals = []
-    for p in fan:
+    seen = {x}  # every vertex of the paths checked so far
+    for i, p in enumerate(fan):
         if p[0] != x:
             raise ValueError(f"path {p} does not start at {x}")
-        if len(set(p)) != len(p):
-            raise ValueError(f"path {p} repeats a vertex")
         for a, b in zip(p, p[1:]):
             if not g.has_edge(a, b):
                 raise ValueError(f"path {p} uses a missing edge ({a}, {b})")
@@ -223,13 +251,16 @@ def check_fan(g: Graph, fan: tuple, x: int, targets: Iterable[int], k: int) -> N
             raise ValueError(f"path {p} does not end in the target set")
         if any(v in tset for v in p[1:-1]):
             raise ValueError(f"path {p} touches the target set before its end")
-        terminals.append(p[-1])
-    if len(set(terminals)) != k:
-        raise ValueError(f"terminals are not pairwise distinct: {terminals}")
-    for p, q in combinations(fan, 2):
-        shared = set(p) & set(q)
-        if shared != {x}:
-            raise ValueError(f"paths {p} and {q} share {sorted(shared - {x})}")
+        for v in p[1:]:
+            if v not in seen:
+                seen.add(v)
+            elif v == x or p.count(v) > 1:
+                raise ValueError(f"path {p} repeats a vertex")
+            elif v == p[-1]:  # an earlier path ends at v too, as no path touches tset early
+                raise ValueError(f"terminals are not pairwise distinct: {[q[-1] for q in fan]}")
+            else:
+                q = next(q for q in fan[:i] if v in q)
+                raise ValueError(f"paths {q} and {p} share {sorted(set(q) & set(p) - {x})}")
 
 
 def vertex_connectivity(g: Graph) -> int:

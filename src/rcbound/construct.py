@@ -41,7 +41,7 @@ import logging
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .connectivity import find_fan, vertex_connectivity
+from .connectivity import check_fan, find_fan, vertex_connectivity
 from .graphs import Edge, Graph, make_graph, norm_edge, shortest_cycle
 from .rainbow import EdgeColoring, cycle_color_sequence, find_rainbow_witness
 
@@ -118,12 +118,15 @@ class GrowState:
     """Mutable growth state: the subgraph's vertices, its coloring (whose
     keys are the subgraph's edges) and the step trace. The trace records
     every repair search: a step flagged repaired, a fallback_absorb step,
-    or a final_absorb step that adds a vertex."""
+    or a final_absorb step that adds a vertex. `fans` keeps each outside
+    vertex's 3-fan into H with the vertices its search entered, as flags,
+    until _commit absorbs one of them (see _read_fan)."""
     host: Graph
     vertices: set[int]
     coloring: dict[Edge, int]
     colors_used: int
     trace: list[StepRecord] = field(default_factory=list)
+    fans: dict[int, tuple[tuple, bytearray]] = field(default_factory=dict)
 
     @property
     def h(self) -> int:
@@ -206,14 +209,16 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
     """Choose the next bulk move.
 
     Every outside vertex with a link into H gets a canonical 3-fan into H
-    (shortest-path preference). Vertices whose fan mixes a direct link with
-    a longer path drive the move choice: the one with the largest combined
-    interior s + t wins, long combinations become ears and short ones the
-    scripted small moves. When only 3-link leaves remain, four of them are
-    absorbed at once. Only when neither applies do the vertices with no
-    link into H get their fans, the long ones becoming ears with no center
-    link. Configurations none of the scripts cover fall back to a
-    repair-searched absorption and are flagged in the trace.
+    (shortest-path preference), kept from an earlier round while no vertex
+    absorbed since could change it (_read_fan). Vertices whose fan mixes a
+    direct link with a longer path drive the move choice: the one with the
+    largest combined interior s + t wins, long combinations become ears
+    and short ones the scripted small moves. When only 3-link leaves
+    remain, four of them are absorbed at once. Only when neither applies
+    do the vertices with no link into H get their fans, the long ones
+    becoming ears with no center link. Configurations none of the scripts
+    cover fall back to a repair-searched absorption and are flagged in the
+    trace.
     """
     host = state.host
     ext = state.externals()
@@ -223,7 +228,7 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
     # only vertices with a link into H and a fan, in label order, and each
     # fan's path lengths
     fans = {w: fan for w in ext if not hset.isdisjoint(host.adj[w])
-            and (fan := find_fan(host, w, hset, 3)) is not None}
+            and (fan := _read_fan(state, w, hset)) is not None}
     profiles = {w: [len(p) - 1 for p in fan] for w, fan in fans.items()}
 
     leaves: list[int] = []
@@ -273,12 +278,31 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
 
     # an unlinked vertex's fan has no 1-step path, so no branch above reads it
     longs = {w: fan for w in ext if hset.isdisjoint(host.adj[w])
-             and (fan := find_fan(host, w, hset, 3)) is not None}
+             and (fan := _read_fan(state, w, hset)) is not None}
     st, w = max(((len(p1) + len(p2) - 4, w) for w, (_, p1, p2) in longs.items()),
                 key=lambda item: (item[0], -item[1]), default=(0, -1))
     if st >= 3:
         return _ear_plan(EAR_FALLBACK, longs[w][1], longs[w][2], e0=None)
     return _fallback_absorb_plan(state)
+
+
+def _read_fan(state: GrowState, w: int, hset: frozenset[int]) -> tuple | None:
+    """w's canonical 3-fan into H = hset, or None when it has none.
+
+    A fan kept in state.fans is the one a fresh search would find: H only
+    grows, and _commit drops a kept fan once it absorbs a vertex that the
+    fan's search entered, so a fresh search tests the same vertices and
+    gets the same answers (see _flow_paths). A kept fan is checked again
+    against the current H; a missing one is searched for and kept."""
+    kept = state.fans.get(w)
+    if kept is not None:
+        check_fan(state.host, kept[0], w, hset, 3)
+        return kept[0]
+    entered = bytearray(state.host.n)
+    fan = find_fan(state.host, w, hset, 3, entered)
+    if fan is not None:
+        state.fans[w] = (fan, entered)
+    return fan
 
 
 def _four_leaves_plan(fans, picked: list[int]) -> ExtensionPlan:
@@ -460,14 +484,15 @@ def _color_clash(coloring: dict[Edge, int], patch: dict[Edge, int], aset: set[in
     return None
 
 
-def _try_coloring(state: GrowState, added: tuple[int, ...],
-                  patch: dict[Edge, int]) -> Edge | None:
+def _try_coloring(state: GrowState, added: tuple[int, ...], patch: dict[Edge, int],
+                  sub: Graph | None = None) -> Edge | None:
     """Check H plus the patch; with vertices added, only the pairs that
     touch them, which is sound while the patch colors only new edges at
     added vertices. A candidate with a color clash (_color_clash) is
     rejected with that pair before the graph is built or searched; every
     other candidate, and every accepted one, goes through
-    find_rainbow_witness."""
+    find_rainbow_witness. `sub`, when given, is the graph on H's edges
+    and the patch's, which the candidates of one repair search share."""
     aset = set(added)
     for e in patch:
         if e in state.coloring or not aset & set(e):
@@ -477,7 +502,8 @@ def _try_coloring(state: GrowState, added: tuple[int, ...],
     clash = _color_clash(coloring, patch, aset, universe)
     if clash is not None:
         return clash
-    sub = make_graph(state.host.n, sorted(coloring))
+    if sub is None:
+        sub = make_graph(state.host.n, sorted(coloring))
     return find_rainbow_witness(sub, EdgeColoring(coloring),
                                 vertices=universe, sources=aset or None)
 
@@ -486,7 +512,8 @@ def _commit(state: GrowState, kind: str, added: tuple[int, ...], patch: dict[Edg
             budget: int, repaired: bool = False) -> None:
     """Commit one checked growth step: its fresh colors must follow the
     palette of H without a gap, and more than `budget` of them is refused
-    before the state changes. Then H grows and the step is recorded."""
+    before the state changes. Then H grows, the kept fans that its new
+    vertices could change are dropped, and the step is recorded."""
     fresh = sorted({c for c in patch.values() if c > state.colors_used})
     used = len(fresh)
     if fresh != list(range(state.colors_used + 1, state.colors_used + 1 + used)):
@@ -497,6 +524,8 @@ def _commit(state: GrowState, kind: str, added: tuple[int, ...], patch: dict[Edg
     state.vertices.update(added)
     state.coloring.update(patch)
     state.colors_used += used
+    state.fans = {w: kept for w, kept in state.fans.items()
+                  if w not in state.vertices and not any(kept[1][v] for v in added)}
     state.trace.append(StepRecord(len(state.trace), kind, added, used,
                                   state.h, state.colors_used, repaired))
 
@@ -545,6 +574,7 @@ def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict
                            **{e: fresh[i % 2] for i, e in enumerate(links)}}
         stars.append(star)
     cand = sorted(e for star in stars for e in star[1])  # every label covers the same edges
+    sub = make_graph(state.host.n, sorted([*state.coloring, *cand]))
     tried: set[tuple[int, ...]] = set()
     for combo in itertools.product(options, repeat=len(added)):
         patch: dict[Edge, int] = {}
@@ -553,7 +583,7 @@ def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict
         key = tuple(patch[e] for e in cand)
         if key not in tried:
             tried.add(key)
-            if _try_coloring(state, added, patch) is None:
+            if _try_coloring(state, added, patch, sub) is None:
                 # fresh colors renumbered by first appearance in edge order
                 remap: dict[int, int] = {}
                 for e in cand:

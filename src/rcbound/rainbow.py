@@ -16,10 +16,13 @@ search keeps only the first rainbow walk to reach each vertex, with that
 walk's colors, and extends it along edges of colors it lacks. Each kept
 walk follows the search tree, so it is a rainbow path: every vertex the
 pass reaches is rainbow connected to the source. A missed target may
-still be reached by a later walk that the pass dropped, so the exact
-search runs from the source aimed at the missed targets alone. Its reached
-set does not depend on which other targets it is given, so the witness
-is the one the exact search alone would report. The pass stays out of
+still be reached by a later walk that the pass dropped. A path read
+backwards is a path, so a pair the pass from one end misses is settled
+when the pass from the other end reaches it; the exact search runs only
+on the pairs both passes missed (on long prisms and Moebius ladders the
+first walks miss many pairs from one end, almost none from both). Its
+reached set does not depend on which other targets it is given, so the
+witness is the one the exact search alone would report. The pass stays out of
 `_rainbow_reach`: it has no cap on walk length, which `rc_exact`'s probe
 needs (walks of at most k edges).
 """
@@ -177,6 +180,16 @@ def find_rainbow_witness(g: Graph, coloring: EdgeColoring,
     ascending order, aimed at every universe vertex except the sources
     already searched. A failing pair then comes back as (min, max) from
     the first source that misses one, not necessarily the smallest.
+
+    The searches go in two rounds. First a first-walk pass runs from each
+    source, aimed also at the earlier sources whose pass missed it, and
+    then from each missed target that is not a source, aimed at the
+    sources whose pass missed it: a pair one end's pass misses is settled
+    when the other end's pass reaches it. Then the exact search runs from
+    each source, in the same order, on the pairs both passes missed. Both
+    rounds only ever settle pairs that have a rainbow path, so the first
+    source with a failing pair and its lowest failing partner are those of
+    one exact search per source.
     """
     _require_covers(g, coloring)
     verts = sorted(vertices) if vertices is not None else list(range(g.n))
@@ -192,12 +205,27 @@ def find_rainbow_witness(g: Graph, coloring: EdgeColoring,
         raise ValueError("sources must lie inside the vertex universe")
     adjc = _colored_adj(g, coloring)
     targets = set(verts)
+    missed_by: dict[int, set[int]] = {}  # source -> open targets its pass missed
+    aims: dict[int, set[int]] = {}  # target -> sources whose pass missed it
     for u in order:
         targets.discard(u)
-        if not targets:
-            break
-        missed = _first_walk_misses(adjc, u, targets)
-        missing = missed - _rainbow_reach(adjc, u, missed)
+        back = aims.pop(u, None)
+        if not targets and not back:
+            continue
+        missed = _first_walk_misses(adjc, u, targets | back if back else targets)
+        if back:  # a pass from u that reaches s settles the pair (s, u)
+            for s in back - missed:
+                missed_by[s].discard(u)
+            missed -= back
+        if missed:
+            missed_by[u] = missed
+            for w in missed:
+                aims.setdefault(w, set()).add(u)
+    for w, back in aims.items():  # the missed targets that are not sources
+        for s in back - _first_walk_misses(adjc, w, back):
+            missed_by[s].discard(w)
+    for u, missed in missed_by.items():
+        missing = missed and missed - _rainbow_reach(adjc, u, missed)
         if missing:
             w = min(missing)
             return (min(u, w), max(u, w))

@@ -175,6 +175,26 @@ class TestFindFan:
         fan = find_fan(g, x, targets, k)
         assert (fan is None) == (not brute_has_disjoint_paths(joined, x, g.n, k))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st_small_graph, st.integers(1, 3), st.randoms(use_true_random=False))
+    def test_same_fan_for_targets_it_never_entered(self, g, k, rng):
+        # a fan stays the answer when the target set grows by vertices the
+        # search never entered; one it did enter may change it
+        x = rng.randrange(g.n)
+        pool = [v for v in range(g.n) if v != x]
+        if len(pool) < max(k, 2):
+            return
+        targets = set(rng.sample(pool, rng.randint(max(k, 2), len(pool))))
+        entered = bytearray(g.n)
+        fan = find_fan(g, x, targets, k, entered)
+        unseen = [v for v in pool if v not in targets and not entered[v]]
+        more = targets | set(rng.sample(unseen, rng.randint(0, len(unseen))))
+        assert find_fan(g, x, more, k) == fan
+
+    def test_entered_needs_one_entry_per_vertex(self):
+        with pytest.raises(ValueError, match="one entry per vertex"):
+            find_fan(gen_family("complete", 4), 0, [1, 2, 3], 3, bytearray(3))
+
     def test_three_connected_always_succeeds(self):
         rng = random.Random(7)
         for seed in range(4):
@@ -365,11 +385,13 @@ EAR_FALLBACK_GRAPH = make_graph(10, [(0, 1), (1, 2), (0, 2)]
                                 + [(3, 6), (4, 7), (5, 8), (6, 7), (7, 8), (6, 8), (6, 9),
                                    (7, 9), (8, 9)])
 
-# The fan queries the construction really makes: every find_fan(host, w, H, 3)
-# call while run_constructive colors these graphs, with its answer. H grows to
-# most of the graph, so these target sets are far larger than the ones
-# FLOW_SHA256 covers. Outside vertices with no link into H are queried only
-# in a round that reaches the ear-fallback scan, as the last graph's does.
+# The fans the construction really reads: every fan classify_extension takes
+# for an outside vertex w while run_constructive colors these graphs, whether
+# kept from an earlier round or found by find_fan(host, w, H, 3) now, with
+# its answer. H grows to most of the graph, so these target sets are far
+# larger than the ones FLOW_SHA256 covers. Outside vertices with no link
+# into H are read only in a round that reaches the ear-fallback scan, as the
+# last graph's does.
 CONSTRUCTION_FAN_GRAPHS = [
     ("wheel32", gen_family("wheel", 32)),
     ("q5", hypercube(5)),
@@ -381,22 +403,68 @@ CONSTRUCTION_FAN_GRAPHS = [
 FAN_QUERY_SHA256 = "6efb0e7dcc8565f0b82d796d5ae8534ebd2201c27a4141adb1adcbd65e8ae64a"
 
 
+def record_fan_reads(monkeypatch, check=None):
+    """A list that gains one line per fan classify_extension reads, kept or
+    fresh: source, sorted targets, width and fan. `check`, when given, gets
+    each read's state, source, targets and fan, and whether it was kept."""
+    lines = []
+    real = construct._read_fan
+
+    def recorded(state, w, hset):
+        kept = w in state.fans
+        fan = real(state, w, hset)
+        if check is not None:
+            check(state, w, hset, fan, kept)
+        lines.append(f"{w} {sorted(hset)} 3 {fan}")
+        return fan
+
+    monkeypatch.setattr(construct, "_read_fan", recorded)
+    return lines
+
+
+def relabeled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 class TestConstructionFanQueries:
     def test_fan_queries_pinned(self, monkeypatch):
-        lines = []
-        real = construct.find_fan
-
-        def recorded(g, x, targets, k):
-            fan = real(g, x, targets, k)
-            lines.append(f"{x} {sorted(targets)} {k} {fan}")
-            return fan
-
-        monkeypatch.setattr(construct, "find_fan", recorded)
+        lines = record_fan_reads(monkeypatch)
         digest = hashlib.sha256()
         for name, g in CONSTRUCTION_FAN_GRAPHS:
             lines.clear()
             construct.run_constructive(g)
-            assert lines, f"{name} made no fan query"
+            assert lines, f"{name} read no fan"
             digest.update(f"# {name} {len(lines)}\n".encode())
             digest.update("".join(line + "\n" for line in lines).encode())
         assert digest.hexdigest() == FAN_QUERY_SHA256
+
+    def test_kept_fans_spare_searches(self, monkeypatch):
+        lines = record_fan_reads(monkeypatch)
+        searches = []
+        real = construct.find_fan
+
+        def counted(*args):
+            searches.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(construct, "find_fan", counted)
+        for _, g in CONSTRUCTION_FAN_GRAPHS:
+            construct.run_constructive(g)
+        assert 0 < len(searches) < len(lines)
+
+    @pytest.mark.parametrize("g", named([
+        ("q5", hypercube(5)), ("gp24_3", generalized_petersen(24, 3)),
+        ("random3c120", gen_family("random3c", 120, 30, seed=0))]))
+    def test_kept_fan_equals_fresh_search(self, g, monkeypatch):
+        kept_reads = []
+
+        def check(state, w, hset, fan, kept):
+            assert fan == find_fan(state.host, w, hset, 3)
+            kept_reads.append(kept)
+
+        record_fan_reads(monkeypatch, check)
+        for seed in (0, 1, 2):
+            construct.run_constructive(relabeled(g, seed) if seed else g)
+        assert any(kept_reads) and not all(kept_reads)

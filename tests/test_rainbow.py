@@ -178,12 +178,14 @@ class TestWitness:
         assert (witness is None) == (not failing)
         assert witness is None or witness in failing
 
-    # the first walk from 0 to 3 runs 0-1-3 with colors {1, 2}, so the edge
-    # 3-4 (color 1) cannot extend it; only the later walk 0-2-3 reaches 4
-    TRAP = make_graph(5, [(0, 1), (1, 3), (0, 2), (2, 3), (3, 4)])
-    TRAP_COLORS = {(0, 1): 1, (1, 3): 2, (0, 2): 3, (2, 3): 4, (3, 4): 1}
+    # a two-sided trap: the first walk from 0 to 3 runs 0-1-3 with colors
+    # {1, 2} and the first from 6 runs 6-4-3 with {1, 3}, so neither pass
+    # gets past 3 to the other end; only the walk 0-2-3-5-6 joins them
+    TRAP = make_graph(7, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)])
+    TRAP_COLORS = {(0, 1): 1, (1, 3): 2, (0, 2): 3, (2, 3): 4, (3, 4): 3, (3, 5): 5,
+                   (4, 6): 1, (5, 6): 2}
 
-    @pytest.mark.parametrize("recolor, witness", [({}, None), ({(2, 3): 1}, (0, 4))],
+    @pytest.mark.parametrize("recolor, witness", [({}, None), ({(3, 5): 4}, (0, 6))],
                              ids=["passing", "failing"])
     def test_first_walk_trap(self, recolor, witness, monkeypatch):
         g, colors = self.TRAP, {**self.TRAP_COLORS, **recolor}
@@ -197,7 +199,23 @@ class TestWitness:
         monkeypatch.setattr(rainbow, "_rainbow_reach", recorded)
         assert find_rainbow_witness(g, EdgeColoring(colors)) == witness
         assert brute_rainbow_witness(g, colors) == witness
-        assert searched[0] == (0, {4})
+        assert searched == [(0, {6})]
+
+    @pytest.mark.parametrize("sources", [None, {0}], ids=["all", "one"])
+    def test_pass_from_the_other_end_settles_a_pair(self, sources, monkeypatch):
+        # the first walk from 0 to 3 takes colors {1, 2}, which the edge 3-4
+        # repeats; the pass from 4, a source or not, reaches 0 along
+        # 4-3-2-0, so no exact search runs
+        g = make_graph(5, [(0, 1), (1, 3), (0, 2), (2, 3), (3, 4)])
+        colors = {(0, 1): 1, (1, 3): 2, (0, 2): 3, (2, 3): 4, (3, 4): 1}
+        searched = []
+        real = rainbow._rainbow_reach
+        monkeypatch.setattr(rainbow, "_rainbow_reach",
+                            lambda *args: searched.append(args) or real(*args))
+        assert rainbow._first_walk_misses(rainbow._colored_adj(g, EdgeColoring(colors)),
+                                          0, {1, 2, 3, 4}) == {4}
+        assert find_rainbow_witness(g, EdgeColoring(colors), sources=sources) is None
+        assert searched == []
 
     def test_sources_skip_pairs_between_other_vertices(self):
         # monochrome C5 fails at (0, 2); from source 4 only 4-1 and 4-2 fail
