@@ -208,13 +208,18 @@ def seed_subgraph(g: Graph) -> GrowState:
 def classify_extension(state: GrowState) -> ExtensionPlan:
     """Choose the next bulk move.
 
-    Every outside vertex with a link into H gets a canonical 3-fan into H
-    (shortest-path preference), kept from an earlier round while no vertex
-    absorbed since could change it (_read_fan). Vertices whose fan mixes a
-    direct link with a longer path drive the move choice: the one with the
-    largest combined interior s + t wins, long combinations become ears
-    and short ones the scripted small moves. When only 3-link leaves
-    remain, four of them are absorbed at once. Only when neither applies
+    The outside vertices with a link into H get a canonical 3-fan into H
+    (shortest-path preference) in label order, kept from an earlier round
+    while no vertex absorbed since could change it (_read_fan). Vertices
+    whose fan mixes a direct link with a longer path drive the move
+    choice: the one with the largest combined interior s + t wins, the
+    lower label on a tie, long combinations become ears and short ones the
+    scripted small moves. Reading stops at the first fan with s + t =
+    |ext| - 1: the inner vertices of its two longer paths are distinct
+    outside vertices other than its source, so no fan has more, a later
+    vertex can at best tie and lose, and |ext| >= 4 makes s + t >= 3, so
+    that fan's ear is the move, which reads no other fan. When only 3-link
+    leaves remain, four of them are absorbed at once. Only when neither applies
     do the vertices with no link into H get their fans, the long ones
     becoming ears with no center link. Configurations none of the scripts
     cover fall back to a repair-searched absorption and are flagged in the
@@ -225,10 +230,14 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
     if len(ext) < 4:
         raise ValueError(f"classification needs at least 4 outside vertices, have {len(ext)}")
     hset = frozenset(state.vertices)
-    # only vertices with a link into H and a fan, in label order, and each
-    # fan's path lengths
-    fans = {w: fan for w in ext if not hset.isdisjoint(host.adj[w])
-            and (fan := _read_fan(state, w, hset)) is not None}
+    # only vertices with a link into H and a fan, in label order, up to the
+    # first whose fan takes every other outside vertex; each fan's path lengths
+    fans = {}
+    for w in ext:
+        if not hset.isdisjoint(host.adj[w]) and (fan := _read_fan(state, w, hset)) is not None:
+            fans[w] = fan
+            if len(fan[1]) + len(fan[2]) - 3 == len(ext):
+                break
     profiles = {w: [len(p) - 1 for p in fan] for w, fan in fans.items()}
 
     leaves: list[int] = []

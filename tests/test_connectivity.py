@@ -400,7 +400,7 @@ CONSTRUCTION_FAN_GRAPHS = [
     ("k3_9", complete_bipartite(3, 9)),
     ("ear_fallback", EAR_FALLBACK_GRAPH),
 ]
-FAN_QUERY_SHA256 = "6efb0e7dcc8565f0b82d796d5ae8534ebd2201c27a4141adb1adcbd65e8ae64a"
+FAN_QUERY_SHA256 = "336c885e8b410852c664ad6b201036123262bf6b617b5011febb06c8ff8093f3"
 
 
 def record_fan_reads(monkeypatch, check=None):

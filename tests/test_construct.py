@@ -10,14 +10,15 @@ from rcbound.construct import (ConstructionError, ExtensionPlan, GrowState, Prec
                                apply_extension, classify_extension, color_bound,
                                ear_color_sequence, REUSE, final_absorb, move_budget,
                                repair_step, run_constructive, seed_subgraph)
-from rcbound.connectivity import vertex_connectivity
+from rcbound.connectivity import find_fan, vertex_connectivity
 from rcbound.graphs import (bfs_distances, gen_family, is_connected, iter_labeled_graphs,
                             make_graph, norm_edge)
 from rcbound.rainbow import EdgeColoring, find_rainbow_witness, rc_exact
 
 from _capped import run_capped
 from _oracles import has_rainbow_path
-from test_connectivity import CONSTRUCTION_FAN_GRAPHS, EAR_FALLBACK_GRAPH
+from test_connectivity import (CONSTRUCTION_FAN_GRAPHS, EAR_FALLBACK_GRAPH,
+                               generalized_petersen, hypercube, mobius_ladder, relabeled)
 from test_graphs import graph_from_mask, ladder
 
 C4_EDGES = [(0, 1), (1, 2), (2, 3), (0, 3)]
@@ -238,6 +239,63 @@ class TestClassify:
                 assert all(linked), kind
         # the ear-fallback round does read the unlinked vertices' fans
         assert any(kind == "ear_fallback" and not all(linked) for kind, linked in rounds)
+
+    @pytest.mark.parametrize("g, wheel", [
+        *(pytest.param(relabeled(gen_family("wheel", n), seed) if seed
+                       else gen_family("wheel", n), True, id=f"wheel{n}-{seed}")
+          for n in (32, 48) for seed in (0, 1, 2)),
+        *(pytest.param(g, False, id=name) for name, g in [
+            ("q5", hypercube(5)), ("gp24_3", generalized_petersen(24, 3)),
+            ("prism24", gen_family("prism", 24)), ("mobius48", mobius_ladder(48)),
+            ("random3c120", gen_family("random3c", 120, 30, seed=0)),
+            ("ear_fallback", EAR_FALLBACK_GRAPH)])])
+    def test_fan_reading_stops_only_where_no_fan_could_win(self, g, wheel, monkeypatch):
+        # each round reads a label-order prefix of the linked vertices; where
+        # it stops short, no unread linked vertex's fan has a larger s + t,
+        # so none could have won (a tie goes to the lower label, read first)
+        read = []  # (vertex, fan) per fan read in the current round
+        stops = 0
+        real_read, real_classify = construct._read_fan, construct.classify_extension
+
+        def recorded_read(state, w, hset):
+            fan = real_read(state, w, hset)
+            read.append((w, fan))
+            return fan
+
+        def recorded_classify(state):
+            nonlocal stops
+            read.clear()
+            plan = real_classify(state)
+            hset = frozenset(state.vertices)
+            ext = state.externals()
+            linked = [w for w in ext if not hset.isdisjoint(g.adj[w])]
+            ws = [w for w, _ in read]
+            k = sum(w in linked for w in ws)
+            assert ws[:k] == linked[:k]
+            if k < len(linked):
+                _, p1, p2 = read[-1][1]
+                st = len(p1) + len(p2) - 4
+                assert (len(ws), st) == (k, len(ext) - 1)
+                assert (plan.kind, plan.vertices) == ("ear", tuple(ext))
+                for w in linked[k:]:
+                    fan = find_fan(g, w, hset, 3)
+                    assert fan is None or len(fan[1]) + len(fan[2]) - 4 <= st
+                stops += 1
+            return plan
+
+        monkeypatch.setattr(construct, "_read_fan", recorded_read)
+        monkeypatch.setattr(construct, "classify_extension", recorded_classify)
+        run_constructive(g)
+        # a wheel's first rim fan runs around the rim, and its ear ends the rounds
+        assert stops == wheel
+
+    @pytest.mark.parametrize("n", [32, 200])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wheel_reads_one_fan(self, n, seed, monkeypatch):
+        g = gen_family("wheel", n)
+        searches = count_calls(monkeypatch, "find_fan")
+        run_constructive(relabeled(g, seed) if seed else g)
+        assert len(searches) == 1
 
     def test_needs_four_externals(self):
         state = state_on([(4, 0), (4, 1), (4, 2)], n=5)
