@@ -242,7 +242,7 @@ def check_fan(g: Graph, fan: tuple, x: int, targets: Iterable[int], k: int) -> N
         raise ValueError(f"expected {k} paths, got {len(fan)}")
     seen = {x}  # every vertex of the paths checked so far
     for i, p in enumerate(fan):
-        if p[0] != x:
+        if not p or p[0] != x:
             raise ValueError(f"path {p} does not start at {x}")
         for a, b in zip(p, p[1:]):
             if not g.has_edge(a, b):

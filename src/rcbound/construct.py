@@ -434,87 +434,22 @@ def _fallback_absorb_plan(state: GrowState) -> ExtensionPlan:
     return ExtensionPlan(FALLBACK_ABSORB, take, ())
 
 
-def _color_clash(coloring: dict[Edge, int], patch: dict[Edge, int], aset: set[int],
-                 universe: set[int]) -> Edge | None:
-    """A pair no rainbow path joins, found without the checker's search,
-    or None, which proves nothing.
-
-    Let u be an added vertex whose colored edges all carry one color c.
-    A rainbow path from u leaves u on c and never uses c again; its first
-    inner vertex is a neighbour of u, and each later inner vertex is
-    entered and left on two different colors. So a search from u that
-    steps to u's neighbours, then follows only edges not colored c, and
-    goes on from a vertex only when it is a neighbour of u or carries more
-    than one color, reaches every end of a rainbow path from u: a universe
-    vertex it never reaches has no rainbow path to u. (A non-adjacent w
-    whose edges all carry c is the simplest case: no edge enters it.) Of
-    the added vertices in ascending order, the first with such a w comes
-    back with its lowest one, as (min, max).
-
-    The search runs from u only when some single-colored universe vertex
-    lies outside u and its neighbours; otherwise it seldom finds a pair
-    and mostly costs time on candidates the checker accepts. The patch
-    alone settles the common case: an added vertex with two colors in the
-    patch keeps them in the whole coloring, so the per-vertex tables are
-    built only when some added vertex has one."""
-    lone: dict[int, int] = {}  # added vertex -> its one patch color, 0 when mixed
-    for e, c in patch.items():
-        for x in e:
-            if x in aset and lone.setdefault(x, c) != c:
-                lone[x] = 0
-    if not any(lone.values()):
-        return None
-    color_at: dict[int, int] = {}  # vertex -> its one color, 0 when mixed
-    adjc: dict[int, list[tuple[int, int]]] = {}  # vertex -> (neighbour, color) pairs
-    for (a, b), c in coloring.items():
-        adjc.setdefault(a, []).append((b, c))
-        adjc.setdefault(b, []).append((a, c))
-        for x in (a, b):
-            if color_at.setdefault(x, c) != c:
-                color_at[x] = 0
-    mono = [w for w, c in color_at.items() if c and w in universe]
-    for u in sorted(u for u, c in lone.items() if c):
-        near = {w for w, _ in adjc[u]}
-        if all(w == u or w in near for w in mono):
-            continue
-        c = lone[u]
-        seen = near | {u}
-        stack = list(near)
-        while stack:
-            for y, cy in adjc[stack.pop()]:
-                if cy != c and y not in seen:
-                    seen.add(y)
-                    if not color_at[y]:
-                        stack.append(y)
-        missed = universe - seen
-        if missed:
-            w = min(missed)
-            return (min(u, w), max(u, w))
-    return None
-
-
 def _try_coloring(state: GrowState, added: tuple[int, ...], patch: dict[Edge, int],
                   sub: Graph | None = None) -> Edge | None:
-    """Check H plus the patch; with vertices added, only the pairs that
-    touch them, which is sound while the patch colors only new edges at
-    added vertices. A candidate with a color clash (_color_clash) is
-    rejected with that pair before the graph is built or searched; every
-    other candidate, and every accepted one, goes through
-    find_rainbow_witness. `sub`, when given, is the graph on H's edges
-    and the patch's, which the candidates of one repair search share."""
+    """Check H plus the patch with one checker call; with vertices added,
+    only the pairs that touch them, which is sound while the patch colors
+    only new edges at added vertices. `sub`, when given, is the graph on
+    H's edges and the patch's, which the candidates of one repair search
+    share."""
     aset = set(added)
     for e in patch:
         if e in state.coloring or not aset & set(e):
             raise AssertionError(f"patch edge {e} is not a new edge at an added vertex")
     coloring = {**state.coloring, **patch}
-    universe = state.vertices | aset
-    clash = _color_clash(coloring, patch, aset, universe)
-    if clash is not None:
-        return clash
     if sub is None:
         sub = make_graph(state.host.n, sorted(coloring))
     return find_rainbow_witness(sub, EdgeColoring(coloring),
-                                vertices=universe, sources=aset or None)
+                                vertices=state.vertices | aset, sources=aset or None)
 
 
 def _commit(state: GrowState, kind: str, added: tuple[int, ...], patch: dict[Edge, int],
@@ -548,10 +483,10 @@ def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict
     first two fresh colors alternating over its links into H. The labels
     are tried in a fixed lexicographic order, each distinct patch once
     through _try_coloring, so a search costs at most
-    (budget + 2) ** len(added) checker calls; a patch in which
-    _color_clash finds a vertex cut off from a single-colored added one
-    (say two non-adjacent added vertices on one fresh star color) is
-    rejected without one.
+    (budget + 2) ** len(added) checker calls. A patch that cuts a vertex
+    off from a single-colored added one (say two non-adjacent added
+    vertices on one fresh star color) is rejected by the checker's
+    color-clash bound without a rainbow search.
     Returns the first patch the checker accepts, with its fresh colors
     renumbered by first appearance over the sorted edges, or None when no
     pattern works; the caller then aborts with a ConstructionError.

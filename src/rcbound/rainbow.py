@@ -25,6 +25,11 @@ reached set does not depend on which other targets it is given, so the
 witness is the one the exact search alone would report. The pass stays out of
 `_rainbow_reach`: it has no cap on walk length, which `rc_exact`'s probe
 needs (walks of at most k edges).
+
+A check restricted to sources first tries a cheap proof of failure, the
+color-clash bound (`_color_clash`) on sources whose edges share one
+color; the repair search's candidates often fail that way. A full check
+skips it and keeps its lexicographically smallest witness.
 """
 
 from __future__ import annotations
@@ -41,7 +46,10 @@ class EdgeColoring:
     colors: dict[Edge, int]
 
     def __post_init__(self) -> None:
-        self.colors = {norm_edge(u, v): c for (u, v), c in self.colors.items()}
+        colors = {norm_edge(u, v): c for (u, v), c in self.colors.items()}
+        if len(colors) != len(self.colors):
+            raise ValueError("two keys name the same edge")
+        self.colors = colors
 
     @property
     def num_colors(self) -> int:
@@ -156,6 +164,57 @@ def _first_walk_misses(adjc: list[list[tuple[int, int]]], source: int,
     return targets.difference(mask_at)
 
 
+def _one_color(adj: list[tuple[int, int]]) -> int:
+    """The color bit all of a vertex's edges carry; 0 for two or none."""
+    bits = {bit for _, bit in adj}
+    return bits.pop() if len(bits) == 1 else 0
+
+
+def _color_clash(adjc: list[list[tuple[int, int]]], sources,
+                 universe: set[int]) -> Edge | None:
+    """A pair of a source and a universe vertex that no rainbow path joins,
+    found without a rainbow search, or None, which proves nothing.
+
+    Let u be a source whose edges all carry one color c. A rainbow path
+    from u leaves u on c and never uses c again; its first inner vertex is
+    a neighbour of u, and each later inner vertex is entered and left on
+    two different colors. So a walk from u that steps to u's neighbours,
+    then follows only edges not colored c, and goes on from a vertex only
+    when it is a neighbour of u or carries more than one color, reaches
+    every end of a rainbow path from u: a universe vertex it never reaches
+    has no rainbow path to u. (A non-adjacent w whose edges all carry c is
+    the simplest case: no edge enters it.) Of the sources in ascending
+    order, the first with such a w comes back with its lowest one, as
+    (min, max).
+
+    The walk runs from u only when some single-colored universe vertex
+    lies outside u and its neighbours; otherwise it seldom finds a pair
+    and mostly costs time on colorings the search accepts. The other
+    vertices' colors are read only when some source has one color."""
+    lone = [(u, c) for u in sorted(sources) if (c := _one_color(adjc[u]))]
+    if not lone:
+        return None
+    color_at = [_one_color(adj) for adj in adjc]
+    mono = [w for w in universe if color_at[w]]
+    for u, c in lone:
+        near = {w for w, _ in adjc[u]}
+        if all(w == u or w in near for w in mono):
+            continue
+        seen = near | {u}
+        stack = list(near)
+        while stack:
+            for y, bit in adjc[stack.pop()]:
+                if bit != c and y not in seen:
+                    seen.add(y)
+                    if not color_at[y]:
+                        stack.append(y)
+        missed = universe - seen
+        if missed:
+            w = min(missed)
+            return (min(u, w), max(u, w))
+    return None
+
+
 def rainbow_path_exists(g: Graph, coloring: EdgeColoring, u: int, v: int) -> bool:
     """True when some u-v path uses pairwise distinct colors; u == v counts."""
     if not (0 <= u < g.n and 0 <= v < g.n):
@@ -176,10 +235,13 @@ def find_rainbow_witness(g: Graph, coloring: EdgeColoring,
     connected.
 
     `sources`, a subset of the universe, restricts the check to the pairs
-    with at least one end in it: one search runs from each source in
-    ascending order, aimed at every universe vertex except the sources
-    already searched. A failing pair then comes back as (min, max) from
-    the first source that misses one, not necessarily the smallest.
+    with at least one end in it, and a failing pair comes back as (min,
+    max) with one end in the sources, not necessarily the smallest. When
+    the color-clash bound (_color_clash) proves a pair failing, that pair
+    comes back without a search. Otherwise one search runs from each
+    source in ascending order, aimed at every universe vertex except the
+    sources already searched, and the pair is the first source that misses
+    one with its lowest missed vertex.
 
     The searches go in two rounds. First a first-walk pass runs from each
     source, aimed also at the earlier sources whose pass missed it, and
@@ -200,11 +262,13 @@ def find_rainbow_witness(g: Graph, coloring: EdgeColoring,
     dist = bfs_distances(g, verts[0])
     if any(dist[v] < 0 for v in verts):
         raise ValueError("vertex universe is not connected")
+    targets = set(verts)
     order = verts if sources is None else sorted(sources)
-    if not set(order) <= set(verts):
+    if not targets.issuperset(order):
         raise ValueError("sources must lie inside the vertex universe")
     adjc = _colored_adj(g, coloring)
-    targets = set(verts)
+    if sources is not None and (clash := _color_clash(adjc, order, targets)) is not None:
+        return clash
     missed_by: dict[int, set[int]] = {}  # source -> open targets its pass missed
     aims: dict[int, set[int]] = {}  # target -> sources whose pass missed it
     for u in order:

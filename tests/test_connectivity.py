@@ -143,6 +143,7 @@ class TestFindFan:
         (((0, 4, 9), (0, 5, 7, 9), (0, 1, 6, 8)), "touches the target set"),
         (((0, 4, 9), (0, 5, 7), (0, 1, 6, 9)), "terminals are not pairwise distinct"),
         (((0, 4, 9), (0, 5, 7), (0, 4, 3, 8)), r"share \[4\]"),
+        (((), (0, 5, 7), (0, 1, 6, 8)), "does not start at 0"),
     ])
     def test_check_fan_refuses_corrupted_fan(self, paths, message):
         g = gen_family("petersen")

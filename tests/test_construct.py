@@ -65,6 +65,17 @@ def count_calls(monkeypatch, name="find_rainbow_witness"):
     return calls
 
 
+def count_searches(monkeypatch):
+    """A list that gains the name of each rainbow search the checker runs:
+    its first-walk pass or its exact search."""
+    calls = []
+    for name in ("_first_walk_misses", "_rainbow_reach"):
+        real = getattr(rainbow, name)
+        monkeypatch.setattr(rainbow, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    return calls
+
+
 def traced_repairs(trace) -> int:
     """The repair searches a trace shows: repaired steps, fallback
     absorptions, and a final absorption that adds a vertex."""
@@ -518,12 +529,15 @@ class TestRepair:
         # 3 on all their edges, so every 4-5 path starts and ends on 3
         state = state_on([(4, 1), (4, 2), (5, 0), (5, 3)])
         calls = count_calls(monkeypatch)
+        searches = count_searches(monkeypatch)
         first = dict.fromkeys([(1, 4), (2, 4), (0, 5), (3, 5)], 3)
         assert construct._try_coloring(state, (4, 5), first) == (4, 5)
-        assert calls == []
-        # the next labels (3, 4) are accepted, and only they reach the checker
+        assert len(calls) == 1 and searches == []
+        # the checker's color-clash bound rejects those labels again, and
+        # only the next labels (3, 4), which it accepts, get searched
+        calls.clear()
         assert repair_step(state, [4, 5], 2) == {(0, 5): 3, (1, 4): 4, (2, 4): 4, (3, 5): 3}
-        assert len(calls) == 1
+        assert len(calls) == 2 and searches
 
     def test_failure_is_bounded(self, monkeypatch):
         # a triangle hung off vertex 4: reaching 0 from 6 takes three
@@ -576,7 +590,7 @@ class TestColorClash:
         dist = bfs_distances(sub, added[0])
         assume(all(dist[v] >= 0 for v in universe))
         state = GrowState(g, hset, coloring, max(coloring.values(), default=0))
-        pair = construct._color_clash(full, patch, aset, universe)
+        pair = rainbow._color_clash(rainbow._colored_adj(sub, EdgeColoring(full)), aset, universe)
         if pair is not None:
             assert set(pair) & aset and set(pair) <= universe
             assert not has_rainbow_path(sub, full, *pair)
@@ -595,9 +609,9 @@ class TestColorClash:
                  (1, 5): 2, (2, 5): 2}
         g = make_graph(6, [*h_colors, *patch])
         state = GrowState(g, {0, 1, 2}, dict(h_colors), 1)
-        calls = count_calls(monkeypatch)
+        searches = count_searches(monkeypatch)
         assert construct._try_coloring(state, (3, 4, 5), patch) == (3, 5)
-        assert calls == []
+        assert searches == []
         assert not has_rainbow_path(g, {**h_colors, **patch}, 3, 5)
 
 
@@ -673,8 +687,8 @@ class TestRunConstructive:
                                                      (200, 50, 2, 104, 120)])
     def test_hard_random3c_in_bounded_time_and_memory(self, n, extra, seed, k, bound):
         # final-absorption candidates whose exhaustive check once ran past
-        # 20 s (100 s for the first two); _color_clash now rejects them
-        # without a search
+        # 20 s (100 s for the first two); the checker's color-clash bound
+        # now rejects them without a search
         setup = ("from rcbound.construct import run_constructive\n"
                  "from rcbound.graphs import gen_family\n"
                  f"g = gen_family('random3c', {n}, {extra}, seed={seed})\n")

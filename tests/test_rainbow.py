@@ -123,12 +123,14 @@ class TestRainbowReach:
         assert run_capped(Q6_PINNED, body, headroom_mb=64, timeout=120) == ["33", "39"]
 
     def test_pinned_q6_searches_in_bounded_memory(self):
-        # the same run with the construction's color-clash rejection turned
-        # off, so its failing final-absorption candidates reach this search
-        body = ("from rcbound import construct\n"
-                "construct._color_clash = lambda *args: None\n"
-                "r = run_constructive(g)\nprint(r.colors_used, r.bound)\n")
-        assert run_capped(Q6_PINNED, body, headroom_mb=64, timeout=120) == ["33", "39"]
+        # the same run with the checker's color-clash bound turned off, so
+        # its failing final-absorption candidates reach this search; the
+        # stub counts its calls to show that it stood in for the bound
+        body = ("from rcbound import rainbow\n"
+                "stubbed = []\n"
+                "rainbow._color_clash = lambda *args: stubbed.append(args)\n"
+                "r = run_constructive(g)\nprint(r.colors_used, r.bound, len(stubbed) > 0)\n")
+        assert run_capped(Q6_PINNED, body, headroom_mb=64, timeout=120) == ["33", "39", "True"]
 
 
 class TestWitness:
@@ -143,6 +145,22 @@ class TestWitness:
 
     def test_striped_c6_ok(self):
         assert find_rainbow_witness(gen_family("cycle", 6), c6_striped()) is None
+
+    def test_full_check_skips_the_color_clash_bound(self, monkeypatch):
+        # every vertex of the monochrome C5 has one color and is cut off
+        # from the two it does not touch; only a check from sources asks
+        # the bound, and a full one reports the smallest failing pair
+        g = gen_family("cycle", 5)
+        col = EdgeColoring({e: 1 for e in g.edges})
+        bounds = []
+        real = rainbow._color_clash
+        monkeypatch.setattr(rainbow, "_color_clash",
+                            lambda *args: bounds.append(args) or real(*args))
+        assert find_rainbow_witness(g, col) == (0, 2)
+        assert find_rainbow_witness(g, col, vertices=[0, 1, 2, 3, 4]) == (0, 2)
+        assert bounds == []
+        assert find_rainbow_witness(g, col, sources={2, 4}) == (0, 2)
+        assert len(bounds) == 1
 
     def test_disconnected_rejected(self):
         g = make_graph(4, [(0, 1), (2, 3)])
@@ -385,6 +403,13 @@ class TestColoringIO:
         col = EdgeColoring({(0, 1): 1, (1, 2): 5, (0, 2): 1})
         text = serialize_coloring(col)
         assert text.splitlines()[0] == "2"
+
+    def test_two_keys_for_one_edge_rejected(self):
+        # (1, 0) and (0, 1) name one edge; keeping either color silently
+        # would hand the checker a coloring nobody wrote
+        with pytest.raises(ValueError, match="same edge"):
+            EdgeColoring({(0, 1): 1, (1, 0): 2, (1, 2): 1, (0, 2): 1})
+        assert EdgeColoring({(1, 0): 2, (2, 1): 1}).colors == {(0, 1): 2, (1, 2): 1}
 
     def test_missing_edge_rejected(self):
         g = gen_family("cycle", 5)
