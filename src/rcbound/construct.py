@@ -42,8 +42,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .connectivity import check_fan, find_fan, vertex_connectivity
-from .graphs import Edge, Graph, make_graph, norm_edge, shortest_cycle
-from .rainbow import EdgeColoring, cycle_color_sequence, find_rainbow_witness
+from .graphs import Edge, Graph, norm_edge, shortest_cycle
+from .rainbow import ColoredLayout, EdgeColoring, cycle_color_sequence, find_rainbow_witness
 
 log = logging.getLogger(__name__)
 
@@ -120,13 +120,20 @@ class GrowState:
     every repair search: a step flagged repaired, a fallback_absorb step,
     or a final_absorb step that adds a vertex. `fans` keeps each outside
     vertex's 3-fan into H with the vertices its search entered, as flags,
-    until _commit absorbs one of them (see _read_fan)."""
+    until _commit absorbs one of them (see _read_fan). `layout` is the
+    checker's colored layout of `coloring`, built when the state is made
+    and grown only by _commit; final_absorb's color-1 leftovers, added
+    after the last commit, stay out of it."""
     host: Graph
     vertices: set[int]
     coloring: dict[Edge, int]
     colors_used: int
     trace: list[StepRecord] = field(default_factory=list)
     fans: dict[int, tuple[tuple, bytearray]] = field(default_factory=dict)
+    layout: ColoredLayout = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.layout = ColoredLayout.build(self.host, EdgeColoring(self.coloring))
 
     @property
     def h(self) -> int:
@@ -434,21 +441,16 @@ def _fallback_absorb_plan(state: GrowState) -> ExtensionPlan:
     return ExtensionPlan(FALLBACK_ABSORB, take, ())
 
 
-def _try_coloring(state: GrowState, added: tuple[int, ...], patch: dict[Edge, int],
-                  sub: Graph | None = None) -> Edge | None:
-    """Check H plus the patch with one checker call; with vertices added,
-    only the pairs that touch them, which is sound while the patch colors
-    only new edges at added vertices. `sub`, when given, is the graph on
-    H's edges and the patch's, which the candidates of one repair search
-    share."""
+def _try_coloring(state: GrowState, added: tuple[int, ...], patch: dict[Edge, int]) -> Edge | None:
+    """Check H plus the patch with one checker call on H's kept layout
+    extended by the patch; with vertices added, only the pairs that touch
+    them, which is sound while the patch colors only new edges at added
+    vertices."""
     aset = set(added)
     for e in patch:
         if e in state.coloring or not aset & set(e):
             raise AssertionError(f"patch edge {e} is not a new edge at an added vertex")
-    coloring = {**state.coloring, **patch}
-    if sub is None:
-        sub = make_graph(state.host.n, sorted(coloring))
-    return find_rainbow_witness(sub, EdgeColoring(coloring),
+    return find_rainbow_witness(state.host, state.layout.extended(patch),
                                 vertices=state.vertices | aset, sources=aset or None)
 
 
@@ -456,8 +458,9 @@ def _commit(state: GrowState, kind: str, added: tuple[int, ...], patch: dict[Edg
             budget: int, repaired: bool = False) -> None:
     """Commit one checked growth step: its fresh colors must follow the
     palette of H without a gap, and more than `budget` of them is refused
-    before the state changes. Then H grows, the kept fans that its new
-    vertices could change are dropped, and the step is recorded."""
+    before the state changes. Then H and its layout grow, the kept fans
+    that its new vertices could change are dropped, and the step is
+    recorded."""
     fresh = sorted({c for c in patch.values() if c > state.colors_used})
     used = len(fresh)
     if fresh != list(range(state.colors_used + 1, state.colors_used + 1 + used)):
@@ -465,6 +468,7 @@ def _commit(state: GrowState, kind: str, added: tuple[int, ...], patch: dict[Edg
     if used > budget:
         raise ConstructionError(
             f"{kind} spent {used} fresh colors, its budget allows {budget}", state.trace)
+    state.layout = state.layout.extended(patch)
     state.vertices.update(added)
     state.coloring.update(patch)
     state.colors_used += used
@@ -483,7 +487,8 @@ def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict
     first two fresh colors alternating over its links into H. The labels
     are tried in a fixed lexicographic order, each distinct patch once
     through _try_coloring, so a search costs at most
-    (budget + 2) ** len(added) checker calls. A patch that cuts a vertex
+    (budget + 2) ** len(added) checker calls, each on H's kept layout
+    extended by the candidate patch. A patch that cuts a vertex
     off from a single-colored added one (say two non-adjacent added
     vertices on one fresh star color) is rejected by the checker's
     color-clash bound without a rainbow search.
@@ -518,7 +523,6 @@ def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict
                            **{e: fresh[i % 2] for i, e in enumerate(links)}}
         stars.append(star)
     cand = sorted(e for star in stars for e in star[1])  # every label covers the same edges
-    sub = make_graph(state.host.n, sorted([*state.coloring, *cand]))
     tried: set[tuple[int, ...]] = set()
     for combo in itertools.product(options, repeat=len(added)):
         patch: dict[Edge, int] = {}
@@ -527,7 +531,7 @@ def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict
         key = tuple(patch[e] for e in cand)
         if key not in tried:
             tried.add(key)
-            if _try_coloring(state, added, patch, sub) is None:
+            if _try_coloring(state, added, patch) is None:
                 # fresh colors renumbered by first appearance in edge order
                 remap: dict[int, int] = {}
                 for e in cand:

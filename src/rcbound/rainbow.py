@@ -30,14 +30,18 @@ A check restricted to sources first tries a cheap proof of failure, the
 color-clash bound (`_color_clash`) on sources whose edges share one
 color; the repair search's candidates often fail that way. A full check
 skips it and keeps its lexicographically smallest witness.
+
+The searches read a ColoredLayout. The checker builds one from a (Graph,
+EdgeColoring) pair or takes one that a growing subgraph keeps and extends
+by each candidate patch, so a growth check rebuilds nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (Edge, Graph, GraphFormatError, bfs_distances, check_vertices, diameter,
-                     document_lines, gen_family, int_fields, norm_edge)
+from .graphs import (Edge, Graph, GraphFormatError, check_vertices, diameter, document_lines,
+                     gen_family, int_fields, norm_edge)
 
 
 @dataclass
@@ -77,19 +81,61 @@ def _require_covers(g: Graph, coloring: EdgeColoring) -> None:
         raise ValueError("color ids must be positive")
 
 
-def _colored_adj(g: Graph, coloring: EdgeColoring) -> list[list[tuple[int, int]]]:
-    """Per vertex, its (neighbour, color bit) pairs in neighbour order. The
-    i-th smallest color gets bit i, so a mask holds one bit per color used
-    whatever the color ids are: color 1 and color 10**30 need two bits."""
-    bits = {c: 1 << i for i, c in enumerate(sorted(set(coloring.colors.values())))}
-    adjc: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for (u, v), c in coloring.colors.items():
-        bit = bits[c]
-        adjc[u].append((v, bit))
-        adjc[v].append((u, bit))
-    for lst in adjc:
-        lst.sort()
-    return adjc
+class ColoredLayout:
+    """The colored edges of a host graph: `adj` holds per vertex its
+    (neighbour, color bit) pairs in neighbour order. Colors are numbered
+    densely, each new color taking the next bit, so a mask holds one bit
+    per color used whatever the color ids are: color 1 and color 10**30
+    need two bits. Only which colors are equal, not their bits, sets a
+    search's answer."""
+
+    __slots__ = ("host", "adj", "bits")
+
+    def __init__(self, host: Graph, adj: list[list[tuple[int, int]]], bits: dict[int, int]):
+        self.host, self.adj, self.bits = host, adj, bits
+
+    @classmethod
+    def build(cls, g: Graph, coloring: EdgeColoring) -> ColoredLayout:
+        """The layout of a coloring of edges of g (the caller checks them);
+        the i-th smallest color gets bit i."""
+        bits = {c: 1 << i for i, c in enumerate(sorted(set(coloring.colors.values())))}
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+        for (u, v), c in coloring.colors.items():
+            adj[u].append((v, bits[c]))
+            adj[v].append((u, bits[c]))
+        for lst in adj:
+            lst.sort()
+        return cls(g, adj, bits)
+
+    def extended(self, patch: dict[Edge, int]) -> ColoredLayout:
+        """This layout with the patch's edges added; a patch edge must be an
+        uncolored host edge and its color at least 1 (ValueError otherwise).
+        Only the lists at the patch's endpoints are copied, so this layout
+        stays as it was."""
+        n, adj, bits = self.host.n, self.adj.copy(), self.bits
+        copied: set[int] = set()
+        for (u, v), c in patch.items():
+            if not (0 <= u < n and 0 <= v < n and v in self.host.adj[u]):
+                raise ValueError(f"edge {(u, v)} is not in the host graph")
+            if c < 1:
+                raise ValueError("color ids must be positive")
+            for w, _ in adj[u]:
+                if w == v:
+                    raise ValueError(f"edge {(u, v)} is already colored")
+            bit = bits.get(c)
+            if bit is None:
+                if bits is self.bits:
+                    bits = bits.copy()
+                bit = bits[c] = 1 << len(bits)
+            for a in (u, v):
+                if a not in copied:
+                    copied.add(a)
+                    adj[a] = adj[a].copy()
+            adj[u].append((v, bit))
+            adj[v].append((u, bit))
+        for a in copied:
+            adj[a].sort()
+        return ColoredLayout(self.host, adj, bits)
 
 
 def _rainbow_reach(adjc: list[list[tuple[int, int]]], source: int,
@@ -222,10 +268,10 @@ def rainbow_path_exists(g: Graph, coloring: EdgeColoring, u: int, v: int) -> boo
     _require_covers(g, coloring)
     if u == v:
         return True
-    return v in _rainbow_reach(_colored_adj(g, coloring), u, {v})
+    return v in _rainbow_reach(ColoredLayout.build(g, coloring).adj, u, {v})
 
 
-def find_rainbow_witness(g: Graph, coloring: EdgeColoring,
+def find_rainbow_witness(g: Graph, coloring: EdgeColoring | ColoredLayout,
                          vertices=None, sources=None) -> Edge | None:
     """None when every pair is rainbow connected, otherwise the
     lexicographically smallest failing pair.
@@ -252,21 +298,35 @@ def find_rainbow_witness(g: Graph, coloring: EdgeColoring,
     rounds only ever settle pairs that have a rainbow path, so the first
     source with a failing pair and its lowest failing partner are those of
     one exact search per source.
+
+    `coloring` may also be a ColoredLayout over g, such as a growing
+    subgraph's kept layout: then only its colored edges count, as if g
+    had no others, and its edges are taken as checked when it was built.
     """
-    _require_covers(g, coloring)
+    if isinstance(coloring, ColoredLayout):
+        if coloring.host is not g:
+            raise ValueError("layout is not over this host graph")
+        adjc = coloring.adj
+    else:
+        _require_covers(g, coloring)
+        adjc = ColoredLayout.build(g, coloring).adj
     verts = sorted(vertices) if vertices is not None else list(range(g.n))
     if not verts:
         raise ValueError("vertex universe is empty")
     if verts[0] < 0 or verts[-1] >= g.n:
         raise ValueError(f"vertex universe must lie in 0..{g.n - 1}")
-    dist = bfs_distances(g, verts[0])
-    if any(dist[v] < 0 for v in verts):
+    seen, stack = {verts[0]}, [verts[0]]  # the colored edges must join the universe
+    while stack:
+        for w, _ in adjc[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if not seen.issuperset(verts):
         raise ValueError("vertex universe is not connected")
     targets = set(verts)
     order = verts if sources is None else sorted(sources)
     if not targets.issuperset(order):
         raise ValueError("sources must lie inside the vertex universe")
-    adjc = _colored_adj(g, coloring)
     if sources is not None and (clash := _color_clash(adjc, order, targets)) is not None:
         return clash
     missed_by: dict[int, set[int]] = {}  # source -> open targets its pass missed

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rcbound import construct, rainbow
+from rcbound import construct, graphs, rainbow
 from rcbound.cli import _build, builtin_corpus
 from rcbound.construct import (ConstructionError, ExtensionPlan, GrowState, PreconditionError,
                                apply_extension, classify_extension, color_bound,
@@ -510,7 +510,7 @@ class TestRepair:
         state = state_on([(4, 0), (4, 1), (4, 5), (5, 2), (5, 3)])
         tried = []
         monkeypatch.setattr(construct, "_try_coloring",
-                            lambda state, added, patch, sub: tried.append(patch) or (0, 1))
+                            lambda state, added, patch: tried.append(patch) or (0, 1))
         assert repair_step(state, [4, 5], 2) is None
         assert len(tried) == 4 ** 2
         assert tried[0] == dict.fromkeys([(0, 4), (1, 4), (2, 5), (3, 5), (4, 5)], 3)
@@ -547,15 +547,29 @@ class TestRepair:
         assert repair_step(state, [4, 5, 6, 7], 1) is None
         assert 0 < len(calls) <= 2 ** 4
 
-    def test_one_subgraph_per_search(self, monkeypatch):
-        # every candidate colors the same edges, so the search builds the
-        # graph the checker walks once, not once per candidate
+    def test_checks_extend_the_kept_layout(self, monkeypatch):
+        # a move check and every candidate of a repair search run on the
+        # state's kept layout extended by the patch: neither builds a graph
+        # or a layout, and each candidate is one call of the checker
+        move = state_on(SYNTHETIC["ear"][0])
         state = state_on([(4, 0), (4, 1), (4, 2), (4, 3), (4, 5), (5, 6), (6, 7), (5, 7)])
-        builds = count_calls(monkeypatch, "make_graph")
+        builds = []
+        real_graph, real_layout = graphs.make_graph, rainbow.ColoredLayout.build
+        for mod in (graphs, construct, rainbow):
+            monkeypatch.setattr(mod, "make_graph", raising=False,
+                                value=lambda *args: builds.append(args) or real_graph(*args))
+        monkeypatch.setattr(rainbow.ColoredLayout, "build", classmethod(
+            lambda cls, *args: builds.append(args) or real_layout(*args)))
+        tries = count_calls(monkeypatch, "_try_coloring")
         calls = count_calls(monkeypatch)
+        apply_extension(move, classify_extension(move))
+        assert not move.trace[-1].repaired and len(tries) == len(calls) == 1
+        tries.clear()
+        calls.clear()
         assert repair_step(state, [4, 5, 6, 7], 1) is None
-        assert len(calls) > 1 and len(builds) == 1
-        assert all(sub is calls[0][0] for sub, *_ in calls)
+        assert len(tries) == len(calls) > 1
+        assert all(g is state.host for g, *_ in calls)
+        assert builds == []
 
 
 class TestColorClash:
@@ -590,12 +604,14 @@ class TestColorClash:
         dist = bfs_distances(sub, added[0])
         assume(all(dist[v] >= 0 for v in universe))
         state = GrowState(g, hset, coloring, max(coloring.values(), default=0))
-        pair = rainbow._color_clash(rainbow._colored_adj(sub, EdgeColoring(full)), aset, universe)
+        adjc = rainbow.ColoredLayout.build(sub, EdgeColoring(full)).adj
+        pair = rainbow._color_clash(adjc, aset, universe)
         if pair is not None:
             assert set(pair) & aset and set(pair) <= universe
             assert not has_rainbow_path(sub, full, *pair)
-        verdict = find_rainbow_witness(sub, EdgeColoring(full), vertices=universe, sources=aset)
-        assert (construct._try_coloring(state, added, patch) is None) == (verdict is None)
+        # the kept layout's check reports the witness of the public call
+        witness = find_rainbow_witness(sub, EdgeColoring(full), vertices=universe, sources=aset)
+        assert construct._try_coloring(state, added, patch) == witness
 
 
     def test_unreachable_pair_without_a_shared_color(self, monkeypatch):
@@ -803,6 +819,32 @@ class TestRunConstructive:
             repairs.clear()
             res = run_constructive(_build(recipe))
             assert len(repairs) == traced_repairs(res.trace), gid
+
+    def test_kept_layout_matches_a_rebuild(self, monkeypatch):
+        # after every commit over the builtin corpus, the layout the state
+        # grew holds the colors a layout built from its coloring holds, in
+        # the same neighbour order, with one dense bit per color
+        real = construct._commit
+        commits = []
+
+        def colored(layout):
+            color = {bit: c for c, bit in layout.bits.items()}
+            return [[(w, color[bit]) for w, bit in adj] for adj in layout.adj]
+
+        def checked(state, *args, **kwargs):
+            real(state, *args, **kwargs)
+            commits.append(state.h)
+            kept = state.layout
+            fresh = rainbow.ColoredLayout.build(state.host, EdgeColoring(state.coloring))
+            assert sorted(kept.bits.values()) == [1 << i for i in range(len(kept.bits))]
+            assert kept.bits.keys() == fresh.bits.keys()
+            assert colored(kept) == colored(fresh)
+
+        monkeypatch.setattr(construct, "_commit", checked)
+        for gid, recipe in builtin_corpus(42):
+            commits.clear()
+            res = run_constructive(_build(recipe))
+            assert len(commits) == len(res.trace), gid
 
     def test_progress_and_trace_format(self):
         g = gen_family("random3c", 20, 5, seed=3)

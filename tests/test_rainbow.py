@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rcbound import rainbow
 from rcbound.graphs import GraphFormatError, gen_family, is_connected, make_graph
-from rcbound.rainbow import (BudgetExhaustedError, EdgeColoring, NoColoringError, _colored_adj,
+from rcbound.rainbow import (BudgetExhaustedError, ColoredLayout, EdgeColoring, NoColoringError,
                              _rainbow_reach, cycle_color_sequence, cycle_coloring,
                              find_rainbow_witness, parse_coloring, rainbow_path_exists,
                              rc_exact, serialize_coloring)
@@ -73,7 +73,7 @@ class TestRainbowReach:
         if with_source:
             targets.add(source)
         asked = set(targets)
-        reached = _rainbow_reach(_colored_adj(g, col), source, targets)
+        reached = _rainbow_reach(ColoredLayout.build(g, col).adj, source, targets)
         assert targets == asked
         assert reached == {t for t in targets
                            if t == source or has_rainbow_path(g, col.colors, source, t)}
@@ -99,7 +99,7 @@ class TestRainbowReach:
 
     def test_source_among_targets(self):
         g = make_graph(3, [(1, 2)])
-        adjc = _colored_adj(g, EdgeColoring({(1, 2): 1}))
+        adjc = ColoredLayout.build(g, EdgeColoring({(1, 2): 1})).adj
         assert _rainbow_reach(adjc, 0, {0}) == {0}
         assert _rainbow_reach(adjc, 0, {0, 1}) == {0}
         assert _rainbow_reach(adjc, 1, {1, 2}) == {1, 2}  # returns on reaching 2
@@ -230,7 +230,7 @@ class TestWitness:
         real = rainbow._rainbow_reach
         monkeypatch.setattr(rainbow, "_rainbow_reach",
                             lambda *args: searched.append(args) or real(*args))
-        assert rainbow._first_walk_misses(rainbow._colored_adj(g, EdgeColoring(colors)),
+        assert rainbow._first_walk_misses(ColoredLayout.build(g, EdgeColoring(colors)).adj,
                                           0, {1, 2, 3, 4}) == {4}
         assert find_rainbow_witness(g, EdgeColoring(colors), sources=sources) is None
         assert searched == []
@@ -264,6 +264,57 @@ class TestWitness:
         g = gen_family("cycle", 5)
         with pytest.raises(ValueError, match="0..4"):
             find_rainbow_witness(g, cycle_coloring(5), vertices=[-1, 0])
+
+
+class TestColoredLayout:
+    def test_extended_refuses_bad_patches(self):
+        g = gen_family("cycle", 5)
+        base = ColoredLayout.build(g, EdgeColoring({(0, 1): 1}))
+        for patch, message in [({(0, 2): 1}, "not in the host"),
+                               ({(-1, 0): 1}, "not in the host"),  # must not wrap to (4, 0)
+                               ({(0, 1): 2}, "already colored"),
+                               ({(1, 2): 1, (2, 1): 2}, "already colored"),
+                               ({(1, 2): 0}, "positive")]:
+            with pytest.raises(ValueError, match=message):
+                base.extended(patch)
+        assert base.adj == ColoredLayout.build(g, EdgeColoring({(0, 1): 1})).adj
+
+    def test_extended_leaves_the_original(self):
+        g = gen_family("cycle", 5)
+        base = ColoredLayout.build(g, EdgeColoring({(0, 1): 1, (1, 2): 2}))
+        grown = base.extended({(2, 3): 3, (0, 4): 2})
+        assert base.adj == [[(1, 1)], [(0, 1), (2, 2)], [(1, 2)], [], []]
+        assert base.bits == {1: 1, 2: 2}
+        assert grown.adj == [[(1, 1), (4, 2)], [(0, 1), (2, 2)], [(1, 2), (3, 4)], [(2, 4)],
+                             [(0, 2)]]
+        assert grown.adj[1] is base.adj[1]  # an untouched list is shared
+
+    @pytest.mark.parametrize("colors, witness", [((10 ** 30, 10 ** 30), (0, 2)),
+                                                 ((1, 10 ** 30), None)])
+    def test_huge_color_id_takes_one_bit(self, colors, witness):
+        # C4 in two colors alternating, or in one: the public check and the
+        # check of a layout grown by the same colors give one verdict
+        g = gen_family("cycle", 4)
+        first, second = colors
+        full = {(0, 1): first, (2, 3): first, (1, 2): second, (0, 3): second}
+        assert find_rainbow_witness(g, EdgeColoring(full)) == witness
+        layout = ColoredLayout.build(g, EdgeColoring({})).extended(full)
+        assert sorted(layout.bits.values()) == [1 << i for i in range(len(set(colors)))]
+        assert find_rainbow_witness(g, layout) == witness
+
+    def test_layout_checks_keep_the_universe_checks(self):
+        # the connectivity walk goes over the layout's colored edges only
+        g = gen_family("cycle", 5)
+        layout = ColoredLayout.build(g, EdgeColoring({(0, 1): 1, (1, 2): 2}))
+        with pytest.raises(ValueError, match="not connected"):
+            find_rainbow_witness(g, layout)
+        assert find_rainbow_witness(g, layout, vertices=[0, 1, 2]) is None
+        with pytest.raises(ValueError, match="sources"):
+            find_rainbow_witness(g, layout, vertices=[0, 1, 2], sources={3})
+        with pytest.raises(ValueError, match="0..4"):
+            find_rainbow_witness(g, layout, vertices=[5])
+        with pytest.raises(ValueError, match="host"):
+            find_rainbow_witness(gen_family("cycle", 5), layout, vertices=[0, 1, 2])
 
 
 class TestCycleColoring:
