@@ -22,12 +22,11 @@ computing the connectivity of graphs and digraphs", 1984). A minimum
 separator that misses v leaves some w cut off from v; one that holds v is
 minimal, so v has a neighbour on each of its sides.
 
-Each of those pairs is non-adjacent, and before its flow it gets a greedy
-pass: breadth-first searches from one end to the other, each avoiding the
-inner vertices of the paths found before it. Paths found that way are
-internally disjoint, so when the pass finds as many as the current
-answer, the pair's connectivity is at least that answer and the pair
-cannot lower it; its flow is skipped. When the pass finds fewer, that
+Each of those pairs (a, b) is non-adjacent, and before its flow it gets a
+greedy fan from b into the vertices known to be well linked to a: a, its
+neighbours and the ends of the pairs settled with a. A fan as wide as the
+current answer shows that the pair cannot lower it (see
+`vertex_connectivity`), and its flow is skipped; one that falls short
 proves nothing, since a greedy path may take a vertex two others need,
 and the flow decides. The fan and path queries run the flow alone, so
 the paths they return are the flow's.
@@ -36,7 +35,7 @@ the paths they return are the flow's.
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Collection, Iterable
+from collections.abc import Collection, Container, Iterable
 from itertools import combinations
 
 from .graphs import Graph
@@ -157,31 +156,36 @@ def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int,
     return sorted(paths, key=lambda p: (len(p), p))
 
 
-def _greedy_paths(g: Graph, a: int, b: int, want: int) -> bool:
-    """True when `want` breadth-first searches from a to the non-adjacent
-    b each find a path, every search avoiding the inner vertices of the
-    paths found before it. Those paths are internally disjoint, so True
-    proves kappa(a, b) >= want; False proves nothing, since a path taken
-    early may hold a vertex that two others need."""
+def _greedy_fan(g: Graph, x: int, marked: Container[int], want: int) -> bool:
+    """True when `want` breadth-first searches from x each reach a marked
+    vertex, each stopping at the first one it labels and avoiding x and
+    every vertex of the paths found before it: a fan of width `want` into
+    `marked`. False proves nothing, since a path taken early may hold a
+    vertex that two others need. Labels live in a dict, so a search costs
+    only what it touches."""
     adj = g.adj
-    blocked = bytearray(g.n)
-    for _ in range(want):
-        prev = [-1] * g.n
-        prev[a] = a
-        queue = [a]
-        for v in queue:
-            for w in adj[v]:
-                if prev[w] == -1 and not blocked[w]:
-                    prev[w] = v
-                    queue.append(w)
-            if prev[b] != -1:
+    # x and every vertex of the paths found so far; the first searches
+    # would take x's marked neighbours, one edge each, so those go in at once
+    taken = {x, *(b for b in adj[x] if b in marked)}
+    for _ in range(want + 1 - len(taken)):
+        prev = dict.fromkeys(taken, x)
+        queue = [x]
+        end = -1
+        for u in queue:
+            for b in adj[u]:
+                if b not in prev:
+                    prev[b] = u
+                    if b in marked:
+                        end = b
+                        break
+                    queue.append(b)
+            if end >= 0:
                 break
-        else:
+        if end < 0:
             return False
-        v = prev[b]
-        while v != a:
-            blocked[v] = 1
-            v = prev[v]
+        while end != x:
+            taken.add(end)
+            end = prev[end]
     return True
 
 
@@ -266,7 +270,7 @@ def check_fan(g: Graph, fan: tuple, x: int, targets: Iterable[int], k: int) -> N
 def vertex_connectivity(g: Graph) -> int:
     """kappa(g), exact, from at most n - 1 - d + C(d, 2) pairs around a
     vertex v of minimum degree d (the lowest label on ties), each settled
-    by greedy paths when they reach the current answer and by a flow
+    by a greedy fan when the fan reaches the current answer and by a flow
     otherwise.
 
     kappa is the smaller of d and the fewest internally disjoint paths over
@@ -278,6 +282,21 @@ def vertex_connectivity(g: Graph) -> int:
     of S holds no neighbour of v, and any w there has kappa(v, w) <= |S|.
     If v is in S, v has a neighbour on each side because S is minimal;
     those two are not adjacent and S separates them.
+
+    The fans are the fan lemma run backwards. Let T be a vertex set in
+    which each t is a, or a neighbour of a, or has kappa(a, t) >= k, and
+    take x outside T and not adjacent to a. If x has k paths into T that
+    share only x and end at distinct vertices, then kappa(a, x) >= k.
+    Proof: a separator S of fewer than k vertices that avoids a and x
+    misses at least one of these paths entirely, since the paths share
+    only x and so no vertex of S lies on two of them. That path's end t is
+    joined to a in G - S: t is a, or t is adjacent to a, or S is too small
+    to separate t from a. So x, which reaches t along the path, is joined
+    to a too, and no set of fewer than k vertices separates a from x.
+
+    So the fan of a pair (a, b) has width `best` and aims at a, its
+    neighbours and the ends of the pairs settled with a before it. A mark
+    made at a higher best stays valid after a flow lowers best.
     """
     if g.n < 2:
         raise ValueError("vertex connectivity needs at least 2 vertices")
@@ -285,9 +304,13 @@ def vertex_connectivity(g: Graph) -> int:
     near, best = g.adj[v], g.degree(v)
     pairs = [(v, w) for w in range(g.n) if w != v and w not in near]
     pairs += [(x, y) for x, y in combinations(near, 2) if not g.has_edge(x, y)]
+    linked: dict[int, set[int]] = {}  # a -> a, its neighbours and the b settled with it
     for a, b in pairs:
         if best == 0:
             break
-        if not _greedy_paths(g, a, b, best):
-            best = min(best, len(_flow_paths(g, a, (b,), best)))
+        if a not in linked:
+            linked[a] = {a, *g.adj[a]}
+        if not _greedy_fan(g, b, linked[a], best):
+            best = len(_flow_paths(g, a, (b,), best))
+        linked[a].add(b)
     return best

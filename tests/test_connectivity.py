@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -300,6 +301,16 @@ NEIGHBOUR_PAIR_GRAPH = make_graph(7, [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1
                                       (5, 6)])
 
 
+# an octahedron on 0..5 (no edges 0-1, 2-3, 4-5) and a K5 on 4..8: around
+# v = 0 (degree 4) the fan from 1 certifies kappa(0, 1) >= 4 before {4, 5}
+# cuts 6 off from 0, so best drops below the degree after a mark
+OCTAHEDRON_K5 = make_graph(9, [(u, w) for u, w in combinations(range(6), 2)
+                               if (u, w) not in ((0, 1), (2, 3), (4, 5))]
+                           + list(combinations(range(4, 9), 2)))
+# two K5s sharing 3 and 4: degree 4, kappa 2
+TWO_K5 = make_graph(8, set(combinations(range(5), 2)) | set(combinations(range(3, 8), 2)))
+
+
 def named(graphs):
     return [pytest.param(g, id=name) for name, g in graphs]
 
@@ -334,25 +345,56 @@ class TestPairReduction:
     ])
     def test_flow_count_bounded(self, g, kappa, monkeypatch):
         # every non-adjacent pair would be hundreds on each of these; the
-        # reduction examines few, and greedy paths settle each without a flow
+        # reduction examines few, and greedy fans settle each without a flow
         delta = min(map(len, g.adj))
-        pairs = count_calls(monkeypatch, "_greedy_paths")
+        fans = count_calls(monkeypatch, "_greedy_fan")
         flows = count_calls(monkeypatch, "_flow_paths")
         assert vertex_connectivity(g) == kappa
-        assert 0 < len(pairs) <= g.n - 1 - delta + comb(delta, 2)
+        assert 0 < len(fans) <= g.n - 1 - delta + comb(delta, 2)
         assert len(flows) == 0
 
     def test_greedy_trap_runs_the_flow(self, monkeypatch):
-        # around vertex 0 (degree 2) the shortest path 0-1-2-3 holds 1, which
-        # 0-1-6-7-3 needs, and 2, which 0-4-5-2-3 needs, so the greedy search
-        # finds one path where the flow finds two
-        g = make_graph(8, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 2),
-                           (1, 6), (6, 7), (7, 3)])
-        assert not connectivity._greedy_paths(g, 0, 3, 2)
-        assert internally_disjoint_paths(g, 0, 3, 2) is not None
+        # around vertex 0 (degree 2) the greedy fan from 1 into {0, 2, 4}
+        # first takes 1-3-2, which holds 3, the only way left from 1 to 4, so
+        # it stops at one path; the fan 1-3-4, 1-5-2 and the flow's paths
+        # 0-2-5-1 and 0-4-3-1 exist
+        g = make_graph(6, [(0, 2), (0, 4), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4)])
+        assert not connectivity._greedy_fan(g, 1, {0, 2, 4}, 2)
+        assert find_fan(g, 1, {0, 2, 4}, 2) is not None
+        assert internally_disjoint_paths(g, 0, 1, 2) is not None
         flows = count_calls(monkeypatch, "_flow_paths")
         assert vertex_connectivity(g) == brute_vertex_connectivity(g) == 2
         assert len(flows) > 0
+
+    @pytest.mark.parametrize("g, first_fans", [
+        # 1 is marked at best = 4, then 6's flow drops best to 2
+        pytest.param(OCTAHEDRON_K5, [(1, 4, True), (6, 4, False), (7, 2, True)],
+                     id="octahedron_k5"),
+        # 5's flow drops best to 2 at once; 6 and 7 reach v's neighbours 3, 4
+        pytest.param(TWO_K5, [(5, 4, False), (6, 2, True), (7, 2, True)], id="two_k5"),
+    ])
+    def test_answer_drops_below_degree_after_marks(self, g, first_fans, monkeypatch):
+        fans = []  # (source, width, verdict) of each greedy fan
+        real = connectivity._greedy_fan
+
+        def recorded(g, x, marked, want):
+            fans.append((x, want, real(g, x, marked, want)))
+            return fans[-1][-1]
+
+        monkeypatch.setattr(connectivity, "_greedy_fan", recorded)
+        assert vertex_connectivity(g) == pairwise_vertex_connectivity(g) == 2
+        assert fans[:3] == first_fans
+
+    @settings(max_examples=200, deadline=None)
+    @given(st_small_graph, st.integers(1, 4), st.randoms(use_true_random=False))
+    def test_greedy_fan_is_a_fan(self, g, want, rng):
+        x = rng.randrange(g.n)
+        pool = [v for v in range(g.n) if v != x]
+        marked = set(rng.sample(pool, rng.randint(1, len(pool))))
+        if want > len(marked):
+            return
+        if connectivity._greedy_fan(g, x, marked, want):
+            assert find_fan(g, x, marked, want) is not None
 
     @pytest.mark.parametrize("g", named(dict(FAN_GRAPHS + KAPPA_GRAPHS).items()))
     def test_matches_pairwise_on_pinned_graphs(self, g):
