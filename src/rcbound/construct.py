@@ -154,7 +154,11 @@ def move_budget(q: int) -> int:
     vertices has a third neighbour off it. A move then adds 3q to the
     right side and at most 5 * ceil(q/2) <= 3q to the left, which holds
     for every q >= 4 (10 <= 12, 15 <= 15, ...). So apply_extension's
-    per-move check is the only budget check a growth step needs.
+    per-move check is the only budget check a growth step needs. A failed
+    repair may use the invariant's slack: apply_extension retries it with
+    one more fresh color at a time up to floor((3(h + q) - 1) / 5) - k,
+    and at most q + 1, the most fresh colors q star patterns can use
+    (the alternating star two, each other star one).
     """
     if q < 4:
         raise ValueError(f"a move must add at least 4 vertices, adds {q}")
@@ -444,11 +448,12 @@ def _fallback_absorb_plan(state: GrowState) -> ExtensionPlan:
 def _try_coloring(state: GrowState, added: tuple[int, ...], patch: dict[Edge, int]) -> Edge | None:
     """Check H plus the patch with one checker call on H's kept layout
     extended by the patch; with vertices added, only the pairs that touch
-    them, which is sound while the patch colors only new edges at added
-    vertices."""
+    them. That is sound while the patch colors only new edges at added
+    vertices: extending the layout refuses an edge H colors, and the
+    assertion one that touches no added vertex."""
     aset = set(added)
     for e in patch:
-        if e in state.coloring or not aset & set(e):
+        if not aset & set(e):
             raise AssertionError(f"patch edge {e} is not a new edge at an added vertex")
     return find_rainbow_witness(state.host, state.layout.extended(patch),
                                 vertices=state.vertices | aset, sources=aset or None)
@@ -544,7 +549,8 @@ def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict
 def apply_extension(state: GrowState, plan: ExtensionPlan) -> GrowState:
     """Absorb the plan's vertices: check the scripted coloring once, and
     repair when it fails. A plan with no slots is colored by repair search
-    alone."""
+    alone; a failed repair is retried with more fresh colors while the
+    invariant allows (see move_budget)."""
     added = plan.vertices
     if len(set(added)) < len(added):
         raise ValueError("plan lists a vertex twice")
@@ -562,7 +568,9 @@ def apply_extension(state: GrowState, plan: ExtensionPlan) -> GrowState:
     if repaired:
         log.warning("scripted %s coloring rejected; invoking repair", plan.kind)
     if repaired or not plan.slots:
-        patch = repair_step(state, added, budget)
+        most = min((3 * (state.h + len(added)) - 1) // 5 - state.colors_used, len(added) + 1)
+        while (patch := repair_step(state, added, budget)) is None and budget < most:
+            budget += 1
         if patch is None:
             raise ConstructionError(f"repair failed after a {plan.kind} move" if repaired
                                     else "repair failed on a fallback absorption", state.trace)

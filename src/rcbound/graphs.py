@@ -264,7 +264,7 @@ def gen_family(family: str, *params: int, seed: int = 0) -> Graph:
     matching); petersen; random3c n>=4 with an optional count of extra
     edges (grown from K4 by joining each new vertex to 3 existing ones,
     which keeps the graph 3-connected, then adding uniformly chosen
-    non-edges).
+    non-edges, from a list of the n(n - 1)/2 pairs made only when extra > 0).
     """
     def need(count: int) -> tuple[int, ...]:
         if len(params) != count:
@@ -318,10 +318,11 @@ def gen_family(family: str, *params: int, seed: int = 0) -> Graph:
         for v in range(4, n):
             for u in rng.sample(range(v), 3):
                 edges.add(norm_edge(u, v))
-        free = sorted(e for e in combinations(range(n), 2) if e not in edges)
-        if extra > len(free):
-            raise ValueError(f"cannot add {extra} extra edges, only {len(free)} non-edges left")
-        edges.update(rng.sample(free, extra))
+        if extra:
+            free = sorted(e for e in combinations(range(n), 2) if e not in edges)
+            if extra > len(free):
+                raise ValueError(f"cannot add {extra} extra edges, only {len(free)} non-edges left")
+            edges.update(rng.sample(free, extra))
         return make_graph(n, edges)
     raise ValueError(f"unknown family {family!r}")
 

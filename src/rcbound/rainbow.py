@@ -262,13 +262,11 @@ def _color_clash(adjc: list[list[tuple[int, int]]], sources,
 
 
 def rainbow_path_exists(g: Graph, coloring: EdgeColoring, u: int, v: int) -> bool:
-    """True when some u-v path uses pairwise distinct colors; u == v counts."""
+    """True when some u-v path uses pairwise distinct colors; u == v counts.
+    One checker call decides it, on the universe {u, v} with source u."""
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError(f"vertex out of range 0..{g.n - 1}")
-    _require_covers(g, coloring)
-    if u == v:
-        return True
-    return v in _rainbow_reach(ColoredLayout.build(g, coloring).adj, u, {v})
+    return find_rainbow_witness(g, coloring, vertices={u, v}, sources={u}) is None
 
 
 def find_rainbow_witness(g: Graph, coloring: EdgeColoring | ColoredLayout,
@@ -276,9 +274,9 @@ def find_rainbow_witness(g: Graph, coloring: EdgeColoring | ColoredLayout,
     """None when every pair is rainbow connected, otherwise the
     lexicographically smallest failing pair.
 
-    `vertices` restricts the pair universe to a subset of 0..n-1 (used to
-    verify a subgraph); the restricted universe must be non-empty and
-    connected.
+    `vertices` restricts the pair universe to a non-empty subset of
+    0..n-1 (used to verify a subgraph). A universe vertex that no colored
+    path joins to a source fails with it, so a disconnected one has a witness.
 
     `sources`, a subset of the universe, restricts the check to the pairs
     with at least one end in it, and a failing pair comes back as (min,
@@ -315,14 +313,6 @@ def find_rainbow_witness(g: Graph, coloring: EdgeColoring | ColoredLayout,
         raise ValueError("vertex universe is empty")
     if verts[0] < 0 or verts[-1] >= g.n:
         raise ValueError(f"vertex universe must lie in 0..{g.n - 1}")
-    seen, stack = {verts[0]}, [verts[0]]  # the colored edges must join the universe
-    while stack:
-        for w, _ in adjc[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if not seen.issuperset(verts):
-        raise ValueError("vertex universe is not connected")
     targets = set(verts)
     order = verts if sources is None else sorted(sources)
     if not targets.issuperset(order):

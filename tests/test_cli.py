@@ -132,6 +132,14 @@ class TestConstructCheck:
         code, out, _ = run(capsys, "check", c5_file, str(bad))
         assert code == 1 and out.strip() == "NOT rainbow-connected: witness 0 2"
 
+    def test_check_disconnected_is_negative_verdict(self, capsys, tmp_path):
+        # two components: the checker reports the first pair no path joins
+        gpath, cpath = tmp_path / "two.txt", tmp_path / "col.txt"
+        gpath.write_text("4 2\n0 1\n2 3\n")
+        cpath.write_text("1\n0 1 1\n2 3 1\n")
+        code, out, _ = run(capsys, "check", str(gpath), str(cpath))
+        assert code == 1 and out.strip() == "NOT rainbow-connected: witness 0 2"
+
     def test_check_edge_mismatch(self, capsys, c5_file, tmp_path):
         bad = tmp_path / "bad.txt"
         edges = gen_family("cycle", 5).edges[:-1]

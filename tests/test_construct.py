@@ -452,6 +452,18 @@ class TestApply:
             apply_extension(state, ExtensionPlan("fallback_absorb", (3, 4, 5, 6), ()))
         assert (state.h, state.colors_used, state.coloring, state.trace) == before
 
+    @pytest.mark.parametrize("h,k,budgets", [(3, 1, [2, 3]), (20, 1, [2, 3, 4, 5])])
+    def test_failed_repair_retries_up_to_the_slack(self, h, k, budgets, monkeypatch):
+        # budgets run from ceil(4/2) = 2 up to floor((3(h + 4) - 1) / 5) - k
+        # fresh colors (3 after a triangle seed), and never past 4 + 1
+        g = gen_family("complete", h + 4)
+        state = GrowState(g, set(range(h)), {e: 1 for e in g.edges if max(e) < h}, k)
+        tried = []
+        monkeypatch.setattr(construct, "repair_step", lambda s, added, b: tried.append(b))
+        with pytest.raises(ConstructionError, match="repair failed on a fallback absorption"):
+            apply_extension(state, ExtensionPlan("fallback_absorb", tuple(range(h, h + 4)), ()))
+        assert tried == budgets
+
     @pytest.mark.parametrize("vertices,slots,message", [
         ((3, 4, 5, 7), (), "outside the host"),
         ((3, 4, 5, -1), (), "outside the host"),
@@ -670,17 +682,12 @@ class TestRunConstructive:
         assert rc_exact(g)[0] == 3 <= res.colors_used
         assert find_rainbow_witness(g, res.coloring) is None
 
-    @pytest.mark.xfail(strict=True, raises=ConstructionError,
-                       reason="repair finds no coloring for the fallback absorption "
-                              "right after the seed triangle")
     def test_sparse_nine_vertex_graph(self):
         g = make_graph(9, SPARSE_NINE_EDGES)
         assert vertex_connectivity(g) == 3 and rc_exact(g)[0] == 3
         res = run_constructive(g)
         assert res.colors_used <= res.bound == 6
 
-    @pytest.mark.xfail(strict=True, raises=ConstructionError,
-                       reason="repair finds no coloring for a fallback absorption at h = 52")
     def test_relabeled_gp32_3(self):
         g = make_graph(64, GP32_3_RELABELED_EDGES)
         assert g.m == 96 and vertex_connectivity(g) == 3

@@ -245,6 +245,13 @@ class TestGenFamily:
         assert g.n == 15 and g.m == 6 + 3 * 11 + 4
         assert min_degree(g) >= 3 and is_connected(g)
 
+    def test_random3c_without_extra_lists_no_pairs(self):
+        # only extra edges draw from the n(n - 1)/2 vertex pairs; listing
+        # them for n = 20000 alone would take gigabytes
+        body = "print(gen_family('random3c', 20000).m)\n"
+        setup = "from rcbound.graphs import gen_family\n"
+        assert run_capped(setup, body, headroom_mb=64, timeout=60) == ["59994"]
+
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             gen_family("torus", 4)

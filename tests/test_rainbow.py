@@ -58,6 +58,16 @@ class TestRainbowPath:
         with pytest.raises(ValueError, match="range"):
             rainbow_path_exists(g, col, 0, 9)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 2 ** 21 - 1), st.integers(1, 6),
+           st.randoms(use_true_random=False))
+    def test_matches_path_enumeration(self, n, mask, palette, rng):
+        # any graph, connected or not; u == v counts as joined
+        g = graph_from_mask(n, mask % (1 << (n * (n - 1) // 2)))
+        col = EdgeColoring({e: rng.randint(1, palette) for e in g.edges})
+        u, v = rng.randrange(n), rng.randrange(n)
+        assert rainbow_path_exists(g, col, u, v) == (u == v or has_rainbow_path(g, col.colors, u, v))
+
 
 class TestRainbowReach:
     @settings(max_examples=300, deadline=None)
@@ -162,10 +172,13 @@ class TestWitness:
         assert find_rainbow_witness(g, col, sources={2, 4}) == (0, 2)
         assert len(bounds) == 1
 
-    def test_disconnected_rejected(self):
+    def test_disconnected_gets_a_witness(self):
+        # no colored path joins 0 to 2, so the searches report that pair,
+        # as the brute oracle does, in full and in sources mode
         g = make_graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError, match="connected"):
-            find_rainbow_witness(g, EdgeColoring({e: 1 for e in g.edges}))
+        col = EdgeColoring({e: 1 for e in g.edges})
+        assert find_rainbow_witness(g, col) == brute_rainbow_witness(g, col.colors) == (0, 2)
+        assert find_rainbow_witness(g, col, sources={3}) == (0, 3)
 
     def test_wrong_edge_set_rejected(self):
         g = gen_family("cycle", 5)
@@ -175,9 +188,8 @@ class TestWitness:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(3, 6), st.integers(0, 2 ** 15 - 1), st.randoms(use_true_random=False))
     def test_matches_path_enumeration(self, n, mask, rng):
+        # any graph, connected or not, edgeless included
         g = graph_from_mask(n, mask % (1 << (n * (n - 1) // 2)))
-        if g.m == 0 or not is_connected(g):
-            return
         col = EdgeColoring({e: rng.randint(1, max(1, g.m // 2)) for e in g.edges})
         assert find_rainbow_witness(g, col) == brute_rainbow_witness(g, col.colors)
 
@@ -185,8 +197,6 @@ class TestWitness:
     @given(st.integers(2, 7), st.integers(0, 2 ** 21 - 1), st.randoms(use_true_random=False))
     def test_sources_match_path_enumeration(self, n, mask, rng):
         g = graph_from_mask(n, mask % (1 << (n * (n - 1) // 2)))
-        if g.m == 0 or not is_connected(g):
-            return
         col = EdgeColoring({e: rng.randint(1, max(1, g.m // 2)) for e in g.edges})
         sources = set(rng.sample(range(n), rng.randint(1, n)))
         failing = {(u, v) for u, v in combinations(range(n), 2)
@@ -303,11 +313,11 @@ class TestColoredLayout:
         assert find_rainbow_witness(g, layout) == witness
 
     def test_layout_checks_keep_the_universe_checks(self):
-        # the connectivity walk goes over the layout's colored edges only
+        # only the layout's colored edges count: vertex 3 has none, so the
+        # first pair it is in fails
         g = gen_family("cycle", 5)
         layout = ColoredLayout.build(g, EdgeColoring({(0, 1): 1, (1, 2): 2}))
-        with pytest.raises(ValueError, match="not connected"):
-            find_rainbow_witness(g, layout)
+        assert find_rainbow_witness(g, layout) == (0, 3)
         assert find_rainbow_witness(g, layout, vertices=[0, 1, 2]) is None
         with pytest.raises(ValueError, match="sources"):
             find_rainbow_witness(g, layout, vertices=[0, 1, 2], sources={3})
