@@ -7,15 +7,15 @@ remain outside, one bulk move fires per round. Every move obeys one rule,
 move_budget: q >= 4 added vertices may take at most ceil(q/2) fresh
 colors, so the budget survives by arithmetic alone. The last at most three
 vertices are absorbed with at most two extra colors, which lands the
-total at 5k <= 3n + 3, i.e. k <= floor((3n + 3) / 5). Every growth step
-(seed, move, final absorption) is checked once by the rainbow-connectivity
+total at 5k <= 3n + 3, i.e. k <= floor((3n + 3) / 5). A scripted move
+over its budget is refused before it is checked. Every growth step (seed,
+move, final absorption) is checked once by the rainbow-connectivity
 checker, then commits through one path: fresh colors follow H's palette
-without a gap, an over-budget step is refused before the state changes,
-and each step adds one trace line. A failed scripted coloring hands over
-to a bounded repair search; a repair failure aborts with a
-ConstructionError that carries the full trace. A move check covers only
-the pairs with an added vertex: a move colors only new edges at its added
-vertices, so every pair already inside H keeps its rainbow path. The
+without a gap, and each step adds one trace line. A failed scripted
+coloring hands over to one bounded repair search; a repair failure aborts
+with a ConstructionError that carries the full trace. A move check covers
+only the pairs with an added vertex: a move colors only new edges at its
+added vertices, so every pair already inside H keeps its rainbow path. The
 finished coloring gets one full check.
 
 Move kinds
@@ -154,11 +154,12 @@ def move_budget(q: int) -> int:
     vertices has a third neighbour off it. A move then adds 3q to the
     right side and at most 5 * ceil(q/2) <= 3q to the left, which holds
     for every q >= 4 (10 <= 12, 15 <= 15, ...). So apply_extension's
-    per-move check is the only budget check a growth step needs. A failed
-    repair may use the invariant's slack: apply_extension retries it with
-    one more fresh color at a time up to floor((3(h + q) - 1) / 5) - k,
-    and at most q + 1, the most fresh colors q star patterns can use
-    (the alternating star two, each other star one).
+    check of a scripted move is the only budget check a growth step
+    needs. A repair may also use the invariant's slack: apply_extension's
+    one repair search takes the budgets from ceil(q/2) up to
+    floor((3(h + q) - 1) / 5) - k, and at most q + 1, the most fresh
+    colors q star patterns can use (the alternating star two, each other
+    star one).
     """
     if q < 4:
         raise ValueError(f"a move must add at least 4 vertices, adds {q}")
@@ -212,7 +213,7 @@ def seed_subgraph(g: Graph) -> GrowState:
     if witness is not None:
         raise ConstructionError(
             f"grown subgraph lost rainbow connectivity at pair {witness}", state.trace)
-    _commit(state, kind, added, coloring, max(coloring.values()))
+    _commit(state, kind, added, coloring)
     return state
 
 
@@ -460,19 +461,17 @@ def _try_coloring(state: GrowState, added: tuple[int, ...], patch: dict[Edge, in
 
 
 def _commit(state: GrowState, kind: str, added: tuple[int, ...], patch: dict[Edge, int],
-            budget: int, repaired: bool = False) -> None:
+            repaired: bool = False) -> None:
     """Commit one checked growth step: its fresh colors must follow the
-    palette of H without a gap, and more than `budget` of them is refused
-    before the state changes. Then H and its layout grow, the kept fans
-    that its new vertices could change are dropped, and the step is
-    recorded."""
+    palette of H without a gap. No step reaches this over its budget: a
+    seed and a repair patch stay inside theirs by construction, and
+    apply_extension refuses an over-budget script. Then H and its layout
+    grow, the kept fans that its new vertices could change are dropped,
+    and the step is recorded."""
     fresh = sorted({c for c in patch.values() if c > state.colors_used})
     used = len(fresh)
     if fresh != list(range(state.colors_used + 1, state.colors_used + 1 + used)):
         raise AssertionError(f"fresh colors not contiguous: {fresh}")
-    if used > budget:
-        raise ConstructionError(
-            f"{kind} spent {used} fresh colors, its budget allows {budget}", state.trace)
     state.layout = state.layout.extended(patch)
     state.vertices.update(added)
     state.coloring.update(patch)
@@ -483,41 +482,46 @@ def _commit(state: GrowState, kind: str, added: tuple[int, ...], patch: dict[Edg
                                   state.h, state.colors_used, repaired))
 
 
-def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict[Edge, int] | None:
+def repair_step(state: GrowState, added_vertices, budgets: range) -> dict[Edge, int] | None:
     """Search for a coloring of every edge incident to the added vertices
-    using at most `new_color_budget` fresh colors plus color 1 of H.
+    using at most b fresh colors plus color 1 of H, for each budget b of
+    `budgets` in turn.
 
     Each added vertex gets a star pattern: one color from the fresh
     palette or color 1 on all its edges, or (with two fresh colors) the
-    first two fresh colors alternating over its links into H. The labels
-    are tried in a fixed lexicographic order, each distinct patch once
-    through _try_coloring, so a search costs at most
-    (budget + 2) ** len(added) checker calls, each on H's kept layout
-    extended by the candidate patch. A patch that cuts a vertex
-    off from a single-colored added one (say two non-adjacent added
-    vertices on one fresh star color) is rejected by the checker's
-    color-clash bound without a rainbow search.
-    Returns the first patch the checker accepts, with its fresh colors
-    renumbered by first appearance over the sorted edges, or None when no
-    pattern works; the caller then aborts with a ConstructionError.
+    first two fresh colors alternating over its links into H. The stars
+    are built once, for the widest palette. At budget b the labels (the
+    first b fresh colors, color 1, then the alternating star when b >= 2)
+    are tried in a fixed lexicographic order. A patch is keyed by its
+    colors with the fresh ones renumbered by first appearance over the
+    sorted edges, and each key goes through _try_coloring once over all
+    budgets: the checker reads only which colors are equal, so a patch
+    that renames the fresh colors of one already tried gets its verdict.
+    A search thus costs at most the sum over b of (b + 2) ** len(added)
+    checker calls, each on H's kept layout extended by the candidate
+    patch, and accepts the patch that searches at each budget in turn
+    would. A patch that cuts a vertex off from a single-colored added one
+    (say two non-adjacent added vertices on one fresh star color) is
+    rejected by the checker's color-clash bound without a rainbow search.
+    Returns the first accepted patch in its renumbered form, or None when
+    no pattern works; the caller then aborts with a ConstructionError.
     """
     added = tuple(sorted(added_vertices))
     if set(added) & state.vertices:
         raise ValueError("added vertices must lie outside the grown subgraph")
-    log.info("repair search over %d vertices with budget %d", len(added), new_color_budget)
+    if any(b < 0 for b in budgets):
+        raise ValueError(f"repair budgets must be non-negative, got {budgets}")
+    log.info("repair search over %d vertices with budgets %s", len(added), budgets)
 
     # every added vertex needs a link into the enlarged subgraph at all
     if len(list(_reach_order(state, added))) < len(added):
         return None
     aset = set(added)
     base = state.colors_used
-    fresh = [base + 1 + i for i in range(new_color_budget)]
+    fresh = [base + 1 + i for i in range(max(budgets, default=0))]
 
     # each added vertex's star patterns as partial patches, one per label,
     # over the inner edges it owns (its smaller end) and its links into H
-    options: list[object] = list(fresh) + [1]
-    if len(fresh) >= 2:
-        options.append("alt")
     stars = []
     for w in added:
         owned = [(w, q) for q in state.host.adj[w] if q > w and q in aset]
@@ -529,28 +533,29 @@ def repair_step(state: GrowState, added_vertices, new_color_budget: int) -> dict
         stars.append(star)
     cand = sorted(e for star in stars for e in star[1])  # every label covers the same edges
     tried: set[tuple[int, ...]] = set()
-    for combo in itertools.product(options, repeat=len(added)):
-        patch: dict[Edge, int] = {}
-        for star, label in zip(stars, combo):
-            patch.update(star[label])
-        key = tuple(patch[e] for e in cand)
-        if key not in tried:
-            tried.add(key)
-            if _try_coloring(state, added, patch) is None:
-                # fresh colors renumbered by first appearance in edge order
-                remap: dict[int, int] = {}
-                for e in cand:
-                    if patch[e] > base:
-                        remap.setdefault(patch[e], base + 1 + len(remap))
-                return {e: remap.get(patch[e], patch[e]) for e in cand}
+    for b in budgets:
+        options = [*fresh[:b], 1] + (["alt"] if b >= 2 else [])
+        for combo in itertools.product(options, repeat=len(added)):
+            patch: dict[Edge, int] = {}
+            for star, label in zip(stars, combo):
+                patch.update(star[label])
+            # fresh colors renumbered by first appearance in edge order
+            remap: dict[int, int] = {}
+            key = tuple(remap.setdefault(patch[e], base + 1 + len(remap)) if patch[e] > base
+                        else patch[e] for e in cand)
+            if key not in tried:
+                tried.add(key)
+                if _try_coloring(state, added, patch) is None:
+                    return dict(zip(cand, key))
     return None
 
 
 def apply_extension(state: GrowState, plan: ExtensionPlan) -> GrowState:
-    """Absorb the plan's vertices: check the scripted coloring once, and
-    repair when it fails. A plan with no slots is colored by repair search
-    alone; a failed repair is retried with more fresh colors while the
-    invariant allows (see move_budget)."""
+    """Absorb the plan's vertices: refuse a script over move_budget before
+    any check, check the scripted coloring once, and repair when it fails.
+    A plan with no slots is colored by repair search alone. The one repair
+    search widens its palette while the invariant allows (see
+    move_budget)."""
     added = plan.vertices
     if len(set(added)) < len(added):
         raise ValueError("plan lists a vertex twice")
@@ -564,17 +569,20 @@ def apply_extension(state: GrowState, plan: ExtensionPlan) -> GrowState:
             raise ValueError(f"plan colors a missing edge {e}")
 
     patch = {e: (1 if slot == REUSE else state.colors_used + slot) for e, slot in plan.slots}
+    used = len({c for c in patch.values() if c > state.colors_used})
+    if used > budget:
+        raise ConstructionError(
+            f"{plan.kind} spent {used} fresh colors, its budget allows {budget}", state.trace)
     repaired = bool(plan.slots) and _try_coloring(state, added, patch) is not None
     if repaired:
         log.warning("scripted %s coloring rejected; invoking repair", plan.kind)
     if repaired or not plan.slots:
         most = min((3 * (state.h + len(added)) - 1) // 5 - state.colors_used, len(added) + 1)
-        while (patch := repair_step(state, added, budget)) is None and budget < most:
-            budget += 1
+        patch = repair_step(state, added, range(budget, most + 1))
         if patch is None:
             raise ConstructionError(f"repair failed after a {plan.kind} move" if repaired
                                     else "repair failed on a fallback absorption", state.trace)
-    _commit(state, plan.kind, added, patch, budget, repaired)
+    _commit(state, plan.kind, added, patch, repaired)
     return state
 
 
@@ -590,10 +598,10 @@ def final_absorb(state: GrowState) -> GrowState:
         raise ValueError(f"final absorption handles at most 3 vertices, got {r}")
     patch = {}
     if r:
-        patch = repair_step(state, ext, min(r, 2))
+        patch = repair_step(state, ext, range(min(r, 2), min(r, 2) + 1))
         if patch is None:
             raise ConstructionError("repair failed during final absorption", state.trace)
-    _commit(state, FINAL_ABSORB, ext, patch, min(r, 2))
+    _commit(state, FINAL_ABSORB, ext, patch)
     # leftovers add color-1 edges and recolor none, so no rainbow path is lost
     for e in state.host.edges:
         state.coloring.setdefault(e, 1)

@@ -277,6 +277,21 @@ class TestBench:
         code, _, err = run(capsys, "bench", "--corpus", str(tmp_path))
         assert code == 2 and "no *.txt" in err
 
+    def test_builtin_corpus(self, capsys):
+        code, out, err = run(capsys, "bench", "--exact-max-n", "0")
+        lines = out.splitlines()
+        assert code == 0 and "bench ok: 24 graphs" in err
+        assert lines[0] == ",".join(CSV_HEADER) and len(lines) == 1 + 24
+        assert all(line.split(",")[6:8] == ["skipped", "True"] for line in lines[1:])
+
+    def test_malformed_corpus_file(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "k4.txt").write_text(serialize_graph(gen_family("complete", 4)))
+        (corpus / "broken.txt").write_text("3 1\n0 7\n")
+        code, out, err = run(capsys, "bench", "--corpus", str(corpus))
+        assert code == 2 and out == "" and "corpus graph broken" in err
+
 
 class TestModuleEntry:
     """`python -m rcbound` passes main's return value out as the exit code."""

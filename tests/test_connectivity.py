@@ -92,6 +92,15 @@ class TestDisjointPaths:
         with pytest.raises(ValueError, match="differ"):
             internally_disjoint_paths(gen_family("complete", 4), 1, 1, 2)
 
+    @pytest.mark.parametrize("x,y,k,message", [
+        (0, 4, 2, "vertex out of range"),
+        (-1, 2, 2, "vertex out of range"),  # must not wrap to vertex 3
+        (0, 1, 0, "path count must be positive"),
+    ])
+    def test_bad_arguments_rejected(self, x, y, k, message):
+        with pytest.raises(ValueError, match=message):
+            internally_disjoint_paths(gen_family("complete", 4), x, y, k)
+
     @settings(max_examples=60, deadline=None)
     @given(st_graph_n2to6, st.integers(1, 3), st.randoms(use_true_random=False))
     def test_matches_family_search(self, g, k, rng):
@@ -128,6 +137,15 @@ class TestFindFan:
     def test_source_out_of_range_rejected(self, x, targets):
         with pytest.raises(ValueError, match="vertex out of range"):
             find_fan(gen_family("petersen"), x, targets, 3)
+
+    @pytest.mark.parametrize("targets,k,message", [
+        ([1, 2, 10], 3, "target out of range"),
+        ([-1, 2, 3], 3, "target out of range"),
+        ([1, 2, 3], 0, "fan width must be positive"),
+    ])
+    def test_bad_targets_or_width_rejected(self, targets, k, message):
+        with pytest.raises(ValueError, match=message):
+            find_fan(gen_family("petersen"), 0, targets, k)
 
     def test_small_target_set_rejected(self):
         with pytest.raises(ValueError, match="smaller than"):

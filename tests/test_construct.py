@@ -2,7 +2,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rcbound import construct, graphs, rainbow
 from rcbound.cli import _build, builtin_corpus
@@ -424,7 +424,7 @@ class TestApply:
         state = seed_subgraph(gen_family("complete", 7))
         searches = count_calls(monkeypatch, "repair_step")
         apply_extension(state, ExtensionPlan("fallback_absorb", (3, 4, 5, 6), ()))
-        assert [args[1:] for args in searches] == [((3, 4, 5, 6), move_budget(4))]
+        assert [args[1:] for args in searches] == [((3, 4, 5, 6), range(2, 4))]
         step = state.trace[-1]
         assert (step.kind, step.added, step.h) == ("fallback_absorb", (3, 4, 5, 6), 7)
         assert step.fallback and not step.repaired
@@ -452,17 +452,18 @@ class TestApply:
             apply_extension(state, ExtensionPlan("fallback_absorb", (3, 4, 5, 6), ()))
         assert (state.h, state.colors_used, state.coloring, state.trace) == before
 
-    @pytest.mark.parametrize("h,k,budgets", [(3, 1, [2, 3]), (20, 1, [2, 3, 4, 5])])
+    @pytest.mark.parametrize("h,k,budgets", [(3, 1, range(2, 4)), (20, 1, range(2, 6))])
     def test_failed_repair_retries_up_to_the_slack(self, h, k, budgets, monkeypatch):
-        # budgets run from ceil(4/2) = 2 up to floor((3(h + 4) - 1) / 5) - k
-        # fresh colors (3 after a triangle seed), and never past 4 + 1
+        # one repair search, over budgets from ceil(4/2) = 2 up to
+        # floor((3(h + 4) - 1) / 5) - k fresh colors (3 after a triangle
+        # seed), and never past 4 + 1
         g = gen_family("complete", h + 4)
         state = GrowState(g, set(range(h)), {e: 1 for e in g.edges if max(e) < h}, k)
         tried = []
         monkeypatch.setattr(construct, "repair_step", lambda s, added, b: tried.append(b))
         with pytest.raises(ConstructionError, match="repair failed on a fallback absorption"):
             apply_extension(state, ExtensionPlan("fallback_absorb", tuple(range(h, h + 4)), ()))
-        assert tried == budgets
+        assert tried == [budgets]
 
     @pytest.mark.parametrize("vertices,slots,message", [
         ((3, 4, 5, 7), (), "outside the host"),
@@ -489,52 +490,57 @@ class TestApply:
 class TestRepair:
     def test_single_leaf_one_color(self):
         state = state_on([(4, 0), (4, 1), (4, 2)], n=5)
-        patch = repair_step(state, [4], 1)
+        patch = repair_step(state, [4], range(1, 2))
         assert patch == {(0, 4): 3, (1, 4): 3, (2, 4): 3}
 
     def test_zero_budget_fails(self):
         # every path from vertex 3 repeats color 1, so a fresh color is needed
         g = make_graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
         state = GrowState(g, {0, 1, 2}, {(0, 1): 1, (1, 2): 1, (0, 2): 1}, 1)
-        assert repair_step(state, [3], 0) is None
-        assert repair_step(state, [3], 1) == {(0, 3): 2}
+        assert repair_step(state, [3], range(0, 1)) is None
+        assert repair_step(state, [3], range(1, 2)) == {(0, 3): 2}
 
     def test_unlinked_vertex_fails_without_checks(self, monkeypatch):
         # 5 reaches H only through 6, which is not added
         state = state_on([(4, 0), (4, 1), (4, 2), (5, 6), (6, 0), (6, 1), (6, 2)])
         calls = count_calls(monkeypatch)
-        assert repair_step(state, [4, 5], 2) is None
+        assert repair_step(state, [4, 5], range(2, 3)) is None
         assert calls == []
 
     def test_deterministic(self):
-        a = repair_step(state_on([(4, 0), (4, 1), (4, 2)], n=5), [4], 2)
-        b = repair_step(state_on([(4, 0), (4, 1), (4, 2)], n=5), [4], 2)
+        a = repair_step(state_on([(4, 0), (4, 1), (4, 2)], n=5), [4], range(2, 3))
+        b = repair_step(state_on([(4, 0), (4, 1), (4, 2)], n=5), [4], range(2, 3))
         assert a == b
 
     def test_inside_vertex_rejected(self):
         state = state_on([(4, 0), (4, 1), (4, 2)], n=5)
         with pytest.raises(ValueError, match="outside"):
-            repair_step(state, [0], 1)
+            repair_step(state, [0], range(1, 2))
 
     def test_star_patterns_in_label_order(self, monkeypatch):
         # 4 owns the inner edge (4, 5); "alt" alternates the first two
-        # fresh colors over a vertex's links into H in edge order
+        # fresh colors over a vertex's links into H in edge order. Of the
+        # 4 ** 2 label pairs, (4, 3), (4, 4), (4, 1) and (1, 4) only swap
+        # the fresh colors 3 and 4 of an earlier pair, so they are skipped
         state = state_on([(4, 0), (4, 1), (4, 5), (5, 2), (5, 3)])
         tried = []
         monkeypatch.setattr(construct, "_try_coloring",
                             lambda state, added, patch: tried.append(patch) or (0, 1))
-        assert repair_step(state, [4, 5], 2) is None
-        assert len(tried) == 4 ** 2
+        assert repair_step(state, [4, 5], range(2, 3)) is None
+        assert len(tried) == 4 ** 2 - 4
         assert tried[0] == dict.fromkeys([(0, 4), (1, 4), (2, 5), (3, 5), (4, 5)], 3)
+        # labels (4, "alt") follow (3, "alt"): 4 on fresh color 4 is no renaming of either
+        assert tried[4] == {(0, 4): 4, (1, 4): 4, (4, 5): 4, (2, 5): 3, (3, 5): 4}
         # labels (1, 3): the inner edge follows 4
-        assert tried[8] == {(0, 4): 1, (1, 4): 1, (4, 5): 1, (2, 5): 3, (3, 5): 3}
+        assert tried[5] == {(0, 4): 1, (1, 4): 1, (4, 5): 1, (2, 5): 3, (3, 5): 3}
         assert tried[-1] == {(0, 4): 3, (1, 4): 4, (4, 5): 4, (2, 5): 3, (3, 5): 4}
 
     def test_accepted_patch_renumbered_in_edge_order(self):
         # the accepted labels give 4 color 3 and 5 color 4; renumbering by
         # first appearance over the sorted edges hands color 3 to (0, 5)
         state = state_on([(4, 1), (4, 2), (5, 0), (5, 3)])
-        assert repair_step(state, [4, 5], 2) == {(0, 5): 3, (1, 4): 4, (2, 4): 4, (3, 5): 3}
+        assert repair_step(state, [4, 5], range(2, 3)) == {(0, 5): 3, (1, 4): 4, (2, 4): 4,
+                                                           (3, 5): 3}
 
     def test_color_clash_skips_the_checker(self, monkeypatch):
         # the first labels give the non-adjacent 4 and 5 the one fresh color
@@ -548,15 +554,59 @@ class TestRepair:
         # the checker's color-clash bound rejects those labels again, and
         # only the next labels (3, 4), which it accepts, get searched
         calls.clear()
-        assert repair_step(state, [4, 5], 2) == {(0, 5): 3, (1, 4): 4, (2, 4): 4, (3, 5): 3}
+        assert repair_step(state, [4, 5], range(2, 3)) == {(0, 5): 3, (1, 4): 4, (2, 4): 4,
+                                                           (3, 5): 3}
         assert len(calls) == 2 and searches
+
+    def test_negative_budget_rejected(self, monkeypatch):
+        # fresh[:b] would slice from the end of the palette
+        state = state_on([(4, 0), (4, 1), (4, 2)], n=5)
+        calls = count_calls(monkeypatch)
+        with pytest.raises(ValueError, match="non-negative"):
+            repair_step(state, [4], range(-1, 2))
+        assert calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+        st.just(m), st.sets(st.sampled_from([(u, w) for w in range(4, 4 + m)
+                                             for u in range(w)]), min_size=1))),
+           st.integers(0, 3), st.integers(0, 2))
+    # budget 1 offers no alternating star, even where the widest palette has two colors
+    @example(drawn=(2, {(0, 4), (3, 4), (0, 5)}), low=1, width=1)
+    def test_one_search_equals_the_per_budget_searches(self, drawn, low, width):
+        # the widened search returns what searches at each budget in turn
+        # return first, checks no patch twice up to a renaming of its fresh
+        # colors, and so makes no more checker calls than they do
+        (m, extra), budgets = drawn, range(low, low + width + 1)
+        state = state_on(sorted(extra), n=4 + m)
+        added = list(range(4, 4 + m))
+        real, tried = construct._try_coloring, []
+
+        def recorded(state, added, patch):
+            tried.append(patch)
+            return real(state, added, patch)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(construct, "_try_coloring", recorded)
+            one = repair_step(state, added, budgets)
+            single = len(tried)
+            each = [repair_step(state, added, range(b, b + 1)) for b in budgets]
+        assert one == next((patch for patch in each if patch is not None), None)
+        assert single <= len(tried) - single
+        keys = []
+        for patch in tried[:single]:
+            # state_on's H uses colors 1 and 2, so fresh colors start at 3
+            remap = {}
+            keys.append(tuple(remap.setdefault(c, 3 + len(remap)) if c > 2 else c
+                              for _, c in sorted(patch.items())))
+        assert len(set(keys)) == single
 
     def test_failure_is_bounded(self, monkeypatch):
         # a triangle hung off vertex 4: reaching 0 from 6 takes three
         # distinct colors, but one fresh color plus color 1 gives two
         state = state_on([(4, 0), (4, 1), (4, 2), (4, 3), (4, 5), (5, 6), (6, 7), (5, 7)])
         calls = count_calls(monkeypatch)
-        assert repair_step(state, [4, 5, 6, 7], 1) is None
+        assert repair_step(state, [4, 5, 6, 7], range(1, 2)) is None
         assert 0 < len(calls) <= 2 ** 4
 
     def test_checks_extend_the_kept_layout(self, monkeypatch):
@@ -578,7 +628,7 @@ class TestRepair:
         assert not move.trace[-1].repaired and len(tries) == len(calls) == 1
         tries.clear()
         calls.clear()
-        assert repair_step(state, [4, 5, 6, 7], 1) is None
+        assert repair_step(state, [4, 5, 6, 7], range(1, 2)) is None
         assert len(tries) == len(calls) > 1
         assert all(g is state.host for g, *_ in calls)
         assert builds == []
@@ -682,11 +732,16 @@ class TestRunConstructive:
         assert rc_exact(g)[0] == 3 <= res.colors_used
         assert find_rainbow_witness(g, res.coloring) is None
 
-    def test_sparse_nine_vertex_graph(self):
+    def test_sparse_nine_vertex_graph(self, monkeypatch):
         g = make_graph(9, SPARSE_NINE_EDGES)
         assert vertex_connectivity(g) == 3 and rc_exact(g)[0] == 3
+        calls = count_calls(monkeypatch)
         res = run_constructive(g)
         assert res.colors_used <= res.bound == 6
+        # the fallback absorption's repair search fails at 2 fresh colors and
+        # succeeds at 3, checking no renaming of a patch it already rejected
+        assert "kind=fallback_absorb added=2,4,5,1 new_colors=3" in res.trace_lines()[1]
+        assert len(calls) == 44
 
     def test_relabeled_gp32_3(self):
         g = make_graph(64, GP32_3_RELABELED_EDGES)

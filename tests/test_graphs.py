@@ -257,16 +257,19 @@ class TestGenFamily:
             gen_family("torus", 4)
 
     def test_bad_params(self):
-        with pytest.raises(ValueError):
-            gen_family("cycle", 2)
-        with pytest.raises(ValueError):
-            gen_family("wheel", 3)
-        with pytest.raises(ValueError):
-            gen_family("prism", 2)
-        with pytest.raises(ValueError):
-            gen_family("random3c", 3)
-        with pytest.raises(ValueError):
-            gen_family("random3c", 4, 10)  # K4 has no free non-edges
+        for family, params, message in [
+                ("cycle", (2,), "cycle needs"),
+                ("wheel", (3,), "wheel needs"),
+                ("prism", (2,), "prism needs"),
+                ("random3c", (3,), "random3c needs"),
+                ("random3c", (4, 10), "only 0 non-edges"),  # K4 has no free non-edges
+                ("cycle", (5, 6), "takes 1 parameter"),
+                ("petersen", (10,), "takes 0 parameter"),
+                ("complete", (0,), "complete needs n >= 1"),
+                ("random3c", (8, 2, 1), "random3c takes n and optional"),
+                ("random3c", (8, -1), "extra edge count must be non-negative")]:
+            with pytest.raises(ValueError, match=message):
+                gen_family(family, *params)
 
 
 def test_iter_labeled_graphs_counts():

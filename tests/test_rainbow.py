@@ -185,6 +185,13 @@ class TestWitness:
         with pytest.raises(ValueError, match="edge set"):
             find_rainbow_witness(g, EdgeColoring({(0, 1): 1}))
 
+    @pytest.mark.parametrize("color", [0, -3])
+    def test_non_positive_color_rejected(self, color):
+        g = gen_family("cycle", 5)
+        col = EdgeColoring({e: color if e == (0, 1) else 1 for e in g.edges})
+        with pytest.raises(ValueError, match="positive"):
+            find_rainbow_witness(g, col)
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(3, 6), st.integers(0, 2 ** 15 - 1), st.randoms(use_true_random=False))
     def test_matches_path_enumeration(self, n, mask, rng):
@@ -351,6 +358,9 @@ class TestCycleColoring:
 
 
 class TestRcExact:
+    def test_single_vertex(self):
+        assert rc_exact(gen_family("complete", 1)) == (0, EdgeColoring({}))
+
     def test_k4(self):
         k, col = rc_exact(gen_family("complete", 4))
         assert k == 1 and col.num_colors == 1
