@@ -3,7 +3,7 @@
 Disjoint paths come from unit-capacity augmentation with vertex
 capacities (Even & Tarjan), kept on the graph itself: the flow is the set
 of directed edges that carry a unit, stored as each vertex's one used
-out-edge (the source has several) and its used in-edges, so a search
+out-edge (the source has several) and its one used in-edge, so a search
 steps back along a used edge without scanning the neighbours. Every
 vertex but the source passes at most one path, so two paths meet only at
 the source. A path stops at the first target it touches, and a target
@@ -34,7 +34,6 @@ the paths they return are the flow's.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections.abc import Collection, Container, Iterable
 from itertools import combinations
 
@@ -44,31 +43,36 @@ from .graphs import Graph
 def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int,
                 entered: bytearray | None = None) -> list[list[int]]:
     """Up to `want` pairwise internally disjoint paths from x into targets,
-    shortest first, ties in lexicographic order. Only membership in
-    targets is read, so their order is unused. `entered`, when given, is
-    a bytearray of g.n entries in which every search sets entered[v] = 1
+    shortest first, ties in lexicographic order. The targets must be
+    distinct (every caller passes a frozenset or a 1-tuple), and only
+    membership is read, so their order is unused. `entered`, when given,
+    is a bytearray of g.n entries in which every search sets entered[v] = 1
     for each vertex v whose entering half it labels.
 
-    The flow is the set of directed edges that carry a unit, kept as
-    `succ`, the one used edge out of each path vertex other than x;
-    `out_x`, the used edges out of x; and `into`, each vertex's used
-    in-edges in ascending order. `through` marks the vertices a path
-    passes. The search runs over vertex halves: state 2v enters v and 2v+1
-    leaves it. Leaving v it steps back into v if v is on a path, then along
-    each unused edge. Entering v it passes a free non-target v, then steps
-    back along each used edge into v. Neighbours go in ascending order, and
-    no step enters x.
+    The flow is the set of directed edges that carry a unit. Every vertex
+    but x and the targets passes at most one path, so four records hold
+    it: `succ`, each vertex's used out-edge; `pred`, its used in-edge;
+    `out_x`, the used edges out of x; and `is_target`, 1 for a target that
+    can still end a path and 2 once one ends there. A vertex other than x
+    is on a path exactly when succ[v] >= 0: targets end paths and never
+    get an out-edge. The search runs over vertex halves: state 2v enters v
+    and 2v+1 leaves it. Leaving v it steps back into v if v is on a path,
+    then along each unused edge. Entering v it passes a free non-target v,
+    then steps back along the used edge into v. Neighbours go in ascending
+    order, and no step enters x. A lone target takes every path and keeps
+    only its latest in-edge in `pred`, but that is never read: a search
+    stops when it labels a target with room, and a lone target always has
+    room, so its entering half is never popped.
 
     The search ends when it queues the entering half of a target with room.
     Waiting to pop that state gives the same path: the queue is FIFO, so
     the first such state queued is the first one popped, and prev[state]
     is fixed when a state is queued, so the walk back to x is the same.
 
-    The target set is read only through `b in room` and `is_target[v]`,
-    and only at vertices whose entering half some search labels
-    (prev[2v] != -1, which sets entered[v]): a step tests `b in room` just
-    as it labels 2b, a popped state was labeled, and every vertex of the
-    returned paths was entered by the search that routed a path through
+    The target set is read only through `is_target`, and only at vertices
+    whose entering half some search labels (prev[2v] != -1, which sets
+    entered[v]): a step reads it as it labels 2b, a popped state was
+    labeled, and the search that routed a path through a vertex entered
     it. So take a larger target set T' that adds to T only vertices with
     entered[v] = 0, while `lone` reads the same (both sets hold at least
     two vertices). A fresh run on T' makes the same tests, gets the same
@@ -82,12 +86,10 @@ def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int,
     is_target = bytearray(g.n)
     for t in targets:
         is_target[t] = 1
-    room = set(targets)  # targets that can still end a path
-    lone = len(room) == 1  # a lone target takes every path
+    lone = len(targets) == 1  # a lone target takes every path
     succ = [-1] * g.n
+    pred = [-1] * g.n
     out_x: set[int] = set()
-    into: list[list[int]] = [[] for _ in range(g.n)]
-    through = bytearray(g.n)
     if entered is None:
         entered = bytearray(g.n)
     src = 2 * x + 1
@@ -99,7 +101,7 @@ def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int,
         for state in queue:
             v = state >> 1
             if state & 1:
-                if through[v] and prev[state - 1] == -1:
+                if succ[v] >= 0 and prev[state - 1] == -1:
                     # entered[v] is set: the search that routed a path through v entered it
                     prev[state - 1] = state
                     queue.append(state - 1)
@@ -108,36 +110,36 @@ def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int,
                     if prev[2 * b] == -1 and b not in used:
                         prev[2 * b] = state
                         entered[b] = 1
-                        if b in room:
+                        if is_target[b] == 1:
                             end = b
                             break
                         queue.append(2 * b)
                 if end >= 0:
                     break
             else:
-                if not is_target[v] and not through[v] and prev[state + 1] == -1:
+                if not is_target[v] and succ[v] < 0 and prev[state + 1] == -1:
                     prev[state + 1] = state
                     queue.append(state + 1)
-                for a in into[v]:
-                    if prev[2 * a + 1] == -1:
-                        prev[2 * a + 1] = state
-                        queue.append(2 * a + 1)
+                a = pred[v]
+                if a >= 0 and prev[2 * a + 1] == -1:
+                    prev[2 * a + 1] = state
+                    queue.append(2 * a + 1)
         if end < 0:
             break
         if not lone:
-            room.discard(end)
+            is_target[end] = 2
         state = 2 * end
         while state != src:
             before = prev[state]
             u, v = before >> 1, state >> 1
-            if u == v:  # between v's halves: v joins or leaves the paths
-                through[v] ^= 1
-            elif state & 1:  # back along v -> u, cancelling its unit
-                into[u].remove(v)
+            if u != v and state & 1:  # back along v -> u, cancelling its unit
+                # u's new in-edge, if any, is the step into u's entering
+                # half, which this backward walk takes next
+                pred[u] = -1
                 if succ[v] == u:  # v may already hold its new out-edge
                     succ[v] = -1
-            else:
-                insort(into[v], u)
+            elif u != v:  # along u -> v; a step between v's halves changes no record
+                pred[v] = u
                 if u == x:
                     out_x.add(v)
                 else:

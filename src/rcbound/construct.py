@@ -364,35 +364,31 @@ def _companion_dispatch(state: GrowState, fans, profiles, center: int, e0: Edge 
     arch = [(norm_edge(a, u1), 1), (e0, 1), (norm_edge(center, v1), 1),
             (norm_edge(u1, center), 2), (norm_edge(v1, b), 2)]
     for w, fan in fans.items():
-        if w in base:
+        joining = {v for p in fan for v in p[:-1]}  # w and its fan's inner vertices
+        if not base.isdisjoint(joining):
             continue
         lens = profiles[w]
         links = [norm_edge(w, p[1]) for p in fan]
+        added = tuple(sorted(base | joining))
         if lens == [1, 1, 1]:
             slots = arch + [(links[0], 1), (links[1], 1), (links[2], 2)]
-            return ExtensionPlan(ARCH_111, tuple(sorted(base | {w})), tuple(slots))
+            return ExtensionPlan(ARCH_111, added, tuple(slots))
         if lens == [1, 1, 2]:
             vp, bp = fan[2][1], fan[2][2]
-            if vp in base:
-                continue
             slots = arch + [(links[0], 1), (norm_edge(w, vp), 1),
                             (links[1], 2), (norm_edge(vp, bp), 3)]
-            return ExtensionPlan(ARCH_112, tuple(sorted(base | {w, vp})), tuple(slots))
+            return ExtensionPlan(ARCH_112, added, tuple(slots))
         if lens == [1, 2, 2]:
             up, ap = fan[1][1], fan[1][2]
             vp, bp = fan[2][1], fan[2][2]
-            if up in base or vp in base:
-                continue
             slots = arch + [(norm_edge(ap, up), 1), (norm_edge(w, vp), 1),
                             (norm_edge(up, w), 2), (links[0], 3), (norm_edge(vp, bp), 3)]
-            return ExtensionPlan(ARCH_122, tuple(sorted(base | {w, up, vp})), tuple(slots))
+            return ExtensionPlan(ARCH_122, added, tuple(slots))
         if lens == [1, 1, 3]:
             vp, vq, bp = fan[2][1], fan[2][2], fan[2][3]
-            if vp in base or vq in base:
-                continue
             slots = arch + [(norm_edge(vp, vq), 1), (norm_edge(w, vp), 2),
                             (links[0], 3), (links[1], 3), (norm_edge(vq, bp), 3)]
-            return ExtensionPlan(ARCH_113, tuple(sorted(base | {w, vp, vq})), tuple(slots))
+            return ExtensionPlan(ARCH_113, added, tuple(slots))
     return _fallback_absorb_plan(state)
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from rcbound import construct
+from rcbound import cli, construct
 from rcbound.cli import CSV_HEADER, main
 from rcbound.graphs import gen_family, serialize_graph
 
@@ -276,6 +276,17 @@ class TestBench:
     def test_empty_corpus_dir(self, capsys, tmp_path):
         code, _, err = run(capsys, "bench", "--corpus", str(tmp_path))
         assert code == 2 and "no *.txt" in err
+
+    def test_exact_above_constructive_exits_4(self, capsys, tmp_path, monkeypatch):
+        # an exact answer above the construction's color total is a bug in
+        # one of them: bench stops at that graph with exit 4
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "k4.txt").write_text(serialize_graph(gen_family("complete", 4)))
+        monkeypatch.setattr(cli, "rc_exact", lambda g, node_budget: (3, None))
+        code, out, err = run(capsys, "bench", "--corpus", str(corpus))
+        assert (code, out) == (4, "")
+        assert err == "error: corpus graph k4: exact 3 exceeds constructive 2\n"
 
     def test_builtin_corpus(self, capsys):
         code, out, err = run(capsys, "bench", "--exact-max-n", "0")

@@ -225,6 +225,37 @@ class TestClassify:
         assert classify_extension(state_on(extra)) == ExtensionPlan(
             "fallback_absorb", (4, 5, 6, 7), ())
 
+    @pytest.mark.parametrize("lens, fan", [
+        ([1, 1, 2], ((7, 1), (7, 2), (7, 5, 0))),
+        ([1, 2, 2], ((7, 1), (7, 5, 0), (7, 8, 2))),
+        ([1, 1, 3], ((7, 1), (7, 3), (7, 8, 6, 2))),
+    ], ids=["1-1-2", "1-2-2", "1-1-3"])
+    def test_arch_companion_through_the_base_is_skipped(self, lens, fan):
+        # center 4 links H through e0 = (1, 4) and joins u1 = 5 and v1 = 6;
+        # companion 7's fan runs through the base {4, 5, 6}, so the dispatch
+        # passes it over for the 1-1-1 companion 9
+        edges = {(1, 4), (4, 5), (4, 6), (0, 5), (2, 6), (1, 9), (2, 9), (3, 9)}
+        edges |= {norm_edge(a, b) for p in fan for a, b in zip(p, p[1:])}
+        state = state_on(sorted(edges), n=10)
+        fans = {7: fan, 9: ((9, 1), (9, 2), (9, 3))}
+        profiles = {7: lens, 9: [1, 1, 1]}
+        plan = construct._companion_dispatch(state, fans, profiles, center=4, e0=(1, 4),
+                                             u1=5, a=0, v1=6, b=2)
+        assert (plan.kind, plan.vertices) == ("arch_111", (4, 5, 6, 9))
+
+    def test_fallback_absorb_needs_four_reachable_vertices(self):
+        # H is the seed triangle of one K4; the other K4 is cut off from it,
+        # so H reaches only vertex 3
+        g = make_graph(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                           (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)])
+        state = seed_subgraph(g)
+        assert state.vertices == {0, 1, 2}
+        with pytest.raises(ConstructionError,
+                           match="outside vertices unreachable from the grown subgraph") as info:
+            construct._fallback_absorb_plan(state)
+        assert info.value.trace == tuple(state.trace)
+        assert [rec.kind for rec in info.value.trace] == ["seed_triangle"]
+
     def test_unlinked_fans_wait_for_the_ear_fallback_scan(self, monkeypatch):
         # per classify_extension call: its plan kind and whether each fan
         # read's source has a neighbour in H, for kept and fresh fans alike
@@ -326,6 +357,14 @@ class TestApply:
         assert (state.h - h0, state.colors_used - k0) == (dv, dk)
         assert (len(plan.vertices), move_budget(len(plan.vertices))) == (dv, dk)
         assert 5 * state.colors_used <= 3 * state.h - 1
+
+    def test_commit_refuses_a_gap_in_fresh_colors(self):
+        # H uses colors 1 and 2, so a patch whose only fresh color is 4 skips 3
+        state = state_on(SYNTHETIC["arch_111"][0])
+        before = (set(state.vertices), dict(state.coloring), state.colors_used, len(state.trace))
+        with pytest.raises(AssertionError, match=r"fresh colors not contiguous: \[4\]"):
+            construct._commit(state, "arch_111", (4,), {(0, 4): 4})
+        assert (state.vertices, state.coloring, state.colors_used, len(state.trace)) == before
 
     def test_four_leaves_budget(self):
         state = seed_subgraph(gen_family("complete", 7))
@@ -731,6 +770,28 @@ class TestRunConstructive:
         assert res.colors_used <= res.bound == 6
         assert rc_exact(g)[0] == 3 <= res.colors_used
         assert find_rainbow_witness(g, res.coloring) is None
+
+    @pytest.mark.parametrize("recolor, message", [
+        # one color on every edge leaves two rim vertices without a rainbow path
+        (lambda edges: dict.fromkeys(edges, 1),
+         r"final coloring failed verification at \(\d+, \d+\)"),
+        # a distinct color on every edge is rainbow connected but takes all 14
+        (lambda edges: {e: i + 1 for i, e in enumerate(edges)},
+         "color total 14 breaks the bound 5"),
+    ], ids=["unverified", "over_bound"])
+    def test_final_failure_carries_the_trace(self, recolor, message, monkeypatch):
+        g = gen_family("wheel", 8)
+        trace = run_constructive(g).trace
+        real = construct.final_absorb
+
+        def recolored(state):
+            real(state)
+            state.coloring.update(recolor(sorted(state.coloring)))
+
+        monkeypatch.setattr(construct, "final_absorb", recolored)
+        with pytest.raises(ConstructionError, match=message) as info:
+            run_constructive(g)
+        assert info.value.trace == trace
 
     def test_sparse_nine_vertex_graph(self, monkeypatch):
         g = make_graph(9, SPARSE_NINE_EDGES)
