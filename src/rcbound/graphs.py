@@ -171,24 +171,61 @@ def min_degree(g: Graph) -> int:
 
 
 def girth(g: Graph) -> int | None:
-    """Length of a shortest cycle, or None for forests.
+    """Length of a shortest cycle, or None for forests."""
+    try:
+        return len(shortest_cycle(g))
+    except ValueError:
+        return None
 
-    One BFS per root; a non-tree edge (u, w) seen from root r closes a walk
-    of length dist[u] + dist[w] + 1 which contains a cycle no longer than
-    that, and for a root on a shortest cycle the bound is attained.
+
+def shortest_cycle(g: Graph) -> list[int]:
+    """A shortest cycle as an open vertex list (closing edge implied).
+
+    Deterministic: the result starts at the smallest vertex lying on any
+    shortest cycle and is the lexicographically smallest such sequence.
+
+    One BFS per root, roots in label order (Itai and Rodeh's girth
+    search). A non-tree edge (u, w) seen from root r closes the two tree
+    paths into a walk of length dist[u] + dist[w] + 1. A root's search
+    stops at the first u with 2 * dist[u] >= the best length, and the
+    roots stop after a triangle. The walk is rebuilt only when it is shorter than the best,
+    or when it ties an even best that starts at r; it is read from r
+    towards r's smaller neighbour on it, and kept when shorter or
+    lexicographically smaller.
+
+    Why that is the canonical cycle C. Let L be the girth and r* = C[0].
+    A closure of length L is a cycle through its root: tree paths sharing
+    more than the root would leave a shorter cycle. So roots below r* meet
+    only longer walks, r* meets L (C's closing edge leaves a vertex at
+    depth (L - 1) // 2, below the stop), and later roots can only tie,
+    with cycles that start at a larger vertex. BFS over sorted adjacency
+    discovers each depth in the lexicographic order of the tree paths, so
+    each tree path is the lexicographically smallest shortest path from
+    the root. On a shortest cycle graph distance equals distance along the
+    cycle, and up to depth (L - 1) // 2 a shortest path from the root is
+    unique, since two would close a cycle shorter than L.
+    - Odd L = 2m + 1: both arcs of C are unique paths, so both are tree
+      paths, and the first closure of length L that r*'s search meets is
+      C. An earlier one would be a shortest cycle smaller than C: either
+      its first arc is a smaller tree path, or it has the same arc and a
+      smaller partner in adjacency order. Odd ties need no rebuild.
+    - Even L = 2m: the arcs up to depth m - 1 are unique. The tree parent
+      of C's far vertex x is C's neighbour of x on its smaller arc: a
+      parent y discovered earlier would give a smaller shortest cycle
+      through y. So C is a closure of length L, the smallest of them, but
+      not always the first met: on the edges (0, 1), (0, 3), (0, 4),
+      (1, 5), (2, 3), (2, 4), (4, 5) the first is [0, 3, 2, 4] and C is
+      [0, 1, 5, 4]. Hence the even ties.
     """
-    best: int | None = None
+    best_len, best = 2 * g.n, []  # any closed walk is shorter than 2n
     for root in range(g.n):
         dist = [-1] * g.n
         parent = [-1] * g.n
         dist[root] = 0
         queue = [root]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
+        for u in queue:  # the queue grows while it is read
             du = dist[u]
-            if best is not None and 2 * du >= best:
+            if 2 * du >= best_len:
                 break
             for w in g.adj[u]:
                 if dist[w] < 0:
@@ -197,51 +234,23 @@ def girth(g: Graph) -> int | None:
                     queue.append(w)
                 elif parent[u] != w and parent[w] != u:
                     c = du + dist[w] + 1
-                    if best is None or c < best:
-                        best = c
-        if best == 3:
+                    if c < best_len or (c == best_len and c % 2 == 0 and best[0] == root):
+                        # root..u, then w..(root's other neighbour)
+                        down, up = [u], [w]
+                        while down[-1] != root:
+                            down.append(parent[down[-1]])
+                        while parent[up[-1]] != root:
+                            up.append(parent[up[-1]])
+                        cyc = down[::-1] + up
+                        if cyc[-1] < cyc[1]:
+                            cyc[1:] = cyc[:0:-1]
+                        if c < best_len or cyc < best:
+                            best_len, best = c, cyc
+        if best_len == 3:
             break
-    return best
-
-
-def shortest_cycle(g: Graph) -> list[int]:
-    """A shortest cycle as an open vertex list (closing edge implied).
-
-    Deterministic: the result starts at the smallest vertex lying on any
-    shortest cycle and is the lexicographically smallest such sequence.
-    """
-    glen = girth(g)
-    if glen is None:
+    if not best:
         raise ValueError("graph is acyclic: no cycle to return")
-    for start in range(g.n):
-        found = _cycle_dfs(g, start, glen)
-        if found is not None:
-            return found
-    raise AssertionError("girth reported a cycle but none was found")
-
-
-def _cycle_dfs(g: Graph, start: int, glen: int) -> list[int] | None:
-    """The first glen-vertex cycle through start, above start elsewhere,
-    in depth-first order over the sorted adjacency lists; None if none."""
-    path, on_path = [start], {start}
-    todo = [iter(g.adj[start])]  # neighbours left to try at each path vertex
-    while todo:
-        for w in todo[-1]:
-            # keep start as the cycle minimum so the traversal is canonical
-            if w <= start or w in on_path:
-                continue
-            if len(path) + 1 == glen:
-                if start in g.adj[w]:
-                    return path + [w]
-                continue
-            path.append(w)
-            on_path.add(w)
-            todo.append(iter(g.adj[w]))
-            break
-        else:
-            todo.pop()
-            on_path.discard(path.pop())
-    return None
+    return best
 
 
 def diameter(g: Graph) -> int:

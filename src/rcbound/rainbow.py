@@ -454,12 +454,8 @@ def rc_exact(g: Graph, max_colors: int | None = None,
     # the partial coloring as colored adjacency, uncolored edges as bit-0
     # wildcards; slot[i] locates edge i in its two endpoint lists
     edges = g.edges
-    adjc: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    slot = []
-    for u, v in edges:
-        slot.append((len(adjc[u]), len(adjc[v])))
-        adjc[u].append((v, 0))
-        adjc[v].append((u, 0))
+    adjc = [[(w, 0) for w in near] for near in g.adj]
+    slot = [(g.adj[u].index(v), g.adj[v].index(u)) for u, v in edges]
     far = [(u, t) for u in range(g.n)
            for t in [set(range(u + 1, g.n)).difference(g.adj[u])] if t]
 

@@ -73,13 +73,22 @@ def brute_rc(g: Graph, max_colors: int | None = None) -> int:
     raise AssertionError("no coloring found up to max_colors")
 
 
-def brute_girth(g: Graph) -> int | None:
-    """Shortest cycle length via exhaustive DFS by target length."""
+def brute_shortest_cycle(g: Graph) -> list[int] | None:
+    """The canonical shortest cycle via exhaustive DFS by target length,
+    then start, then sorted adjacency: the first cycle found starts at its
+    smallest vertex and is lexicographically smallest. None for forests."""
     for length in range(3, g.n + 1):
         for start in range(g.n):
-            if _cycle_of_length(g, start, length, [start], {start}):
-                return length
+            path = [start]
+            if _cycle_of_length(g, start, length, path, {start}):
+                return path
     return None
+
+
+def brute_girth(g: Graph) -> int | None:
+    """Shortest cycle length via exhaustive DFS by target length."""
+    cycle = brute_shortest_cycle(g)
+    return None if cycle is None else len(cycle)
 
 
 def _cycle_of_length(g, start, length, path, seen):

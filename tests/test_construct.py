@@ -1,3 +1,4 @@
+import subprocess
 from collections import Counter
 from dataclasses import replace
 
@@ -854,6 +855,27 @@ class TestRunConstructive:
         body = ("r = run_constructive(g)\n"
                 "print(r.colors_used, r.bound, find_rainbow_witness(g, r.coloring))\n")
         assert run_capped(setup, body, headroom_mb=64, timeout=60) == [str(k), str(bound), "None"]
+
+    @pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
+                       reason="ROADMAP item 1: relabeled, a long ladder's final check falls "
+                              "back on exact searches that take minutes (332 s on prism 100)")
+    def test_relabeled_ladder_checks_in_bounded_time(self):
+        # prism 100 under a shuffle of its labels, drawn the way layerbench
+        # relabels its families; the generator's labels take 0.1 s. Capped at
+        # 5 s while the cliff stands; item 1 makes this a plain test with a
+        # 60 s cap
+        setup = ("import random\n"
+                 "from rcbound.construct import run_constructive\n"
+                 "from rcbound.graphs import gen_family, make_graph\n"
+                 "from rcbound.rainbow import find_rainbow_witness\n"
+                 "p = gen_family('prism', 100)\n"
+                 "perm = list(range(p.n))\n"
+                 "random.Random(1).shuffle(perm)\n"
+                 "g = make_graph(p.n, [(perm[u], perm[v]) for u, v in p.edges])\n")
+        body = ("r = run_constructive(g)\n"
+                "print(r.colors_used, r.bound, find_rainbow_witness(g, r.coloring))\n")
+        k, bound, witness = run_capped(setup, body, headroom_mb=64, timeout=5)
+        assert int(k) <= int(bound) == 120 and witness == "None"
 
     def test_low_connectivity_refused(self):
         with pytest.raises(PreconditionError, match="force"):

@@ -7,7 +7,7 @@ from rcbound.graphs import (GraphFormatError, diameter, gen_family, girth,
                             shortest_cycle)
 
 from _capped import run_capped
-from _oracles import brute_girth
+from _oracles import brute_girth, brute_shortest_cycle
 
 
 def graph_from_mask(n, mask):
@@ -168,7 +168,7 @@ class TestShortestCycle:
         assert shortest_cycle(gen_family("cycle", 7)) == [0, 1, 2, 3, 4, 5, 6]
 
     def test_c1200_whole(self):
-        # one search level per cycle vertex: deeper than Python's stack
+        # the whole cycle is the seed: each root's search runs 600 levels deep
         assert shortest_cycle(gen_family("cycle", 1200)) == list(range(1200))
 
     def test_prism_triangle(self):
@@ -191,6 +191,21 @@ class TestShortestCycle:
         # two triangles; {0, 2, 3} loses to {0, 1, 4} on the second vertex
         g = make_graph(5, [(0, 2), (2, 3), (0, 3), (0, 1), (1, 4), (0, 4)])
         assert shortest_cycle(g) == [0, 1, 4]
+
+    def test_even_girth_not_first_closure(self):
+        # the root's search closes [0, 3, 2, 4] before the smaller 4-cycle
+        g = make_graph(6, [(0, 1), (0, 3), (0, 4), (1, 5), (2, 3), (2, 4), (4, 5)])
+        assert shortest_cycle(g) == [0, 1, 5, 4]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st_small_graph)
+    def test_matches_oracle(self, g):
+        want = brute_shortest_cycle(g)
+        if want is None:
+            with pytest.raises(ValueError, match="acyclic"):
+                shortest_cycle(g)
+        else:
+            assert shortest_cycle(g) == want
 
 
 class TestDiameter:
