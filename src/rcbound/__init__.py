@@ -6,13 +6,12 @@ from .connectivity import (check_fan, find_fan, internally_disjoint_paths,
 from .construct import (ConstructionError, ConstructionResult, ExtensionPlan,
                         GrowState, PreconditionError, StepRecord,
                         apply_extension, classify_extension, color_bound,
-                        ear_color_sequence, final_absorb, repair_step,
-                        run_constructive, seed_subgraph)
-from .graphs import (Graph, GraphFormatError, diameter, gen_family, girth,
-                     is_connected, iter_labeled_graphs, make_graph, min_degree,
-                     norm_edge, parse_graph, serialize_graph, shortest_cycle)
+                        cycle_color_sequence, ear_color_sequence, final_absorb,
+                        repair_step, run_constructive, seed_subgraph)
+from .graphs import (Graph, GraphFormatError, diameter, gen_family, is_connected,
+                     iter_labeled_graphs, make_graph, min_degree, norm_edge,
+                     parse_graph, serialize_graph, shortest_cycle)
 from .rainbow import (BudgetExhaustedError, EdgeColoring, NoColoringError,
-                      cycle_color_sequence, cycle_coloring, find_rainbow_witness,
-                      parse_coloring, rainbow_path_exists, rc_exact, serialize_coloring)
+                      find_rainbow_witness, parse_coloring, rc_exact, serialize_coloring)
 
 __version__ = "0.1.0"

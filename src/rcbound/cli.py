@@ -166,7 +166,7 @@ def cmd_bench(args) -> int:
         exact_ms = 0
         if g.n <= args.exact_max_n:
             t0 = time.perf_counter()
-            exact_k, _ = rc_exact(g, node_budget=args.node_budget)
+            exact_k, _ = rc_exact(g)
             exact_ms = round(1000 * (time.perf_counter() - t0))
             if exact_k > result.colors_used:
                 print(f"error: corpus graph {graph_id}: exact {exact_k} exceeds "
@@ -240,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--exact-max-n", type=int, default=8,
                    help="run the exact solver only up to this order")
-    p.add_argument("--node-budget", type=int, default=10 ** 8)
     p.add_argument("--out", help="CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_bench)
     return parser

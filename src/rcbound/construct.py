@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 from .connectivity import check_fan, find_fan, vertex_connectivity
 from .graphs import Edge, Graph, norm_edge, shortest_cycle
-from .rainbow import ColoredLayout, EdgeColoring, cycle_color_sequence, find_rainbow_witness
+from .rainbow import ColoredLayout, EdgeColoring, find_rainbow_witness
 
 log = logging.getLogger(__name__)
 
@@ -164,6 +164,20 @@ def move_budget(q: int) -> int:
     if q < 4:
         raise ValueError(f"a move must add at least 4 vertices, adds {q}")
     return (q + 1) // 2
+
+
+def cycle_color_sequence(n: int) -> list[int]:
+    """Colors for the edges of an n-cycle in cyclic order, using the fewest
+    colors that keep the cycle rainbow connected: 1 for a triangle,
+    ceil(n/2) otherwise (each color on two antipodal-ish edges)."""
+    if n < 3:
+        raise ValueError(f"cycle length must be at least 3, got {n}")
+    if n == 3:
+        return [1, 1, 1]
+    half = n // 2
+    if n % 2 == 0:
+        return list(range(1, half + 1)) * 2
+    return list(range(1, half + 2)) + list(range(1, half + 1))
 
 
 def ear_color_sequence(q: int) -> list[int]:
@@ -670,6 +684,6 @@ def run_constructive(g: Graph, force: bool = False) -> ConstructionResult:
         raise ConstructionError(f"final coloring failed verification at {witness}", trace)
     k = coloring.num_colors
     bound = color_bound(g.n)
-    if guaranteed and 5 * k > 3 * g.n + 3:
+    if guaranteed and k > bound:
         raise ConstructionError(f"color total {k} breaks the bound {bound}", trace)
     return ConstructionResult(coloring, k, bound, kappa, guaranteed, tuple(trace))

@@ -170,14 +170,6 @@ def min_degree(g: Graph) -> int:
     return min(len(a) for a in g.adj)
 
 
-def girth(g: Graph) -> int | None:
-    """Length of a shortest cycle, or None for forests."""
-    try:
-        return len(shortest_cycle(g))
-    except ValueError:
-        return None
-
-
 def shortest_cycle(g: Graph) -> list[int]:
     """A shortest cycle as an open vertex list (closing edge implied).
 

@@ -1,4 +1,4 @@
-"""Rainbow connectivity: path queries, whole-graph verification, exact solver.
+"""Rainbow connectivity: the checker, coloring I/O and the exact solver.
 
 A path is rainbow when all its edge colors differ, and a coloring makes a
 graph rainbow connected when every vertex pair is joined by some rainbow
@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (Edge, Graph, GraphFormatError, check_vertices, diameter, document_lines,
-                     gen_family, int_fields, norm_edge)
+                     int_fields, norm_edge)
 
 
 @dataclass
@@ -231,21 +231,14 @@ def _color_clash(adjc: list[list[tuple[int, int]]], sources,
     has no rainbow path to u. (A non-adjacent w whose edges all carry c is
     the simplest case: no edge enters it.) Of the sources in ascending
     order, the first with such a w comes back with its lowest one, as
-    (min, max).
-
-    The walk runs from u only when some single-colored universe vertex
-    lies outside u and its neighbours; otherwise it seldom finds a pair
-    and mostly costs time on colorings the search accepts. The other
-    vertices' colors are read only when some source has one color."""
+    (min, max). The other vertices' colors are read only when some source
+    has one color."""
     lone = [(u, c) for u in sorted(sources) if (c := _one_color(adjc[u]))]
     if not lone:
         return None
     color_at = [_one_color(adj) for adj in adjc]
-    mono = [w for w in universe if color_at[w]]
     for u, c in lone:
         near = {w for w, _ in adjc[u]}
-        if all(w == u or w in near for w in mono):
-            continue
         seen = near | {u}
         stack = list(near)
         while stack:
@@ -259,14 +252,6 @@ def _color_clash(adjc: list[list[tuple[int, int]]], sources,
             w = min(missed)
             return (min(u, w), max(u, w))
     return None
-
-
-def rainbow_path_exists(g: Graph, coloring: EdgeColoring, u: int, v: int) -> bool:
-    """True when some u-v path uses pairwise distinct colors; u == v counts.
-    One checker call decides it, on the universe {u, v} with source u."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError(f"vertex out of range 0..{g.n - 1}")
-    return find_rainbow_witness(g, coloring, vertices={u, v}, sources={u}) is None
 
 
 def find_rainbow_witness(g: Graph, coloring: EdgeColoring | ColoredLayout,
@@ -396,31 +381,6 @@ def serialize_coloring(coloring: EdgeColoring) -> str:
     lines = [str(len(remap))]
     lines.extend(f"{u} {v} {remap[c]}" for (u, v), c in items)
     return "\n".join(lines) + "\n"
-
-
-def cycle_color_sequence(n: int) -> list[int]:
-    """Colors for the edges of an n-cycle in cyclic order, using the fewest
-    colors that keep the cycle rainbow connected: 1 for a triangle,
-    ceil(n/2) otherwise (each color on two antipodal-ish edges)."""
-    if n < 3:
-        raise ValueError(f"cycle length must be at least 3, got {n}")
-    if n == 3:
-        return [1, 1, 1]
-    half = n // 2
-    if n % 2 == 0:
-        return list(range(1, half + 1)) * 2
-    return list(range(1, half + 2)) + list(range(1, half + 1))
-
-
-def cycle_coloring(n: int) -> EdgeColoring:
-    """A verified rainbow-connected coloring of the canonical n-cycle."""
-    g = gen_family("cycle", n)
-    seq = cycle_color_sequence(n)
-    coloring = EdgeColoring({norm_edge(i, (i + 1) % n): seq[i] for i in range(n)})
-    witness = find_rainbow_witness(g, coloring)
-    if witness is not None:
-        raise AssertionError(f"cycle coloring failed its self-check at {witness}")
-    return coloring
 
 
 def rc_exact(g: Graph, max_colors: int | None = None,

@@ -283,10 +283,18 @@ class TestBench:
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         (corpus / "k4.txt").write_text(serialize_graph(gen_family("complete", 4)))
-        monkeypatch.setattr(cli, "rc_exact", lambda g, node_budget: (3, None))
+        monkeypatch.setattr(cli, "rc_exact", lambda g: (3, None))
         code, out, err = run(capsys, "bench", "--corpus", str(corpus))
         assert (code, out) == (4, "")
         assert err == "error: corpus graph k4: exact 3 exceeds constructive 2\n"
+
+    def test_node_budget_is_a_usage_error(self, capsys):
+        # bench runs the exact solver with its default budget; only exact
+        # takes --node-budget
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--node-budget", "5"])
+        assert exc.value.code == 2
+        assert "--node-budget" in capsys.readouterr().err
 
     def test_builtin_corpus(self, capsys):
         code, out, err = run(capsys, "bench", "--exact-max-n", "0")

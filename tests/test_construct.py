@@ -732,6 +732,19 @@ class TestColorClash:
         assert searches == []
         assert not has_rainbow_path(g, {**h_colors, **patch}, 3, 5)
 
+    def test_walk_from_a_pendant_of_its_only_neighbour(self, monkeypatch):
+        # H is the triangle {0, 1, 2} in color 1; added 4 links to 0, 1, 2
+        # and to the pendant 3, all on color 3. Every single-colored vertex
+        # (3 and 4) is a source or its neighbour, yet the walk from 3 stops
+        # at 4, so no rainbow path joins 3 to H
+        h_colors = {(0, 1): 1, (0, 2): 1, (1, 2): 1}
+        patch = {(0, 4): 3, (1, 4): 3, (2, 4): 3, (3, 4): 3}
+        g = make_graph(5, [*h_colors, *patch])
+        state = GrowState(g, {0, 1, 2}, dict(h_colors), 1)
+        searches = count_searches(monkeypatch)
+        assert construct._try_coloring(state, (3, 4), patch) == (0, 3)
+        assert searches == []
+
 
 class TestFinalAbsorb:
     def test_k4_last_vertex(self):

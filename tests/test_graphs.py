@@ -1,10 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcbound.graphs import (GraphFormatError, diameter, gen_family, girth,
-                            is_connected, iter_labeled_graphs, make_graph,
-                            min_degree, parse_graph, serialize_graph,
-                            shortest_cycle)
+from rcbound.graphs import (GraphFormatError, diameter, gen_family, is_connected,
+                            iter_labeled_graphs, make_graph, min_degree, parse_graph,
+                            serialize_graph, shortest_cycle)
 
 from _capped import run_capped
 from _oracles import brute_girth, brute_shortest_cycle
@@ -138,26 +137,25 @@ class TestSerialize:
 
 
 class TestGirth:
-    def test_triangle(self):
-        assert girth(gen_family("complete", 3)) == 3
-
-    def test_path_acyclic(self):
-        assert girth(make_graph(4, [(0, 1), (1, 2), (2, 3)])) is None
+    """The girth is the length of shortest_cycle; forests are refused by
+    TestShortestCycle::test_acyclic_rejected."""
 
     def test_petersen(self):
         # frozen against the exhaustive cycle enumerator
         pet = gen_family("petersen")
         assert brute_girth(pet) == 5
-        assert girth(pet) == 5
+        assert len(shortest_cycle(pet)) == 5
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_cycles(self, n):
-        assert girth(gen_family("cycle", n)) == n
+        assert len(shortest_cycle(gen_family("cycle", n))) == n
 
     @settings(max_examples=60, deadline=None)
     @given(st_small_graph)
     def test_matches_oracle(self, g):
-        assert girth(g) == brute_girth(g)
+        want = brute_girth(g)
+        if want is not None:
+            assert len(shortest_cycle(g)) == want
 
 
 class TestShortestCycle:
@@ -173,7 +171,7 @@ class TestShortestCycle:
 
     def test_prism_triangle(self):
         cyc = shortest_cycle(gen_family("prism", 3))
-        assert len(cyc) == 3 == girth(gen_family("prism", 3))
+        assert len(cyc) == 3 == brute_girth(gen_family("prism", 3))
 
     def test_acyclic_rejected(self):
         with pytest.raises(ValueError, match="acyclic"):
@@ -183,7 +181,7 @@ class TestShortestCycle:
         g = gen_family("random3c", 12, 4, seed=9)
         a, b = shortest_cycle(g), shortest_cycle(g)
         assert a == b
-        assert len(a) == girth(g)
+        assert len(a) == brute_girth(g)
         closed = a + [a[0]]
         assert all(g.has_edge(u, v) for u, v in zip(closed, closed[1:]))
 
@@ -241,7 +239,7 @@ class TestGenFamily:
 
     def test_prism(self):
         g = gen_family("prism", 3)
-        assert g.n == 6 and g.m == 9 and girth(g) == 3
+        assert g.n == 6 and g.m == 9 and len(shortest_cycle(g)) == 3
 
     def test_petersen(self):
         g = gen_family("petersen")

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcbound import rainbow
-from rcbound.graphs import GraphFormatError, gen_family, is_connected, make_graph
+from rcbound.construct import cycle_color_sequence, run_constructive
+from rcbound.graphs import GraphFormatError, gen_family, is_connected, make_graph, norm_edge
 from rcbound.rainbow import (BudgetExhaustedError, ColoredLayout, EdgeColoring, NoColoringError,
-                             _rainbow_reach, cycle_color_sequence, cycle_coloring,
-                             find_rainbow_witness, parse_coloring, rainbow_path_exists,
-                             rc_exact, serialize_coloring)
+                             _rainbow_reach, find_rainbow_witness, parse_coloring, rc_exact,
+                             serialize_coloring)
 
 from _capped import run_capped
 from _oracles import (brute_rainbow_witness, brute_rc, canonical_colorings,
@@ -34,29 +34,34 @@ def c6_striped():
                          (3, 4): 1, (4, 5): 2, (0, 5): 3})
 
 
+def joined(g, coloring, u, v):
+    """A pair query: one checker call on the universe {u, v} with source u."""
+    return find_rainbow_witness(g, coloring, vertices={u, v}, sources={u}) is None
+
+
 class TestRainbowPath:
     def test_striped_c6_antipodal(self):
         g = gen_family("cycle", 6)
         col = c6_striped()
         # oracle: one of the two arcs must be rainbow
         assert brute_rainbow_witness(g, col.colors) is None
-        assert rainbow_path_exists(g, col, 0, 3)
+        assert joined(g, col, 0, 3)
 
     def test_monochrome_path_fails(self):
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
         col = EdgeColoring({e: 1 for e in g.edges})
-        assert not rainbow_path_exists(g, col, 0, 3)
+        assert not joined(g, col, 0, 3)
 
     def test_same_vertex(self):
         g = gen_family("cycle", 5)
         col = EdgeColoring({e: 1 for e in g.edges})
-        assert rainbow_path_exists(g, col, 2, 2)
+        assert joined(g, col, 2, 2)
 
     def test_out_of_range(self):
         g = gen_family("cycle", 5)
         col = EdgeColoring({e: 1 for e in g.edges})
-        with pytest.raises(ValueError, match="range"):
-            rainbow_path_exists(g, col, 0, 9)
+        with pytest.raises(ValueError, match="0..4"):
+            joined(g, col, 0, 9)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 7), st.integers(0, 2 ** 21 - 1), st.integers(1, 6),
@@ -66,7 +71,7 @@ class TestRainbowPath:
         g = graph_from_mask(n, mask % (1 << (n * (n - 1) // 2)))
         col = EdgeColoring({e: rng.randint(1, palette) for e in g.edges})
         u, v = rng.randrange(n), rng.randrange(n)
-        assert rainbow_path_exists(g, col, u, v) == (u == v or has_rainbow_path(g, col.colors, u, v))
+        assert joined(g, col, u, v) == (u == v or has_rainbow_path(g, col.colors, u, v))
 
 
 class TestRainbowReach:
@@ -269,18 +274,18 @@ class TestWitness:
     def test_empty_universe_rejected(self):
         g = gen_family("cycle", 5)
         with pytest.raises(ValueError, match="empty"):
-            find_rainbow_witness(g, cycle_coloring(5), vertices=[])
+            find_rainbow_witness(g, EdgeColoring({e: 1 for e in g.edges}), vertices=[])
 
     def test_universe_past_last_vertex_rejected(self):
         g = gen_family("cycle", 5)
         with pytest.raises(ValueError, match="0..4"):
-            find_rainbow_witness(g, cycle_coloring(5), vertices=[7])
+            find_rainbow_witness(g, EdgeColoring({e: 1 for e in g.edges}), vertices=[7])
 
     def test_negative_universe_vertex_rejected(self):
         # -1 must not wrap around to vertex 4
         g = gen_family("cycle", 5)
         with pytest.raises(ValueError, match="0..4"):
-            find_rainbow_witness(g, cycle_coloring(5), vertices=[-1, 0])
+            find_rainbow_witness(g, EdgeColoring({e: 1 for e in g.edges}), vertices=[-1, 0])
 
 
 class TestColoredLayout:
@@ -337,7 +342,6 @@ class TestColoredLayout:
 class TestCycleColoring:
     def test_triangle_single_color(self):
         assert cycle_color_sequence(3) == [1, 1, 1]
-        assert cycle_coloring(3).num_colors == 1
 
     def test_six(self):
         assert cycle_color_sequence(6) == [1, 2, 3, 1, 2, 3]
@@ -347,10 +351,12 @@ class TestCycleColoring:
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_verified_and_tight(self, n):
-        col = cycle_coloring(n)
-        expected = 1 if n == 3 else (n + 1) // 2
-        assert col.num_colors == expected
-        assert find_rainbow_witness(gen_family("cycle", n), col) is None
+        # a forced run seeds H with the whole cycle, so it returns the
+        # script's coloring after the seed check and the final check
+        result = run_constructive(gen_family("cycle", n), force=True)
+        seq = cycle_color_sequence(n)
+        assert result.coloring.colors == {norm_edge(i, (i + 1) % n): seq[i] for i in range(n)}
+        assert result.colors_used == (1 if n == 3 else (n + 1) // 2)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
