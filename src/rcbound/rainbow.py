@@ -2,10 +2,10 @@
 
 A path is rainbow when all its edge colors differ, and a coloring makes a
 graph rainbow connected when every vertex pair is joined by some rainbow
-path. One search over (vertex, used-color bit mask) states serves the
-checker and, with wildcards and walks capped at the palette size k (a
-rainbow path never exceeds k edges), the exact solver's feasibility probe.
-The search runs one walk length at a time and drops a walk whose colors
+path. The checker's exact search (`_rainbow_reach`) runs over (vertex,
+used-color bit mask) states, and so does the exact solver's walk search
+(`_witness_walk`), which reads a partial coloring and keeps the walk it
+finds. Both run one walk length at a time and drop a walk whose colors
 hold those of a walk already kept at the same vertex: the dropped walk is
 no shorter and can only go where the kept one goes. The pruning is exact,
 so it changes no answer, and a failing check holds a few masks per vertex
@@ -22,9 +22,7 @@ when the pass from the other end reaches it; the exact search runs only
 on the pairs both passes missed (on long prisms and Moebius ladders the
 first walks miss many pairs from one end, almost none from both). Its
 reached set does not depend on which other targets it is given, so the
-witness is the one the exact search alone would report. The pass stays out of
-`_rainbow_reach`: it has no cap on walk length, which `rc_exact`'s probe
-needs (walks of at most k edges).
+witness is the one the exact search alone would report.
 
 A check restricted to sources first tries a cheap proof of failure, the
 color-clash bound (`_color_clash`) on sources whose edges share one
@@ -40,8 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (Edge, Graph, GraphFormatError, check_vertices, diameter, document_lines,
-                     int_fields, norm_edge)
+from .graphs import (Edge, Graph, GraphFormatError, check_vertices, document_lines, int_fields,
+                     norm_edge)
 
 
 @dataclass
@@ -139,28 +137,22 @@ class ColoredLayout:
 
 
 def _rainbow_reach(adjc: list[list[tuple[int, int]]], source: int,
-                   targets: set[int], max_len: int | None = None) -> set[int]:
-    """Vertices of `targets` reachable from source along rainbow walks of
-    at most `max_len` edges (any length when None); the source counts as
-    reached. An edge with color bit 0 is a wildcard: it never blocks a
-    walk and adds no color. The search returns as soon as the last target
-    is reached, without finishing the current level.
+                   targets: set[int]) -> set[int]:
+    """Vertices of `targets` reachable from source along rainbow walks; the
+    source counts as reached. The search returns as soon as the last
+    target is reached, without finishing the current level.
 
     States are (vertex, used-color mask) pairs, explored one level (walk
     length) at a time. A walk reaching w with colors `new` is dropped when
     a walk kept at w has colors m with m & new == m: every continuation
     of the dropped walk avoids m as well, so it also runs from the kept
-    walk. The kept walk came from this level or an earlier one, so it is
-    no longer and the continuation stays within `max_len`; a wildcard
-    adds no bit, so it leaves both masks as they are. The reached set is
-    therefore the one a search of every state would return."""
+    walk. The reached set is therefore the one a search of every state
+    would return."""
     remaining = set(targets)
     remaining.discard(source)
     kept = {source: [0]}  # vertex -> masks of the walks kept there
     frontier = [(source, 0)]
-    levels = 0
-    while frontier and remaining and levels != max_len:
-        levels += 1
+    while frontier and remaining:
         nxt = []
         for v, mask in frontier:
             for w, bit in adjc[v]:
@@ -185,6 +177,60 @@ def _rainbow_reach(adjc: list[list[tuple[int, int]]], source: int,
                 nxt.append((w, new))
         frontier = nxt
     return targets - remaining
+
+
+def _witness_walk(inc: list[list[tuple[int, int]]], col: list[int], source: int,
+                  target: int, k: int) -> list[int] | None:
+    """The edge ids, in order from source, of one walk of at most k edges
+    from source to a different target whose colored edges have distinct
+    colors; None when there is none. `inc[v]` holds v's (neighbour, edge
+    id) pairs and col[e] is edge e's color, 0 while it is uncolored; an
+    uncolored edge never blocks a walk and adds no color.
+
+    The search is `_rainbow_reach`'s over (vertex, used-color mask) states,
+    one level at a time, with its dominance rule: a walk reaching w with
+    colors `new` is dropped when a walk kept at w has colors m with
+    m & new == m. Every continuation of the dropped walk avoids m as well,
+    so it also runs from the kept walk, which came from this level or an
+    earlier one: it is no longer, and the continuation stays within k. An
+    uncolored edge leaves both masks as they are. So a walk is found
+    whenever a search of every state finds one. Each state carries its
+    walk as a chain of (edge id, earlier chain) pairs."""
+    kept = {source: [0]}  # vertex -> masks of the walks kept there
+    frontier = [(source, 0, None)]
+    for _ in range(k):
+        nxt = []
+        for v, mask, trail in frontier:
+            for w, e in inc[v]:
+                c = col[e]
+                if c:
+                    bit = 1 << c
+                    if mask & bit:
+                        continue
+                    new = mask | bit
+                else:
+                    new = mask
+                if w == target:
+                    walk = [e]
+                    while trail:
+                        e, trail = trail
+                        walk.append(e)
+                    walk.reverse()
+                    return walk
+                masks = kept.get(w)
+                if masks is None:
+                    kept[w] = [new]
+                else:
+                    for m in masks:
+                        if m & new == m:
+                            break
+                    else:
+                        masks.append(new)
+                        nxt.append((w, new, (e, trail)))
+                    continue
+                nxt.append((w, new, (e, trail)))
+        frontier = nxt
+    return None
 
 
 def _first_walk_misses(adjc: list[list[tuple[int, int]]], source: int,
@@ -394,12 +440,45 @@ def rc_exact(g: Graph, max_colors: int | None = None,
     colorings depth-first (edge i may use at most one more color than the
     maximum used before it, which quotients out color permutations) and
     returns the lexicographically smallest success. Every node is vetted
-    with an optimistic feasibility probe, the checker's own search
-    `_rainbow_reach` run on the partial coloring: uncolored edges act as
-    wildcards, walks are capped at k edges, and a non-adjacent pair with
-    no such rainbow walk kills the subtree. `node_budget` caps the total
+    with an optimistic feasibility probe: each non-adjacent pair needs a
+    walk of at most k edges whose colored edges have distinct colors (a
+    valid walk), else the subtree dies. `node_budget` caps the total
     number of assignments tried; running past it raises
     BudgetExhaustedError rather than truncating.
+
+    The probe keeps one valid walk per non-adjacent pair, and per edge the
+    pairs whose walk uses it (its watchers). The first walks are the
+    shortest paths of the breadth-first searches that give the diameter:
+    they have no colored edge and at most diameter <= k edges. Painting
+    edge i rechecks only i's watchers; a watcher whose walk broke gets a
+    new one from `_witness_walk`, and a pair left without one rejects the
+    node. The verdicts are those of searching every pair at every node,
+    by this invariant: before edge i is painted, every kept walk is valid
+    once edge i is taken as uncolored.
+
+    - It holds at edge 0 of each k: every edge is uncolored, and a kept
+      walk is a first walk or was found for a smaller k.
+    - Painting edge i with color c changes only the walks through i, which
+      are exactly i's watchers. Valid with i uncolored, such a walk breaks
+      when another of its edges has color c or it uses i twice, which is
+      when c occurs twice among its colors: the recheck. So when every
+      watcher passes or gets a new walk, every pair has a valid walk; when
+      a pair's search fails, it has none. Either way the verdict is that
+      of searching every pair.
+    - Edges after i are uncolored whenever the search stands at i, so
+      after an accept the next paint is of the uncolored edge i + 1, and
+      every walk is valid: the invariant holds there.
+    - After a reject (by the probe or by the color-count cut, which
+      rechecks nothing) the watchers of i that were not rechecked all
+      contain i and are valid with i uncolored; every other walk is valid
+      as it stands. So the invariant holds for the next color of i, and
+      when i's colors run out it is reset to uncolored, which breaks no
+      walk and leaves every walk valid: the invariant holds for the
+      previous edge's next paint.
+
+    So each node's verdict, the search tree, the returned (k, coloring)
+    and BudgetExhaustedError's (k, nodes) do not depend on which walks
+    are kept.
     """
     m = g.m
     max_colors = m if max_colors is None else min(max_colors, m)
@@ -407,27 +486,58 @@ def rc_exact(g: Graph, max_colors: int | None = None,
         raise ValueError(f"max_colors must be non-negative, got {max_colors}")
     if node_budget < 0:
         raise ValueError(f"node_budget must be non-negative, got {node_budget}")
-    lower = max(1, diameter(g))  # also rejects disconnected input
+
+    n, edges = g.n, g.edges
+    inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (neighbour, edge id)
+    for i, (u, v) in enumerate(edges):
+        inc[u].append((v, i))
+        inc[v].append((u, i))
+    # one breadth-first search per vertex gives its eccentricity and, as
+    # edge ids, shortest paths to its later non-adjacent vertices: the
+    # first walks of those pairs
+    ends: list[tuple[int, int]] = []  # pair p -> its two vertices
+    walks: list[list[int]] = []  # pair p -> its kept walk
+    lower = 1
+    for u in range(n):
+        path: list[list[int] | None] = [None] * n
+        path[u] = []
+        queue = [u]
+        for v in queue:
+            for w, e in inc[v]:
+                if path[w] is None:
+                    path[w] = path[v] + [e]
+                    queue.append(w)
+        if len(queue) < n:
+            raise ValueError("diameter requires a connected graph")
+        lower = max(lower, len(path[queue[-1]]))
+        for t in range(u + 1, n):
+            if len(path[t]) > 1:
+                ends.append((u, t))
+                walks.append(path[t])
     if m == 0:
         return 0, EdgeColoring({})
-
-    # the partial coloring as colored adjacency, uncolored edges as bit-0
-    # wildcards; slot[i] locates edge i in its two endpoint lists
-    edges = g.edges
-    adjc = [[(w, 0) for w in near] for near in g.adj]
-    slot = [(g.adj[u].index(v), g.adj[v].index(u)) for u, v in edges]
-    far = [(u, t) for u in range(g.n)
-           for t in [set(range(u + 1, g.n)).difference(g.adj[u])] if t]
-
     col = [0] * m
+    watch: list[set[int]] = [set() for _ in range(m)]  # edge -> its watchers
+    for p, walk in enumerate(walks):
+        for e in walk:
+            watch[e].add(p)
     nodes = 0
 
-    def paint(i: int, c: int) -> None:
-        col[i] = c
-        bit = 1 << (c - 1) if c else 0
-        (u, v), (su, sv) = edges[i], slot[i]
-        adjc[u][su] = (v, bit)
-        adjc[v][sv] = (u, bit)
+    def rewatch(i: int, c: int, k: int) -> bool:
+        """Whether every watcher of edge i, now painted c, keeps or finds a
+        valid walk; stops at the first that cannot."""
+        for p in list(watch[i]):
+            walk = walks[p]
+            if [col[e] for e in walk].count(c) > 1:
+                found = _witness_walk(inc, col, *ends[p], k)
+                if found is None:
+                    return False
+                for e in walk:
+                    watch[e].discard(p)
+                for e in found:
+                    watch[e].add(p)
+                walks[p] = found
+        return True
 
     def search(k: int) -> bool:
         """Depth-first over the edges in order; col[i] is edge i's color
@@ -438,17 +548,17 @@ def rc_exact(g: Graph, max_colors: int | None = None,
         while 0 <= i < m:
             c = col[i] + 1
             if c > min(used[i] + 1, k):
-                paint(i, 0)  # every color tried: back to the previous edge
+                col[i] = 0  # every color tried: back to the previous edge
                 i -= 1
                 continue
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExhaustedError(k, nodes)
-            paint(i, c)
+            col[i] = c
             used[i + 1] = max(used[i], c)
-            # every color must still be reachable with the edges left
-            if k - used[i + 1] <= m - i - 1 and all(
-                    _rainbow_reach(adjc, u, t, k) == t for u, t in far):
+            # every color must still be reachable with the edges left, and
+            # every non-adjacent pair must keep a valid walk
+            if k - used[i + 1] <= m - i - 1 and rewatch(i, c, k):
                 i += 1
         return i == m
 

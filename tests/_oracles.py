@@ -73,6 +73,41 @@ def brute_rc(g: Graph, max_colors: int | None = None) -> int:
     raise AssertionError("no coloring found up to max_colors")
 
 
+def reference_rc_exact(g: Graph, node_budget: int | None = None):
+    """rc_exact's search with a feasibility probe that keeps nothing: at
+    every node, every non-adjacent pair is probed afresh for a path of at
+    most k edges whose colored edges differ. Connected graphs with edges
+    only. Returns (k, colors, nodes) for the first coloring found, or
+    (k, None, nodes) when node number node_budget + 1 comes up at k."""
+    m, edges = g.m, g.edges
+    pairs = list(combinations(range(g.n), 2))
+    far = [(u, v) for u, v in pairs if v not in g.adj[u]]
+    lower = max(min(len(p) - 1 for p in all_simple_paths(g, u, v)) for u, v in pairs)
+    col = [0] * m
+    nodes = 0
+    for k in range(lower, m + 1):
+        used = [0] * (m + 1)
+        i = 0
+        while 0 <= i < m:
+            c = col[i] + 1
+            if c > min(used[i] + 1, k):
+                col[i] = 0
+                i -= 1
+                continue
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                return k, None, nodes
+            col[i] = c
+            used[i + 1] = max(used[i], c)
+            colored = {edges[j]: col[j] for j in range(m) if col[j]}
+            if k - used[i + 1] <= m - i - 1 and all(
+                    has_capped_rainbow_path(g, colored, u, v, k) for u, v in far):
+                i += 1
+        if i == m:
+            return k, dict(zip(edges, col)), nodes
+    raise AssertionError("m distinct colors always suffice")
+
+
 def brute_shortest_cycle(g: Graph) -> list[int] | None:
     """The canonical shortest cycle via exhaustive DFS by target length,
     then start, then sorted adjacency: the first cycle found starts at its

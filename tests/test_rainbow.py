@@ -8,12 +8,12 @@ from rcbound import rainbow
 from rcbound.construct import cycle_color_sequence, run_constructive
 from rcbound.graphs import GraphFormatError, gen_family, is_connected, make_graph, norm_edge
 from rcbound.rainbow import (BudgetExhaustedError, ColoredLayout, EdgeColoring, NoColoringError,
-                             _rainbow_reach, find_rainbow_witness, parse_coloring, rc_exact,
-                             serialize_coloring)
+                             _rainbow_reach, _witness_walk, find_rainbow_witness, parse_coloring,
+                             rc_exact, serialize_coloring)
 
 from _capped import run_capped
 from _oracles import (brute_rainbow_witness, brute_rc, canonical_colorings,
-                      has_capped_rainbow_path, has_rainbow_path)
+                      has_capped_rainbow_path, has_rainbow_path, reference_rc_exact)
 from test_graphs import graph_from_mask
 
 
@@ -32,6 +32,20 @@ g = make_graph(64, [(perm[u], perm[v]) for u, v in edges])
 def c6_striped():
     return EdgeColoring({(0, 1): 1, (1, 2): 2, (2, 3): 3,
                          (3, 4): 1, (4, 5): 2, (0, 5): 3})
+
+
+def incidence(g):
+    """Per vertex its (neighbour, edge id) pairs, edges numbered as in g.edges."""
+    inc = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        inc[u].append((v, i))
+        inc[v].append((u, i))
+    return inc
+
+
+def k3m(m):
+    """K3,m with sides 0..2 and 3..m+2."""
+    return make_graph(m + 3, [(i, j) for i in range(3) for j in range(3, m + 3)])
 
 
 def joined(g, coloring, u, v):
@@ -75,6 +89,9 @@ class TestRainbowPath:
 
 
 class TestRainbowReach:
+    """The checker's search `_rainbow_reach` and rc_exact's walk search
+    `_witness_walk`, which runs the same search on a partial coloring."""
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 7), st.integers(0, 2 ** 21 - 1), st.integers(1, 6),
            st.booleans(), st.randoms(use_true_random=False))
@@ -97,20 +114,26 @@ class TestRainbowReach:
     @given(st.integers(1, 7), st.integers(0, 2 ** 21 - 1), st.integers(1, 6),
            st.integers(1, 4), st.randoms(use_true_random=False))
     def test_capped_wildcard_walks_match_paths(self, n, mask, palette, max_len, rng):
-        # a partial coloring as rc_exact's probe sees it: color 0 marks an
-        # uncolored edge, which carries bit 0 and acts as a wildcard
+        # rc_exact's walk search on a partial coloring: color 0 marks an
+        # uncolored edge, which never blocks a walk
         g = graph_from_mask(n, mask % (1 << (n * (n - 1) // 2)))
-        colors = {e: rng.randint(0, palette) for e in g.edges}
-        adjc = [[] for _ in range(n)]
-        for (u, v), c in colors.items():
-            bit = 1 << (c - 1) if c else 0
-            adjc[u].append((v, bit))
-            adjc[v].append((u, bit))
-        source = rng.randrange(n)
-        targets = set(rng.sample(range(n), rng.randint(0, n))) - {source}
-        colored = {e: c for e, c in colors.items() if c}
-        assert _rainbow_reach(adjc, source, targets, max_len) == {
-            t for t in targets if has_capped_rainbow_path(g, colored, source, t, max_len)}
+        col = [rng.randint(0, palette) for _ in g.edges]
+        colored = {e: c for e, c in zip(g.edges, col) if c}
+        inc, source = incidence(g), rng.randrange(n)
+        for target in set(range(n)) - {source}:
+            walk = _witness_walk(inc, col, source, target, max_len)
+            assert (walk is not None) == has_capped_rainbow_path(g, colored, source, target,
+                                                                 max_len)
+            if walk is not None:
+                assert len(walk) <= max_len
+                at = source
+                for e in walk:
+                    u, v = g.edges[e]
+                    assert at in (u, v)
+                    at = u + v - at
+                assert at == target
+                used = [col[e] for e in walk if col[e]]
+                assert len(set(used)) == len(used)
 
     def test_source_among_targets(self):
         g = make_graph(3, [(1, 2)])
@@ -121,13 +144,14 @@ class TestRainbowReach:
         assert _rainbow_reach(adjc, 1, set()) == set()
 
     def test_kept_walk_colors_are_a_subset_of_the_dropped(self):
-        # 0-1 and 1-3 share color 1; 0-2 and 2-1 are wildcards. The direct
-        # walk reaches 1 first with colors {1}, the wildcard walk 0-2-1 one
+        # 0-1 and 1-3 share color 1; 0-2 and 2-1 are uncolored. The direct
+        # walk reaches 1 first with colors {1}, the uncolored walk 0-2-1 one
         # level later with none, and only the latter goes on to 3. A rule
         # dropping the later walk because {} is a subset of {1} misses 3.
-        adjc = [[(1, 1), (2, 0)], [(0, 1), (2, 0), (3, 1)], [(0, 0), (1, 0)], [(1, 1)]]
-        assert _rainbow_reach(adjc, 0, {3}, 3) == {3}
-        assert _rainbow_reach(adjc, 0, {3}) == {3}
+        g = make_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3)])
+        col = [1, 0, 0, 1]
+        assert _witness_walk(incidence(g), col, 0, 3, 3) == [1, 2, 3]
+        assert _witness_walk(incidence(g), col, 0, 3, 2) is None
 
     def test_pinned_q6_in_bounded_memory(self):
         # Q6 under one fixed labeling, whose final absorption makes failing
@@ -430,7 +454,7 @@ class TestRcExact:
             rc_exact(gen_family("petersen"), max_colors=-1)
 
     # node counts of complete runs: a probe that prunes more or less than
-    # the wildcard, k-capped reachability test changes them
+    # the test for k-capped walks with distinct colored edges changes them
     @pytest.mark.parametrize("g,k,nodes", [
         (gen_family("petersen"), 3, 31),
         (gen_family("prism", 4), 3, 18),
@@ -438,7 +462,14 @@ class TestRcExact:
         (gen_family("wheel", 7), 2, 17),
         (make_graph(6, [(i, j) for i in range(3) for j in range(3, 6)]), 2, 11),
         (gen_family("random3c", 10, 2, seed=42), 2, 35),
-    ], ids=["petersen", "prism4", "C7", "W7", "K33", "random3c-n10-e2-s42"])
+        (k3m(5), 2, 818),
+        (k3m(6), 2, 4953),
+        (k3m(7), 2, 24414),
+        (make_graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)]),
+         2, 44),
+        (gen_family("wheel", 8), 3, 102),
+    ], ids=["petersen", "prism4", "C7", "W7", "K33", "random3c-n10-e2-s42", "K35", "K36", "K37",
+            "moebius8", "W8"])
     def test_pinned_node_counts(self, g, k, nodes):
         assert rc_exact(g, node_budget=nodes)[0] == k
         with pytest.raises(BudgetExhaustedError) as info:
@@ -456,6 +487,24 @@ class TestRcExact:
         if g.m == 0 or not is_connected(g) or g.m > 7:
             return
         assert rc_exact(g)[0] == brute_rc(g)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_the_probe_that_keeps_no_walks(self, seed):
+        # the same search with every non-adjacent pair probed afresh at
+        # every node: the same coloring, and the budget runs out at the
+        # same (k, node) wherever it is set below the full count
+        rng = random.Random(seed)
+        g = make_graph(1, [])
+        while g.m == 0 or not is_connected(g):
+            n, p = rng.randint(4, 6), rng.choice([0.4, 0.6, 0.8])
+            g = make_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        k, colors, nodes = reference_rc_exact(g)
+        assert rc_exact(g) == (k, EdgeColoring(colors))
+        budget = rng.randrange(nodes)
+        k_out, _, at = reference_rc_exact(g, budget)
+        with pytest.raises(BudgetExhaustedError) as info:
+            rc_exact(g, node_budget=budget)
+        assert (info.value.k, info.value.nodes) == (k_out, at) == (k_out, budget + 1)
 
     @pytest.mark.parametrize("fam,args", [("cycle", (5,)), ("cycle", (6,)),
                                           ("prism", (3,))])
