@@ -1,15 +1,13 @@
 """Rainbow connection toolkit: checker, exact solver, and a budgeted
 constructive colorer for 3-connected graphs."""
 
-from .connectivity import (check_fan, find_fan, internally_disjoint_paths,
-                           vertex_connectivity)
+from .connectivity import check_fan, find_fan, vertex_connectivity
 from .construct import (ConstructionError, ConstructionResult, ExtensionPlan,
                         GrowState, PreconditionError, StepRecord,
                         apply_extension, classify_extension, color_bound,
                         cycle_color_sequence, ear_color_sequence, final_absorb,
                         repair_step, run_constructive, seed_subgraph)
-from .graphs import (Graph, GraphFormatError, diameter, gen_family, is_connected,
-                     iter_labeled_graphs, make_graph, min_degree, norm_edge,
+from .graphs import (Graph, GraphFormatError, gen_family, make_graph, norm_edge,
                      parse_graph, serialize_graph, shortest_cycle)
 from .rainbow import (BudgetExhaustedError, EdgeColoring, NoColoringError,
                       find_rainbow_witness, parse_coloring, rc_exact, serialize_coloring)

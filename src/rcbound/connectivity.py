@@ -28,8 +28,8 @@ neighbours and the ends of the pairs settled with a. A fan as wide as the
 current answer shows that the pair cannot lower it (see
 `vertex_connectivity`), and its flow is skipped; one that falls short
 proves nothing, since a greedy path may take a vertex two others need,
-and the flow decides. The fan and path queries run the flow alone, so
-the paths they return are the flow's.
+and the flow decides. The fan query runs the flow alone, so the paths
+it returns are the flow's.
 """
 
 from __future__ import annotations
@@ -189,18 +189,6 @@ def _greedy_fan(g: Graph, x: int, marked: Container[int], want: int) -> bool:
             taken.add(end)
             end = prev[end]
     return True
-
-
-def internally_disjoint_paths(g: Graph, x: int, y: int, k: int) -> list[list[int]] | None:
-    """k paths from x to y sharing only x and y, or None when impossible."""
-    if not (0 <= x < g.n and 0 <= y < g.n):
-        raise ValueError(f"vertex out of range 0..{g.n - 1}")
-    if x == y:
-        raise ValueError("endpoints must differ")
-    if k < 1:
-        raise ValueError(f"path count must be positive, got {k}")
-    paths = _flow_paths(g, x, (y,), k)
-    return paths if len(paths) == k else None
 
 
 def find_fan(g: Graph, x: int, targets: Iterable[int], k: int,

@@ -1,4 +1,4 @@
-"""Simple undirected graphs: construction, edge-list I/O, generators, basic queries.
+"""Simple undirected graphs: construction, edge-list I/O, generators, shortest cycle.
 
 Vertices are dense integer ids 0..n-1. A Graph is immutable after
 construction and safe to share across threads; every generator is a pure
@@ -146,30 +146,6 @@ def serialize_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = [source]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        du = dist[u]
-        for w in g.adj[u]:
-            if dist[w] < 0:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
-
-
-def is_connected(g: Graph) -> bool:
-    return min(bfs_distances(g, 0)) >= 0
-
-
-def min_degree(g: Graph) -> int:
-    return min(len(a) for a in g.adj)
-
-
 def shortest_cycle(g: Graph) -> list[int]:
     """A shortest cycle as an open vertex list (closing edge implied).
 
@@ -245,18 +221,6 @@ def shortest_cycle(g: Graph) -> list[int]:
     return best
 
 
-def diameter(g: Graph) -> int:
-    """Maximum shortest-path distance over all vertex pairs."""
-    ecc = 0
-    for v in range(g.n):
-        dist = bfs_distances(g, v)
-        far = max(dist)
-        if min(dist) < 0:
-            raise ValueError("diameter requires a connected graph")
-        ecc = max(ecc, far)
-    return ecc
-
-
 def gen_family(family: str, *params: int, seed: int = 0) -> Graph:
     """Deterministic generators for the test families.
 
@@ -327,9 +291,3 @@ def gen_family(family: str, *params: int, seed: int = 0) -> Graph:
         return make_graph(n, edges)
     raise ValueError(f"unknown family {family!r}")
 
-
-def iter_labeled_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled simple graph on n vertices, in edge-subset bitmask order."""
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield make_graph(n, (pairs[i] for i in range(len(pairs)) if (mask >> i) & 1))

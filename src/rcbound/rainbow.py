@@ -508,7 +508,7 @@ def rc_exact(g: Graph, max_colors: int | None = None,
                     path[w] = path[v] + [e]
                     queue.append(w)
         if len(queue) < n:
-            raise ValueError("diameter requires a connected graph")
+            raise ValueError("rc_exact requires a connected graph")
         lower = max(lower, len(path[queue[-1]]))
         for t in range(u + 1, n):
             if len(path[t]) > 1:

@@ -26,6 +26,13 @@ def all_simple_paths(g: Graph, u: int, v: int):
     return out
 
 
+def brute_diameter(g: Graph) -> int:
+    """Largest distance over all vertex pairs, each distance the fewest
+    edges of a simple path (connected graphs with two or more vertices)."""
+    return max(min(len(p) - 1 for p in all_simple_paths(g, u, v))
+               for u, v in combinations(range(g.n), 2))
+
+
 def has_rainbow_path(g: Graph, colors: dict, u: int, v: int) -> bool:
     """True when some simple u-v path repeats no color."""
     for path in all_simple_paths(g, u, v):
@@ -80,9 +87,8 @@ def reference_rc_exact(g: Graph, node_budget: int | None = None):
     only. Returns (k, colors, nodes) for the first coloring found, or
     (k, None, nodes) when node number node_budget + 1 comes up at k."""
     m, edges = g.m, g.edges
-    pairs = list(combinations(range(g.n), 2))
-    far = [(u, v) for u, v in pairs if v not in g.adj[u]]
-    lower = max(min(len(p) - 1 for p in all_simple_paths(g, u, v)) for u, v in pairs)
+    far = [(u, v) for u, v in combinations(range(g.n), 2) if v not in g.adj[u]]
+    lower = brute_diameter(g)
     col = [0] * m
     nodes = 0
     for k in range(lower, m + 1):
@@ -150,6 +156,13 @@ def brute_vertex_connectivity(g: Graph) -> int:
             if not _connected_after(g, set(cut)):
                 return size
     return g.n - 1
+
+
+def brute_connected(g: Graph, vertices=None) -> bool:
+    """True when the subgraph of g induced by `vertices` (every vertex by
+    default) is connected."""
+    keep = set(range(g.n)) if vertices is None else set(vertices)
+    return _connected_after(g, set(range(g.n)) - keep)
 
 
 def _connected_after(g: Graph, removed: set) -> bool:

@@ -13,12 +13,12 @@ import pytest
 from rcbound.cli import builtin_corpus, _build
 from rcbound.connectivity import check_fan, find_fan, vertex_connectivity
 from rcbound.construct import move_budget, run_constructive, color_bound
-from rcbound.graphs import (gen_family, is_connected, iter_labeled_graphs,
-                            min_degree, make_graph, norm_edge)
+from rcbound.graphs import gen_family, make_graph, norm_edge
 from rcbound.rainbow import EdgeColoring, find_rainbow_witness, rc_exact
 
 from _oracles import brute_rainbow_witness
 from test_construct import SYNTHETIC, state_on
+from test_graphs import graph_from_mask
 from rcbound.construct import apply_extension, classify_extension, seed_subgraph
 
 BENCH_SEED = 42
@@ -50,8 +50,9 @@ def test_criterion_1_bound_at_desk_scale():
 
 def test_criterion_2_exhaustive_small_graph_check(sample_mode):
     survivors = []
-    for g in iter_labeled_graphs(6):
-        if g.m < 9 or min_degree(g) < 3 or not is_connected(g):
+    for mask in range(1 << 15):
+        g = graph_from_mask(6, mask)
+        if g.m < 9 or min(map(len, g.adj)) < 3:
             continue
         if vertex_connectivity(g) >= 3:
             survivors.append(g)

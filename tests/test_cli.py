@@ -202,6 +202,13 @@ class TestExact:
         code, out, _ = run(capsys, "exact", petersen_file, "--max-colors", "20")
         assert code == 0 and out.strip() == "k=3"
 
+    def test_disconnected_is_input_error(self, capsys, tmp_path):
+        g = tmp_path / "two.txt"
+        g.write_text("4 2\n0 1\n2 3\n")
+        code, out, err = run(capsys, "exact", str(g))
+        assert code == 2 and out == ""
+        assert err.strip() == "error: rc_exact requires a connected graph"
+
     def test_negative_budget_is_input_error(self, capsys, petersen_file):
         code, out, err = run(capsys, "exact", petersen_file, "--node-budget", "-1")
         assert code == 2 and out == "" and "node_budget" in err

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcbound import connectivity, construct
-from rcbound.connectivity import (check_fan, find_fan, internally_disjoint_paths,
-                                  vertex_connectivity)
+from rcbound.connectivity import check_fan, find_fan, vertex_connectivity
 from rcbound.graphs import gen_family, make_graph
 
 from _oracles import (brute_has_disjoint_paths, brute_vertex_connectivity,
@@ -60,15 +59,17 @@ class TestVertexConnectivity:
 
 
 class TestDisjointPaths:
+    # the single-target flow that vertex_connectivity runs: fewer than k
+    # paths means no k internally disjoint ones exist
     def test_k4_three_paths(self):
-        paths = internally_disjoint_paths(gen_family("complete", 4), 0, 1, 3)
+        paths = connectivity._flow_paths(gen_family("complete", 4), 0, (1,), 3)
         assert paths == [[0, 1], [0, 2, 1], [0, 3, 1]]
 
     def test_c6_insufficient(self):
-        assert internally_disjoint_paths(gen_family("cycle", 6), 0, 3, 3) is None
+        assert len(connectivity._flow_paths(gen_family("cycle", 6), 0, (3,), 3)) < 3
 
     def test_c6_two_paths(self):
-        paths = internally_disjoint_paths(gen_family("cycle", 6), 0, 3, 2)
+        paths = connectivity._flow_paths(gen_family("cycle", 6), 0, (3,), 2)
         assert len(paths) == 2
         interiors = [set(p[1:-1]) for p in paths]
         assert interiors[0] & interiors[1] == set()
@@ -77,7 +78,7 @@ class TestDisjointPaths:
         pet = gen_family("petersen")
         for u in range(10):
             for v in range(u + 1, 10):
-                assert internally_disjoint_paths(pet, u, v, 3) is not None
+                assert len(connectivity._flow_paths(pet, u, (v,), 3)) == 3
 
     def test_backs_a_path_out_of_a_vertex(self):
         # the first path is 8-3-0-9-6; the second search enters 9 and must
@@ -85,28 +86,15 @@ class TestDisjointPaths:
         g = make_graph(13, [(0, 3), (0, 9), (1, 2), (1, 3), (1, 7), (2, 7), (2, 9),
                             (2, 10), (3, 5), (3, 7), (3, 8), (3, 11), (4, 5), (4, 6),
                             (5, 9), (6, 9), (7, 10), (8, 10), (9, 12), (10, 11), (11, 12)])
-        paths = internally_disjoint_paths(g, 8, 6, 2)
+        paths = connectivity._flow_paths(g, 8, (6,), 2)
         assert paths == [[8, 3, 5, 4, 6], [8, 10, 2, 9, 6]]
-
-    def test_same_endpoints_rejected(self):
-        with pytest.raises(ValueError, match="differ"):
-            internally_disjoint_paths(gen_family("complete", 4), 1, 1, 2)
-
-    @pytest.mark.parametrize("x,y,k,message", [
-        (0, 4, 2, "vertex out of range"),
-        (-1, 2, 2, "vertex out of range"),  # must not wrap to vertex 3
-        (0, 1, 0, "path count must be positive"),
-    ])
-    def test_bad_arguments_rejected(self, x, y, k, message):
-        with pytest.raises(ValueError, match=message):
-            internally_disjoint_paths(gen_family("complete", 4), x, y, k)
 
     @settings(max_examples=60, deadline=None)
     @given(st_graph_n2to6, st.integers(1, 3), st.randoms(use_true_random=False))
     def test_matches_family_search(self, g, k, rng):
-        u, v = rng.sample(range(g.n), 2) if g.n >= 2 else (0, 0)
-        got = internally_disjoint_paths(g, u, v, k)
-        assert (got is not None) == brute_has_disjoint_paths(g, u, v, k)
+        u, v = rng.sample(range(g.n), 2)
+        got = connectivity._flow_paths(g, u, (v,), k)
+        assert (len(got) == k) == brute_has_disjoint_paths(g, u, v, k)
 
 
 class TestFindFan:
@@ -293,7 +281,8 @@ def flow_fingerprint_lines():
         for _ in range(8):
             u, v = rng.sample(range(g.n), 2)
             for k in range(1, 5):
-                yield f"paths {name} {u} {v} {k} {internally_disjoint_paths(g, u, v, k)}"
+                paths = connectivity._flow_paths(g, u, (v,), k)
+                yield f"paths {name} {u} {v} {k} {paths if len(paths) == k else None}"
     for name, g in KAPPA_GRAPHS:
         yield f"kappa {name} {vertex_connectivity(g)}"
 
@@ -351,8 +340,8 @@ class TestPairReduction:
         g = NEIGHBOUR_PAIR_GRAPH
         assert min(range(g.n), key=g.degree) == 1
         for w in (0, 6):
-            assert internally_disjoint_paths(g, 1, w, 4) is not None
-        assert internally_disjoint_paths(g, 2, 4, 4) is None
+            assert len(connectivity._flow_paths(g, 1, (w,), 4)) == 4
+        assert len(connectivity._flow_paths(g, 2, (4,), 4)) < 4
         assert vertex_connectivity(g) == brute_vertex_connectivity(g) == 3
 
     @pytest.mark.parametrize("g, kappa", [
@@ -379,7 +368,7 @@ class TestPairReduction:
         g = make_graph(6, [(0, 2), (0, 4), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4)])
         assert not connectivity._greedy_fan(g, 1, {0, 2, 4}, 2)
         assert find_fan(g, 1, {0, 2, 4}, 2) is not None
-        assert internally_disjoint_paths(g, 0, 1, 2) is not None
+        assert len(connectivity._flow_paths(g, 0, (1,), 2)) == 2
         flows = count_calls(monkeypatch, "_flow_paths")
         assert vertex_connectivity(g) == brute_vertex_connectivity(g) == 2
         assert len(flows) > 0

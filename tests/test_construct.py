@@ -12,12 +12,11 @@ from rcbound.construct import (ConstructionError, ExtensionPlan, GrowState, Prec
                                ear_color_sequence, REUSE, final_absorb, move_budget,
                                repair_step, run_constructive, seed_subgraph)
 from rcbound.connectivity import find_fan, vertex_connectivity
-from rcbound.graphs import (bfs_distances, gen_family, is_connected, iter_labeled_graphs,
-                            make_graph, norm_edge)
+from rcbound.graphs import gen_family, make_graph, norm_edge
 from rcbound.rainbow import EdgeColoring, find_rainbow_witness, rc_exact
 
 from _capped import run_capped
-from _oracles import has_rainbow_path
+from _oracles import brute_connected, has_rainbow_path
 from test_connectivity import (CONSTRUCTION_FAN_GRAPHS, EAR_FALLBACK_GRAPH,
                                generalized_petersen, hypercube, mobius_ladder, relabeled)
 from test_graphs import graph_from_mask, ladder
@@ -686,7 +685,7 @@ class TestColorClash:
         # the added vertices get a star patch (one color per vertex) or a
         # random one over their edges into H and among themselves
         (g, h), colors = drawn, [1, 2, 3]
-        assume(is_connected(g))
+        assume(brute_connected(g))
         order, seen = [0], {0}
         for u in order:
             for w in g.adj[u]:
@@ -703,8 +702,7 @@ class TestColorClash:
         full = {**coloring, **patch}
         sub = make_graph(g.n, sorted(full))
         universe = hset | aset
-        dist = bfs_distances(sub, added[0])
-        assume(all(dist[v] >= 0 for v in universe))
+        assume(brute_connected(sub, universe))
         state = GrowState(g, hset, coloring, max(coloring.values(), default=0))
         adjc = rainbow.ColoredLayout.build(sub, EdgeColoring(full)).adj
         pair = rainbow._color_clash(adjc, aset, universe)
@@ -915,7 +913,10 @@ class TestRunConstructive:
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_force_colors_every_small_connected_graph(self, n):
-        for g in filter(is_connected, iter_labeled_graphs(n)):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_mask(n, mask)
+            if not brute_connected(g):
+                continue
             res = run_constructive(g, force=True)
             assert find_rainbow_witness(g, res.coloring) is None
 
@@ -924,7 +925,7 @@ class TestRunConstructive:
         lambda n: st.builds(graph_from_mask, st.just(n),
                             st.integers(0, (1 << (n * (n - 1) // 2)) - 1))))
     def test_force_colors_connected_graphs(self, g):
-        assume(is_connected(g))
+        assume(brute_connected(g))
         res = run_constructive(g, force=True)
         assert find_rainbow_witness(g, res.coloring) is None
 

@@ -4,7 +4,8 @@ Refactors of the construction must keep every coloring and every trace
 line byte-identical. A change that means to alter behaviour updates the
 pinned digest and says why. The public names that the layered benchmark
 (`layerbench/`) traces by name are pinned here too: after a rename its
-per-layer metrics would silently read 0.
+per-layer metrics would silently read 0. So are the names the package
+exports, so that adding or removing one is a deliberate change.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import inspect
 
 import pytest
 
+import rcbound
 from rcbound import connectivity, construct, rainbow
 from rcbound.cli import _build, builtin_corpus
 from rcbound.construct import run_constructive
@@ -50,6 +52,24 @@ TRACED_NAMES = [
 def test_traced_name_is_module_function(module, name):
     fn = getattr(module, name, None)
     assert inspect.isfunction(fn) and fn.__module__ == module.__name__
+
+
+PUBLIC_NAMES = [
+    "BudgetExhaustedError", "ConstructionError", "ConstructionResult", "EdgeColoring",
+    "ExtensionPlan", "Graph", "GraphFormatError", "GrowState", "NoColoringError",
+    "PreconditionError", "StepRecord", "apply_extension", "check_fan", "classify_extension",
+    "color_bound", "cycle_color_sequence", "ear_color_sequence", "final_absorb", "find_fan",
+    "find_rainbow_witness", "gen_family", "make_graph", "norm_edge", "parse_coloring",
+    "parse_graph", "rc_exact", "repair_step", "run_constructive", "seed_subgraph",
+    "serialize_coloring", "serialize_graph", "shortest_cycle", "vertex_connectivity",
+]
+
+
+def test_public_exports_pinned():
+    # submodules are left out: importing rcbound.cli, say, adds an attribute
+    exported = sorted(name for name, value in vars(rcbound).items()
+                      if not name.startswith("_") and not inspect.ismodule(value))
+    assert exported == PUBLIC_NAMES
 
 
 def test_benchmark_reads_corpus_recipes_and_trace_flags():
