@@ -36,6 +36,7 @@ Move kinds
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import logging
 from collections.abc import Iterator
@@ -121,9 +122,10 @@ class GrowState:
     or a final_absorb step that adds a vertex. `fans` keeps each outside
     vertex's 3-fan into H with the vertices its search entered, as flags,
     until _commit absorbs one of them (see _read_fan). `layout` is the
-    checker's colored layout of `coloring`, built when the state is made
-    and grown only by _commit; final_absorb's color-1 leftovers, added
-    after the last commit, stay out of it."""
+    checker's colored layout of `coloring`, built when the state is made;
+    each commit then adopts the layout that its step's accepted check read
+    (see _try_coloring), so a step builds one layout. final_absorb's
+    color-1 leftovers, added after the last commit, stay out of it."""
     host: Graph
     vertices: set[int]
     coloring: dict[Edge, int]
@@ -223,11 +225,11 @@ def seed_subgraph(g: Graph) -> GrowState:
     coloring.update(pendant)
     state = GrowState(g, set(), {}, 0)
     added = tuple(sorted({v for e in coloring for v in e}))
-    witness = _try_coloring(state, added, coloring)
+    witness, layout = _try_coloring(state, added, coloring)
     if witness is not None:
         raise ConstructionError(
             f"grown subgraph lost rainbow connectivity at pair {witness}", state.trace)
-    _commit(state, kind, added, coloring)
+    _commit(state, kind, added, coloring, layout)
     return state
 
 
@@ -434,17 +436,19 @@ def _fork_fork_plan(x: int, v1: int, b: int, e0: Edge, e1: Edge,
 
 def _reach_order(state: GrowState, pool) -> Iterator[int]:
     """The vertices of `pool` that H reaches through pool vertices, each
-    step taking the lowest label next to H or to a vertex already taken."""
-    reach = set(state.vertices)
-    pool = set(pool)
-    while True:
-        near = [w for w in pool if any(q in reach for q in state.host.adj[w])]
-        if not near:
-            return
-        w = min(near)
+    step taking the lowest label next to H or to a vertex already taken.
+    A heap holds the pool vertices next to either, each pushed once."""
+    adj, hset, pool = state.host.adj, state.vertices, set(pool)
+    near = [w for w in pool if not hset.isdisjoint(adj[w])]
+    queued = set(near)
+    heapq.heapify(near)
+    while near:
+        w = heapq.heappop(near)
         yield w
-        pool.discard(w)
-        reach.add(w)
+        for q in adj[w]:
+            if q in pool and q not in queued:
+                queued.add(q)
+                heapq.heappush(near, q)
 
 
 def _fallback_absorb_plan(state: GrowState) -> ExtensionPlan:
@@ -456,33 +460,38 @@ def _fallback_absorb_plan(state: GrowState) -> ExtensionPlan:
     return ExtensionPlan(FALLBACK_ABSORB, take, ())
 
 
-def _try_coloring(state: GrowState, added: tuple[int, ...], patch: dict[Edge, int]) -> Edge | None:
+def _try_coloring(state: GrowState, added: tuple[int, ...],
+                  patch: dict[Edge, int]) -> tuple[Edge | None, ColoredLayout]:
     """Check H plus the patch with one checker call on H's kept layout
     extended by the patch; with vertices added, only the pairs that touch
-    them. That is sound while the patch colors only new edges at added
-    vertices: extending the layout refuses an edge H colors, and the
-    assertion one that touches no added vertex."""
+    them. Returns the witness (None when the check passes) and the layout
+    the check read, which _commit adopts for an accepted step. That is
+    sound while the patch colors only new edges at added vertices:
+    extending the layout refuses an edge H colors, and the assertion one
+    that touches no added vertex."""
     aset = set(added)
-    for e in patch:
-        if not aset & set(e):
-            raise AssertionError(f"patch edge {e} is not a new edge at an added vertex")
-    return find_rainbow_witness(state.host, state.layout.extended(patch),
-                                vertices=state.vertices | aset, sources=aset or None)
+    for u, v in patch:
+        if u not in aset and v not in aset:
+            raise AssertionError(f"patch edge {(u, v)} is not a new edge at an added vertex")
+    layout = state.layout.extended(patch)
+    return find_rainbow_witness(state.host, layout, vertices=state.vertices | aset,
+                                sources=aset or None), layout
 
 
 def _commit(state: GrowState, kind: str, added: tuple[int, ...], patch: dict[Edge, int],
-            repaired: bool = False) -> None:
+            layout: ColoredLayout, repaired: bool = False) -> None:
     """Commit one checked growth step: its fresh colors must follow the
     palette of H without a gap. No step reaches this over its budget: a
     seed and a repair patch stay inside theirs by construction, and
-    apply_extension refuses an over-budget script. Then H and its layout
-    grow, the kept fans that its new vertices could change are dropped,
+    apply_extension refuses an over-budget script. Then H grows and adopts
+    `layout`, the layout of H plus the patch that the step's accepted check
+    read, the kept fans that its new vertices could change are dropped,
     and the step is recorded."""
     fresh = sorted({c for c in patch.values() if c > state.colors_used})
     used = len(fresh)
     if fresh != list(range(state.colors_used + 1, state.colors_used + 1 + used)):
         raise AssertionError(f"fresh colors not contiguous: {fresh}")
-    state.layout = state.layout.extended(patch)
+    state.layout = layout
     state.vertices.update(added)
     state.coloring.update(patch)
     state.colors_used += used
@@ -492,7 +501,8 @@ def _commit(state: GrowState, kind: str, added: tuple[int, ...], patch: dict[Edg
                                   state.h, state.colors_used, repaired))
 
 
-def repair_step(state: GrowState, added_vertices, budgets: range) -> dict[Edge, int] | None:
+def repair_step(state: GrowState, added_vertices,
+                budgets: range) -> tuple[dict[Edge, int], ColoredLayout] | None:
     """Search for a coloring of every edge incident to the added vertices
     using at most b fresh colors plus color 1 of H, for each budget b of
     `budgets` in turn.
@@ -502,19 +512,23 @@ def repair_step(state: GrowState, added_vertices, budgets: range) -> dict[Edge, 
     first two fresh colors alternating over its links into H. The stars
     are built once, for the widest palette. At budget b the labels (the
     first b fresh colors, color 1, then the alternating star when b >= 2)
-    are tried in a fixed lexicographic order. A patch is keyed by its
-    colors with the fresh ones renumbered by first appearance over the
-    sorted edges, and each key goes through _try_coloring once over all
-    budgets: the checker reads only which colors are equal, so a patch
-    that renames the fresh colors of one already tried gets its verdict.
-    A search thus costs at most the sum over b of (b + 2) ** len(added)
-    checker calls, each on H's kept layout extended by the candidate
-    patch, and accepts the patch that searches at each budget in turn
-    would. A patch that cuts a vertex off from a single-colored added one
-    (say two non-adjacent added vertices on one fresh star color) is
-    rejected by the checker's color-clash bound without a rainbow search.
-    Returns the first accepted patch in its renumbered form, or None when
-    no pattern works; the caller then aborts with a ConstructionError.
+    are tried in a fixed lexicographic order. Each vertex's edges are laid
+    out as positions in the sorted candidate edges, so a label
+    combination fills one color list. It is keyed by those colors with
+    the fresh ones renumbered by first appearance, and each key goes
+    through _try_coloring once over all budgets: the checker reads only
+    which colors are equal, so a patch that renames the fresh colors of
+    one already tried gets its verdict. A search thus costs at most the
+    sum over b of (b + 2) ** len(added) checker calls, each on H's kept
+    layout extended by the candidate patch, and accepts the patch that
+    searches at each budget in turn would. A patch that cuts a vertex off
+    from a single-colored added one (say two non-adjacent added vertices
+    on one fresh star color) is rejected by the checker's color-clash
+    bound without a rainbow search.
+    Returns the first accepted patch in its renumbered form with the
+    layout its check read, its color bits relabeled through the same
+    renumbering, or None when no pattern works; the caller then aborts
+    with a ConstructionError.
     """
     added = tuple(sorted(added_vertices))
     if set(added) & state.vertices:
@@ -526,37 +540,49 @@ def repair_step(state: GrowState, added_vertices, budgets: range) -> dict[Edge, 
     # every added vertex needs a link into the enlarged subgraph at all
     if len(list(_reach_order(state, added))) < len(added):
         return None
-    aset = set(added)
+    host, hset, aset = state.host, state.vertices, set(added)
     base = state.colors_used
     fresh = [base + 1 + i for i in range(max(budgets, default=0))]
 
-    # each added vertex's star patterns as partial patches, one per label,
-    # over the inner edges it owns (its smaller end) and its links into H
+    # each added vertex's edges: the inner ones it owns (its smaller end),
+    # then its links into H; every edge has one owner
+    owned = [[(w, q) for q in host.adj[w] if q > w and q in aset] for w in added]
+    links = [[norm_edge(w, q) for q in host.adj[w] if q in hset] for w in added]
+    cand = sorted(e for own, link in zip(owned, links) for e in own + link)
+    pos = {e: i for i, e in enumerate(cand)}
+    # each added vertex's edges as positions in the sorted candidate edges,
+    # with the colors its alternating star puts on them
     stars = []
-    for w in added:
-        owned = [(w, q) for q in state.host.adj[w] if q > w and q in aset]
-        links = [norm_edge(w, q) for q in state.host.adj[w] if q in state.vertices]
-        star = {o: dict.fromkeys(owned + links, o) for o in [*fresh, 1]}
-        if len(fresh) >= 2:
-            star["alt"] = {**dict.fromkeys(owned, fresh[1]),
-                           **{e: fresh[i % 2] for i, e in enumerate(links)}}
-        stars.append(star)
-    cand = sorted(e for star in stars for e in star[1])  # every label covers the same edges
+    for own, link in zip(owned, links):
+        alt = ([fresh[1]] * len(own) + [fresh[i % 2] for i in range(len(link))]
+               if len(fresh) >= 2 else None)
+        stars.append(([pos[e] for e in own + link], alt))
+    colors = [0] * len(cand)
     tried: set[tuple[int, ...]] = set()
     for b in budgets:
         options = [*fresh[:b], 1] + (["alt"] if b >= 2 else [])
         for combo in itertools.product(options, repeat=len(added)):
-            patch: dict[Edge, int] = {}
-            for star, label in zip(stars, combo):
-                patch.update(star[label])
+            for (at, alt), label in zip(stars, combo):
+                if label == "alt":
+                    for i, c in zip(at, alt):
+                        colors[i] = c
+                else:
+                    for i in at:
+                        colors[i] = label
             # fresh colors renumbered by first appearance in edge order
             remap: dict[int, int] = {}
-            key = tuple(remap.setdefault(patch[e], base + 1 + len(remap)) if patch[e] > base
-                        else patch[e] for e in cand)
-            if key not in tried:
-                tried.add(key)
-                if _try_coloring(state, added, patch) is None:
-                    return dict(zip(cand, key))
+            key = tuple(remap.setdefault(c, base + 1 + len(remap)) if c > base else c
+                        for c in colors)
+            if key in tried:
+                continue
+            tried.add(key)
+            witness, layout = _try_coloring(state, added, dict(zip(cand, colors)))
+            if witness is None:
+                # the renumbering is a bijection of the fresh colors, so the
+                # checked layout holds the renumbered patch once its bits are
+                # renamed with it
+                layout.bits = {remap.get(c, c): bit for c, bit in layout.bits.items()}
+                return dict(zip(cand, key)), layout
     return None
 
 
@@ -583,16 +609,18 @@ def apply_extension(state: GrowState, plan: ExtensionPlan) -> GrowState:
     if used > budget:
         raise ConstructionError(
             f"{plan.kind} spent {used} fresh colors, its budget allows {budget}", state.trace)
-    repaired = bool(plan.slots) and _try_coloring(state, added, patch) is not None
+    witness, layout = _try_coloring(state, added, patch) if plan.slots else (None, None)
+    repaired = witness is not None
     if repaired:
         log.warning("scripted %s coloring rejected; invoking repair", plan.kind)
     if repaired or not plan.slots:
         most = min((3 * (state.h + len(added)) - 1) // 5 - state.colors_used, len(added) + 1)
-        patch = repair_step(state, added, range(budget, most + 1))
-        if patch is None:
+        found = repair_step(state, added, range(budget, most + 1))
+        if found is None:
             raise ConstructionError(f"repair failed after a {plan.kind} move" if repaired
                                     else "repair failed on a fallback absorption", state.trace)
-    _commit(state, plan.kind, added, patch, repaired)
+        patch, layout = found
+    _commit(state, plan.kind, added, patch, layout, repaired)
     return state
 
 
@@ -606,12 +634,13 @@ def final_absorb(state: GrowState) -> GrowState:
     r = len(ext)
     if r > 3:
         raise ValueError(f"final absorption handles at most 3 vertices, got {r}")
-    patch = {}
+    patch, layout = {}, state.layout
     if r:
-        patch = repair_step(state, ext, range(min(r, 2), min(r, 2) + 1))
-        if patch is None:
+        found = repair_step(state, ext, range(min(r, 2), min(r, 2) + 1))
+        if found is None:
             raise ConstructionError("repair failed during final absorption", state.trace)
-    _commit(state, FINAL_ABSORB, ext, patch)
+        patch, layout = found
+    _commit(state, FINAL_ABSORB, ext, patch, layout)
     # leftovers add color-1 edges and recolor none, so no rainbow path is lost
     for e in state.host.edges:
         state.coloring.setdefault(e, 1)

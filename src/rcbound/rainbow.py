@@ -278,11 +278,8 @@ def _color_clash(adjc: list[list[tuple[int, int]]], sources,
     the simplest case: no edge enters it.) Of the sources in ascending
     order, the first with such a w comes back with its lowest one, as
     (min, max). The other vertices' colors are read only when some source
-    has one color."""
+    has one color, and only those that a walk reaches."""
     lone = [(u, c) for u in sorted(sources) if (c := _one_color(adjc[u]))]
-    if not lone:
-        return None
-    color_at = [_one_color(adj) for adj in adjc]
     for u, c in lone:
         near = {w for w, _ in adjc[u]}
         seen = near | {u}
@@ -291,7 +288,7 @@ def _color_clash(adjc: list[list[tuple[int, int]]], sources,
             for y, bit in adjc[stack.pop()]:
                 if bit != c and y not in seen:
                     seen.add(y)
-                    if not color_at[y]:
+                    if not _one_color(adjc[y]):
                         stack.append(y)
         missed = universe - seen
         if missed:

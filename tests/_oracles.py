@@ -241,6 +241,21 @@ def brute_has_disjoint_paths(g: Graph, x: int, y: int, k: int) -> bool:
     return extend([], set(), paths)
 
 
+def reach_order_by_rescan(g: Graph, hset, pool) -> list[int]:
+    """The vertices of `pool` that hset reaches through pool vertices, each
+    step rescanning the pool for the lowest label next to hset or to a
+    vertex already taken."""
+    reach, pool, order = set(hset), set(pool), []
+    while True:
+        near = [w for w in pool if any(q in reach for q in g.adj[w])]
+        if not near:
+            return order
+        w = min(near)
+        order.append(w)
+        pool.discard(w)
+        reach.add(w)
+
+
 def canonical_colorings(m: int, k: int):
     """All canonical color vectors of length m with at most k colors
     (entry i is at most one more than the running maximum)."""

@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 from collections import Counter
 from dataclasses import replace
@@ -16,7 +17,7 @@ from rcbound.graphs import gen_family, make_graph, norm_edge
 from rcbound.rainbow import EdgeColoring, find_rainbow_witness, rc_exact
 
 from _capped import run_capped
-from _oracles import brute_connected, has_rainbow_path
+from _oracles import brute_connected, has_rainbow_path, reach_order_by_rescan
 from test_connectivity import (CONSTRUCTION_FAN_GRAPHS, EAR_FALLBACK_GRAPH,
                                generalized_petersen, hypercube, mobius_ladder, relabeled)
 from test_graphs import graph_from_mask, ladder
@@ -88,7 +89,7 @@ def state_on(extra_edges, n=None):
     size = n or max(max(e) for e in extra_edges) + 1
     g = make_graph(size, C4_EDGES + list(extra_edges))
     state = GrowState(g, {0, 1, 2, 3}, dict(C4_COLORS), 2)
-    assert construct._try_coloring(state, (), {}) is None
+    assert construct._try_coloring(state, (), {})[0] is None
     return state
 
 
@@ -362,9 +363,11 @@ class TestApply:
         # H uses colors 1 and 2, so a patch whose only fresh color is 4 skips 3
         state = state_on(SYNTHETIC["arch_111"][0])
         before = (set(state.vertices), dict(state.coloring), state.colors_used, len(state.trace))
+        kept, patch = state.layout, {(0, 4): 4}
         with pytest.raises(AssertionError, match=r"fresh colors not contiguous: \[4\]"):
-            construct._commit(state, "arch_111", (4,), {(0, 4): 4})
+            construct._commit(state, "arch_111", (4,), patch, kept.extended(patch))
         assert (state.vertices, state.coloring, state.colors_used, len(state.trace)) == before
+        assert state.layout is kept
 
     def test_four_leaves_budget(self):
         state = seed_subgraph(gen_family("complete", 7))
@@ -529,7 +532,7 @@ class TestApply:
 class TestRepair:
     def test_single_leaf_one_color(self):
         state = state_on([(4, 0), (4, 1), (4, 2)], n=5)
-        patch = repair_step(state, [4], range(1, 2))
+        patch, _ = repair_step(state, [4], range(1, 2))
         assert patch == {(0, 4): 3, (1, 4): 3, (2, 4): 3}
 
     def test_zero_budget_fails(self):
@@ -537,7 +540,7 @@ class TestRepair:
         g = make_graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
         state = GrowState(g, {0, 1, 2}, {(0, 1): 1, (1, 2): 1, (0, 2): 1}, 1)
         assert repair_step(state, [3], range(0, 1)) is None
-        assert repair_step(state, [3], range(1, 2)) == {(0, 3): 2}
+        assert repair_step(state, [3], range(1, 2))[0] == {(0, 3): 2}
 
     def test_unlinked_vertex_fails_without_checks(self, monkeypatch):
         # 5 reaches H only through 6, which is not added
@@ -547,8 +550,8 @@ class TestRepair:
         assert calls == []
 
     def test_deterministic(self):
-        a = repair_step(state_on([(4, 0), (4, 1), (4, 2)], n=5), [4], range(2, 3))
-        b = repair_step(state_on([(4, 0), (4, 1), (4, 2)], n=5), [4], range(2, 3))
+        a, _ = repair_step(state_on([(4, 0), (4, 1), (4, 2)], n=5), [4], range(2, 3))
+        b, _ = repair_step(state_on([(4, 0), (4, 1), (4, 2)], n=5), [4], range(2, 3))
         assert a == b
 
     def test_inside_vertex_rejected(self):
@@ -564,7 +567,7 @@ class TestRepair:
         state = state_on([(4, 0), (4, 1), (4, 5), (5, 2), (5, 3)])
         tried = []
         monkeypatch.setattr(construct, "_try_coloring",
-                            lambda state, added, patch: tried.append(patch) or (0, 1))
+                            lambda state, added, patch: tried.append(patch) or ((0, 1), None))
         assert repair_step(state, [4, 5], range(2, 3)) is None
         assert len(tried) == 4 ** 2 - 4
         assert tried[0] == dict.fromkeys([(0, 4), (1, 4), (2, 5), (3, 5), (4, 5)], 3)
@@ -578,8 +581,8 @@ class TestRepair:
         # the accepted labels give 4 color 3 and 5 color 4; renumbering by
         # first appearance over the sorted edges hands color 3 to (0, 5)
         state = state_on([(4, 1), (4, 2), (5, 0), (5, 3)])
-        assert repair_step(state, [4, 5], range(2, 3)) == {(0, 5): 3, (1, 4): 4, (2, 4): 4,
-                                                           (3, 5): 3}
+        assert repair_step(state, [4, 5], range(2, 3))[0] == {(0, 5): 3, (1, 4): 4, (2, 4): 4,
+                                                              (3, 5): 3}
 
     def test_color_clash_skips_the_checker(self, monkeypatch):
         # the first labels give the non-adjacent 4 and 5 the one fresh color
@@ -588,13 +591,13 @@ class TestRepair:
         calls = count_calls(monkeypatch)
         searches = count_searches(monkeypatch)
         first = dict.fromkeys([(1, 4), (2, 4), (0, 5), (3, 5)], 3)
-        assert construct._try_coloring(state, (4, 5), first) == (4, 5)
+        assert construct._try_coloring(state, (4, 5), first)[0] == (4, 5)
         assert len(calls) == 1 and searches == []
         # the checker's color-clash bound rejects those labels again, and
         # only the next labels (3, 4), which it accepts, get searched
         calls.clear()
-        assert repair_step(state, [4, 5], range(2, 3)) == {(0, 5): 3, (1, 4): 4, (2, 4): 4,
-                                                           (3, 5): 3}
+        assert repair_step(state, [4, 5], range(2, 3))[0] == {(0, 5): 3, (1, 4): 4, (2, 4): 4,
+                                                              (3, 5): 3}
         assert len(calls) == 2 and searches
 
     def test_negative_budget_rejected(self, monkeypatch):
@@ -630,7 +633,8 @@ class TestRepair:
             one = repair_step(state, added, budgets)
             single = len(tried)
             each = [repair_step(state, added, range(b, b + 1)) for b in budgets]
-        assert one == next((patch for patch in each if patch is not None), None)
+        # the accepted patches agree; each search hands back its own layout
+        assert (one and one[0]) == next((found[0] for found in each if found is not None), None)
         assert single <= len(tried) - single
         keys = []
         for patch in tried[:single]:
@@ -673,6 +677,22 @@ class TestRepair:
         assert builds == []
 
 
+class TestReachOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 9).flatmap(
+        lambda n: st.tuples(st.builds(graph_from_mask, st.just(n),
+                                      st.integers(0, (1 << (n * (n - 1) // 2)) - 1)),
+                            st.sets(st.integers(0, n - 1)), st.sets(st.integers(0, n - 1)))))
+    def test_matches_the_rescanning_order(self, drawn):
+        # the heap yields the order of rescanning the pool at every step,
+        # and so the four vertices a fallback absorption takes
+        g, hset, pool = drawn
+        state = GrowState(g, set(hset), {}, 0)
+        want = reach_order_by_rescan(g, hset, pool)
+        assert list(construct._reach_order(state, pool)) == want
+        assert tuple(itertools.islice(construct._reach_order(state, pool), 4)) == tuple(want[:4])
+
+
 class TestColorClash:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(4, 7).flatmap(
@@ -711,7 +731,7 @@ class TestColorClash:
             assert not has_rainbow_path(sub, full, *pair)
         # the kept layout's check reports the witness of the public call
         witness = find_rainbow_witness(sub, EdgeColoring(full), vertices=universe, sources=aset)
-        assert construct._try_coloring(state, added, patch) == witness
+        assert construct._try_coloring(state, added, patch)[0] == witness
 
 
     def test_unreachable_pair_without_a_shared_color(self, monkeypatch):
@@ -726,7 +746,7 @@ class TestColorClash:
         g = make_graph(6, [*h_colors, *patch])
         state = GrowState(g, {0, 1, 2}, dict(h_colors), 1)
         searches = count_searches(monkeypatch)
-        assert construct._try_coloring(state, (3, 4, 5), patch) == (3, 5)
+        assert construct._try_coloring(state, (3, 4, 5), patch)[0] == (3, 5)
         assert searches == []
         assert not has_rainbow_path(g, {**h_colors, **patch}, 3, 5)
 
@@ -740,7 +760,7 @@ class TestColorClash:
         g = make_graph(5, [*h_colors, *patch])
         state = GrowState(g, {0, 1, 2}, dict(h_colors), 1)
         searches = count_searches(monkeypatch)
-        assert construct._try_coloring(state, (3, 4), patch) == (0, 3)
+        assert construct._try_coloring(state, (3, 4), patch)[0] == (0, 3)
         assert searches == []
 
 
@@ -980,18 +1000,24 @@ class TestRunConstructive:
             assert len(repairs) == traced_repairs(res.trace), gid
 
     def test_kept_layout_matches_a_rebuild(self, monkeypatch):
-        # after every commit over the builtin corpus, the layout the state
-        # grew holds the colors a layout built from its coloring holds, in
-        # the same neighbour order, with one dense bit per color
+        # after every commit over the builtin corpus and two inputs whose
+        # accepted repair patch renumbers its fresh colors, the layout the
+        # state kept holds the colors a layout built from its coloring
+        # holds, in the same neighbour order, with one dense bit per color
         real = construct._commit
-        commits = []
+        tries = count_calls(monkeypatch, "_try_coloring")
+        commits, renamed = [], []
 
         def colored(layout):
             color = {bit: c for c, bit in layout.bits.items()}
             return [[(w, color[bit]) for w, bit in adj] for adj in layout.adj]
 
-        def checked(state, *args, **kwargs):
-            real(state, *args, **kwargs)
+        def checked(state, kind, added, patch, *args, **kwargs):
+            # the last patch checked before this commit is the accepted one
+            if tries and tries[-1][2] != patch:
+                renamed.append(kind)
+            tries.clear()
+            real(state, kind, added, patch, *args, **kwargs)
             commits.append(state.h)
             kept = state.layout
             fresh = rainbow.ColoredLayout.build(state.host, EdgeColoring(state.coloring))
@@ -1000,10 +1026,46 @@ class TestRunConstructive:
             assert colored(kept) == colored(fresh)
 
         monkeypatch.setattr(construct, "_commit", checked)
-        for gid, recipe in builtin_corpus(42):
+        inputs = [(gid, _build(recipe)) for gid, recipe in builtin_corpus(42)]
+        # a fallback absorption that widens to 3 fresh colors
+        inputs.append(("sparse-nine", make_graph(9, SPARSE_NINE_EDGES)))
+        for gid, g in inputs:
             commits.clear()
-            res = run_constructive(_build(recipe))
+            res = run_constructive(g)
             assert len(commits) == len(res.trace), gid
+        # test_accepted_patch_renumbered_in_edge_order's search, committed
+        commits.clear()
+        final_absorb(state_on([(4, 1), (4, 2), (5, 0), (5, 3)]))
+        assert commits == [6]
+        assert "final_absorb" in renamed
+
+    @pytest.mark.parametrize("g", [gen_family("wheel", 12), make_graph(9, SPARSE_NINE_EDGES),
+                                   gen_family("prism", 3)],
+                             ids=["wheel-12", "sparse-nine", "prism-3"])
+    def test_one_layout_per_check(self, g, monkeypatch):
+        # each check extends H's layout once, and each commit adopts the
+        # layout its accepted check read instead of building another
+        extends = []
+        real_extended, real_commit = rainbow.ColoredLayout.extended, construct._commit
+        monkeypatch.setattr(rainbow.ColoredLayout, "extended",
+                            lambda self, patch: extends.append(patch) or real_extended(self, patch))
+        tries = count_calls(monkeypatch, "_try_coloring")
+        checks = count_calls(monkeypatch)
+        seen = [0]  # checker calls made before each commit
+
+        def committed(state, *args, **kwargs):
+            made, before, read = len(extends), state.layout, len(checks)
+            real_commit(state, *args, **kwargs)
+            assert len(extends) == made
+            # the accepted check read the step's layout; a step with no
+            # check (a final absorption of nothing) keeps H's
+            assert state.layout is (checks[-1][1] if read > seen[-1] else before)
+            seen.append(read)
+
+        monkeypatch.setattr(construct, "_commit", committed)
+        res = run_constructive(g)
+        assert len(seen) - 1 == len(res.trace)
+        assert len(extends) == len(tries) > 0
 
     def test_progress_and_trace_format(self):
         g = gen_family("random3c", 20, 5, seed=3)

@@ -1,4 +1,5 @@
-"""Behaviour fingerprint: the colorings and traces of the builtin corpus.
+"""Behaviour fingerprints: the colorings and traces of the builtin corpus
+and of every 3-connected graph on six vertices.
 
 Refactors of the construction must keep every coloring and every trace
 line byte-identical. A change that means to alter behaviour updates the
@@ -16,9 +17,12 @@ import pytest
 import rcbound
 from rcbound import connectivity, construct, rainbow
 from rcbound.cli import _build, builtin_corpus
+from rcbound.connectivity import vertex_connectivity
 from rcbound.construct import run_constructive
 from rcbound.graphs import gen_family
 from rcbound.rainbow import serialize_coloring
+
+from test_graphs import graph_from_mask
 
 CORPUS_SEED = 42
 PINNED_SHA256 = "d85cb8c93ce9e014f9ccc44e60b434ccd2cb2d45a3a71126790feb3d4f2cf9e2"
@@ -36,6 +40,27 @@ def corpus_fingerprint(seed: int) -> str:
 
 def test_builtin_corpus_fingerprint():
     assert corpus_fingerprint(CORPUS_SEED) == PINNED_SHA256
+
+
+# every labeled 3-connected graph on 6 vertices, keyed by its edge mask;
+# nearly all of them end in a final absorption by repair search
+SIX_VERTEX_COUNT = 1768
+SIX_VERTEX_SHA256 = "40e4ff6f5594f3c8cf80410ff581d7bd66a2aa19c6d1c96d52007f082791beb7"
+
+
+def test_six_vertex_fingerprint():
+    digest, count = hashlib.sha256(), 0
+    for mask in range(1 << 15):
+        g = graph_from_mask(6, mask)
+        if min(map(len, g.adj)) < 3 or vertex_connectivity(g) < 3:
+            continue
+        count += 1
+        result = run_constructive(g)
+        digest.update(f"# {mask}\n".encode())
+        digest.update(serialize_coloring(result.coloring).encode())
+        digest.update("".join(line + "\n" for line in result.trace_lines()).encode())
+    assert count == SIX_VERTEX_COUNT
+    assert digest.hexdigest() == SIX_VERTEX_SHA256
 
 
 TRACED_NAMES = [
