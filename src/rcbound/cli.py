@@ -28,20 +28,16 @@ def _load_graph(path: str) -> Graph:
     return parse_graph(Path(path).read_text())
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
 def cmd_gen(args) -> int:
     params = {
         "cycle": (args.n,), "complete": (args.n,), "wheel": (args.n,),
         "prism": (args.n,), "petersen": (), "random3c": (args.n, args.extra),
     }[args.family]
     g = gen_family(args.family, *params, seed=args.seed)
-    _emit(serialize_graph(g), args.output)
+    if args.output is None:
+        sys.stdout.write(serialize_graph(g))
+    else:
+        Path(args.output).write_text(serialize_graph(g))
     return 0
 
 

@@ -124,8 +124,10 @@ class GrowState:
     until _commit absorbs one of them (see _read_fan). `layout` is the
     checker's colored layout of `coloring`, built when the state is made;
     each commit then adopts the layout that its step's accepted check read
-    (see _try_coloring), so a step builds one layout. final_absorb's
-    color-1 leftovers, added after the last commit, stay out of it."""
+    (see _try_coloring), so a step builds one layout. Every step checks
+    the patch it commits, so after each commit `layout` equals
+    ColoredLayout.build of `coloring`. final_absorb's color-1 leftovers,
+    added after the last commit, stay out of it."""
     host: Graph
     vertices: set[int]
     coloring: dict[Edge, int]
@@ -514,20 +516,19 @@ def repair_step(state: GrowState, added_vertices,
     first b fresh colors, color 1, then the alternating star when b >= 2)
     are tried in a fixed lexicographic order. Each vertex's edges are laid
     out as positions in the sorted candidate edges, so a label
-    combination fills one color list. It is keyed by those colors with
-    the fresh ones renumbered by first appearance, and each key goes
-    through _try_coloring once over all budgets: the checker reads only
-    which colors are equal, so a patch that renames the fresh colors of
-    one already tried gets its verdict. A search thus costs at most the
-    sum over b of (b + 2) ** len(added) checker calls, each on H's kept
-    layout extended by the candidate patch, and accepts the patch that
-    searches at each budget in turn would. A patch that cuts a vertex off
-    from a single-colored added one (say two non-adjacent added vertices
-    on one fresh star color) is rejected by the checker's color-clash
-    bound without a rainbow search.
-    Returns the first accepted patch in its renumbered form with the
-    layout its check read, its color bits relabeled through the same
-    renumbering, or None when no pattern works; the caller then aborts
+    combination fills one color list. Its fresh colors, renumbered by
+    first appearance, give the candidate's final form, and each such
+    patch goes through _try_coloring once over all budgets: the checker
+    reads only which colors are equal, so a patch that renames the fresh
+    colors of one already tried gets its verdict. A search thus costs at
+    most the sum over b of (b + 2) ** len(added) checker calls, each on
+    H's kept layout extended by the candidate patch, and accepts the
+    patch that searches at each budget in turn would. A patch that cuts a
+    vertex off from a single-colored added one (say two non-adjacent
+    added vertices on one fresh star color) is rejected by the checker's
+    color-clash bound without a rainbow search.
+    Returns the first accepted patch, as checked, with the layout its
+    check read, or None when no pattern works; the caller then aborts
     with a ConstructionError.
     """
     added = tuple(sorted(added_vertices))
@@ -576,13 +577,10 @@ def repair_step(state: GrowState, added_vertices,
             if key in tried:
                 continue
             tried.add(key)
-            witness, layout = _try_coloring(state, added, dict(zip(cand, colors)))
+            patch = dict(zip(cand, key))
+            witness, layout = _try_coloring(state, added, patch)
             if witness is None:
-                # the renumbering is a bijection of the fresh colors, so the
-                # checked layout holds the renumbered patch once its bits are
-                # renamed with it
-                layout.bits = {remap.get(c, c): bit for c, bit in layout.bits.items()}
-                return dict(zip(cand, key)), layout
+                return patch, layout
     return None
 
 

@@ -81,11 +81,13 @@ def _require_covers(g: Graph, coloring: EdgeColoring) -> None:
 
 class ColoredLayout:
     """The colored edges of a host graph: `adj` holds per vertex its
-    (neighbour, color bit) pairs in neighbour order. Colors are numbered
-    densely, each new color taking the next bit, so a mask holds one bit
-    per color used whatever the color ids are: color 1 and color 10**30
-    need two bits. Only which colors are equal, not their bits, sets a
-    search's answer."""
+    (neighbour, color bit) pairs in neighbour order. `build` and
+    `extended` number colors by one rule: each new color takes the next
+    bit where it first appears, so a mask holds one bit per color used
+    whatever the color ids are (color 1 and color 10**30 need two bits),
+    and a layout extended by patches equals the layout built from their
+    union in the same order. Only which colors are equal, not their bits,
+    sets a search's answer."""
 
     __slots__ = ("host", "adj", "bits")
 
@@ -94,13 +96,13 @@ class ColoredLayout:
 
     @classmethod
     def build(cls, g: Graph, coloring: EdgeColoring) -> ColoredLayout:
-        """The layout of a coloring of edges of g (the caller checks them);
-        the i-th smallest color gets bit i."""
-        bits = {c: 1 << i for i, c in enumerate(sorted(set(coloring.colors.values())))}
+        """The layout of a coloring of edges of g (the caller checks them)."""
+        bits: dict[int, int] = {}
         adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
         for (u, v), c in coloring.colors.items():
-            adj[u].append((v, bits[c]))
-            adj[v].append((u, bits[c]))
+            bit = bits.setdefault(c, 1 << len(bits))
+            adj[u].append((v, bit))
+            adj[v].append((u, bit))
         for lst in adj:
             lst.sort()
         return cls(g, adj, bits)

@@ -337,16 +337,20 @@ class TestColoredLayout:
         assert grown.adj[1] is base.adj[1]  # an untouched list is shared
 
     @pytest.mark.parametrize("colors, witness", [((10 ** 30, 10 ** 30), (0, 2)),
-                                                 ((1, 10 ** 30), None)])
+                                                 ((1, 10 ** 30), None),
+                                                 ((5, 2), None)])
     def test_huge_color_id_takes_one_bit(self, colors, witness):
         # C4 in two colors alternating, or in one: the public check and the
-        # check of a layout grown by the same colors give one verdict
+        # check of a layout grown by the same colors give one verdict, and
+        # building and growing number the colors alike, by first appearance
+        # (5 before 2 in the last case), not by id
         g = gen_family("cycle", 4)
         first, second = colors
         full = {(0, 1): first, (2, 3): first, (1, 2): second, (0, 3): second}
         assert find_rainbow_witness(g, EdgeColoring(full)) == witness
         layout = ColoredLayout.build(g, EdgeColoring({})).extended(full)
         assert sorted(layout.bits.values()) == [1 << i for i in range(len(set(colors)))]
+        assert layout.bits == ColoredLayout.build(g, EdgeColoring(full)).bits
         assert find_rainbow_witness(g, layout) == witness
 
     def test_layout_checks_keep_the_universe_checks(self):
