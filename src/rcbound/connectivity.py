@@ -7,12 +7,11 @@ out-edge (the source has several) and its one used in-edge, so a search
 steps back along a used edge without scanning the neighbours. Every
 vertex but the source passes at most one path, so two paths meet only at
 the source. A path stops at the first target it touches, and a target
-ends one path unless it is the only target. Augmentation follows a
-shortest residual path in a fixed scan order, which keeps the returned
-paths short and the output deterministic. Each search stops when it
-queues a target with room rather than when it pops it; the queue is FIFO
-and a state's predecessor is fixed when it is queued, so the path found
-is the same.
+ends at most one path. Augmentation follows a shortest residual path in
+a fixed scan order, which keeps the returned paths short and the output
+deterministic. Each search stops when it queues a target with room
+rather than when it pops it; the queue is FIFO and a state's predecessor
+is fixed when it is queued, so the path found is the same.
 
 Vertex connectivity examines few pairs: around one vertex v of minimum
 degree d it takes the pairs (v, w) for every w not adjacent to v and the
@@ -28,8 +27,8 @@ neighbours and the ends of the pairs settled with a. A fan as wide as the
 current answer shows that the pair cannot lower it (see
 `vertex_connectivity`), and its flow is skipped; one that falls short
 proves nothing, since a greedy path may take a vertex two others need,
-and the flow decides. The fan query runs the flow alone, so the paths
-it returns are the flow's.
+and a flow from b into the same set decides. The fan query runs the
+flow alone, so the paths it returns are the flow's.
 """
 
 from __future__ import annotations
@@ -44,10 +43,10 @@ def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int,
                 entered: bytearray | None = None) -> list[list[int]]:
     """Up to `want` pairwise internally disjoint paths from x into targets,
     shortest first, ties in lexicographic order. The targets must be
-    distinct (every caller passes a frozenset or a 1-tuple), and only
-    membership is read, so their order is unused. `entered`, when given,
-    is a bytearray of g.n entries in which every search sets entered[v] = 1
-    for each vertex v whose entering half it labels.
+    distinct, and only membership is read, so their order is unused.
+    `entered`, when given, is a bytearray of g.n entries in which every
+    search sets entered[v] = 1 for each vertex v whose entering half it
+    labels.
 
     The flow is the set of directed edges that carry a unit. Every vertex
     but x and the targets passes at most one path, so four records hold
@@ -59,10 +58,7 @@ def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int,
     and 2v+1 leaves it. Leaving v it steps back into v if v is on a path,
     then along each unused edge. Entering v it passes a free non-target v,
     then steps back along the used edge into v. Neighbours go in ascending
-    order, and no step enters x. A lone target takes every path and keeps
-    only its latest in-edge in `pred`, but that is never read: a search
-    stops when it labels a target with room, and a lone target always has
-    room, so its entering half is never popped.
+    order, and no step enters x.
 
     The search ends when it queues the entering half of a target with room.
     Waiting to pop that state gives the same path: the queue is FIFO, so
@@ -74,8 +70,7 @@ def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int,
     entered[v]): a step reads it as it labels 2b, a popped state was
     labeled, and the search that routed a path through a vertex entered
     it. So take a larger target set T' that adds to T only vertices with
-    entered[v] = 0, while `lone` reads the same (both sets hold at least
-    two vertices). A fresh run on T' makes the same tests, gets the same
+    entered[v] = 0. A fresh run on T' makes the same tests, gets the same
     answers and returns the same paths. A caller whose target set only
     grows can therefore keep an answer until a vertex with entered[v] = 1
     joins the targets. One byte a vertex per call keeps that record far
@@ -86,7 +81,6 @@ def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int,
     is_target = bytearray(g.n)
     for t in targets:
         is_target[t] = 1
-    lone = len(targets) == 1  # a lone target takes every path
     succ = [-1] * g.n
     pred = [-1] * g.n
     out_x: set[int] = set()
@@ -126,8 +120,7 @@ def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int,
                     queue.append(2 * a + 1)
         if end < 0:
             break
-        if not lone:
-            is_target[end] = 2
+        is_target[end] = 2
         state = 2 * end
         while state != src:
             before = prev[state]
@@ -287,6 +280,16 @@ def vertex_connectivity(g: Graph) -> int:
     So the fan of a pair (a, b) has width `best` and aims at a, its
     neighbours and the ends of the pairs settled with a before it. A mark
     made at a higher best stays valid after a flow lowers best.
+
+    When the greedy fan falls short, the flow asks the same question
+    exactly: its widest fan from b into that set, capped at best, has
+    width min(kappa(a, b), best), which is the new best.
+    At most: a j-fan gives kappa(a, b) >= j by the proof above, since
+    every mark t has kappa(a, t) >= the current best >= j.
+    At least: take j internally disjoint paths from b to a. The last inner
+    vertex of each is a neighbour of a, so in the set, and b is not in it.
+    Cutting each path at its first vertex in the set leaves j paths that
+    share only b and end at distinct vertices, a j-fan.
     """
     if g.n < 2:
         raise ValueError("vertex connectivity needs at least 2 vertices")
@@ -301,6 +304,6 @@ def vertex_connectivity(g: Graph) -> int:
         if a not in linked:
             linked[a] = {a, *g.adj[a]}
         if not _greedy_fan(g, b, linked[a], best):
-            best = len(_flow_paths(g, a, (b,), best))
+            best = len(_flow_paths(g, b, linked[a], best))
         linked[a].add(b)
     return best

@@ -694,7 +694,7 @@ def run_constructive(g: Graph, force: bool = False) -> ConstructionResult:
         state = seed_subgraph(g)
         # a committed move adds at least 4 distinct outside vertices (fewer,
         # repeated or inside ones are refused), so every round grows H
-        while len(state.externals()) >= 4:
+        while state.host.n - state.h >= 4:
             apply_extension(state, classify_extension(state))
         final_absorb(state)
         colors, trace = state.coloring, state.trace
@@ -705,7 +705,7 @@ def run_constructive(g: Graph, force: bool = False) -> ConstructionResult:
         colors, step = spanning_tree_coloring(g)
         trace = [step]
 
-    coloring = EdgeColoring(dict(colors))
+    coloring = EdgeColoring(colors)
     witness = find_rainbow_witness(g, coloring)
     if witness is not None:
         raise ConstructionError(f"final coloring failed verification at {witness}", trace)

@@ -58,43 +58,50 @@ class TestVertexConnectivity:
         assert pairwise_vertex_connectivity(g) == brute_vertex_connectivity(g)
 
 
-class TestDisjointPaths:
-    # the single-target flow that vertex_connectivity runs: fewer than k
-    # paths means no k internally disjoint ones exist
-    def test_k4_three_paths(self):
-        paths = connectivity._flow_paths(gen_family("complete", 4), 0, (1,), 3)
-        assert paths == [[0, 1], [0, 2, 1], [0, 3, 1]]
+def closed_fan(g, u, v, k):
+    """The flow vertex_connectivity runs for a non-adjacent pair (u, v) with
+    nothing settled yet: up to k paths from v into u's closed neighbourhood."""
+    return connectivity._flow_paths(g, v, {u, *g.adj[u]}, k)
 
+
+class TestDisjointPaths:
+    # a fan from v into u's closed neighbourhood, for non-adjacent u and v:
+    # fewer than k paths means no k internally disjoint u-v paths exist
     def test_c6_insufficient(self):
-        assert len(connectivity._flow_paths(gen_family("cycle", 6), 0, (3,), 3)) < 3
+        assert len(closed_fan(gen_family("cycle", 6), 0, 3, 3)) < 3
 
     def test_c6_two_paths(self):
-        paths = connectivity._flow_paths(gen_family("cycle", 6), 0, (3,), 2)
-        assert len(paths) == 2
-        interiors = [set(p[1:-1]) for p in paths]
-        assert interiors[0] & interiors[1] == set()
+        paths = closed_fan(gen_family("cycle", 6), 0, 3, 2)
+        assert paths == [[3, 2, 1], [3, 4, 5]]
 
     def test_petersen_all_pairs(self):
         pet = gen_family("petersen")
         for u in range(10):
-            for v in range(u + 1, 10):
-                assert len(connectivity._flow_paths(pet, u, (v,), 3)) == 3
+            for v in range(10):
+                if v != u and v not in pet.adj[u]:
+                    assert len(closed_fan(pet, u, v, 3)) == 3
 
     def test_backs_a_path_out_of_a_vertex(self):
-        # the first path is 8-3-0-9-6; the second search enters 9 and must
+        # the first path is 8-3-0-9; the second search enters 9 and must
         # step back through 0, cancelling both path edges at 0
         g = make_graph(13, [(0, 3), (0, 9), (1, 2), (1, 3), (1, 7), (2, 7), (2, 9),
                             (2, 10), (3, 5), (3, 7), (3, 8), (3, 11), (4, 5), (4, 6),
                             (5, 9), (6, 9), (7, 10), (8, 10), (9, 12), (10, 11), (11, 12)])
-        paths = connectivity._flow_paths(g, 8, (6,), 2)
-        assert paths == [[8, 3, 5, 4, 6], [8, 10, 2, 9, 6]]
+        assert connectivity._flow_paths(g, 8, {4, 9}, 1) == [[8, 3, 0, 9]]
+        paths = connectivity._flow_paths(g, 8, {4, 9}, 2)
+        assert paths == [[8, 3, 5, 4], [8, 10, 2, 9]]
 
     @settings(max_examples=60, deadline=None)
     @given(st_graph_n2to6, st.integers(1, 3), st.randoms(use_true_random=False))
     def test_matches_family_search(self, g, k, rng):
-        u, v = rng.sample(range(g.n), 2)
-        got = connectivity._flow_paths(g, u, (v,), k)
-        assert (len(got) == k) == brute_has_disjoint_paths(g, u, v, k)
+        # the exact step of vertex_connectivity: the closed-neighbourhood fan
+        # is k wide exactly when k internally disjoint u-v paths exist
+        apart = [(u, v) for u in range(g.n) for v in range(g.n)
+                 if u != v and v not in g.adj[u]]
+        if not apart:
+            return
+        u, v = rng.choice(apart)
+        assert (len(closed_fan(g, u, v, k)) == k) == brute_has_disjoint_paths(g, u, v, k)
 
 
 class TestFindFan:
@@ -265,7 +272,7 @@ KAPPA_GRAPHS = [
 
 # Any change to path choice, path order, a None verdict or a kappa value
 # moves this digest; a change meant to alter them re-pins it and says why.
-FLOW_SHA256 = "bf1bbed9929d6ea25807dda8dd6878a6d17a286367b2a098989c89f03d937464"
+FLOW_SHA256 = "85c668c1f8be4375813e56f1f35f3b11be9d5a7d3e7ab50985c282e4ae7491f1"
 
 
 def flow_fingerprint_lines():
@@ -280,8 +287,10 @@ def flow_fingerprint_lines():
                 yield f"fan {name} {x} {targets} {k} {fan}"
         for _ in range(8):
             u, v = rng.sample(range(g.n), 2)
+            if v in g.adj[u]:
+                continue
             for k in range(1, 5):
-                paths = connectivity._flow_paths(g, u, (v,), k)
+                paths = closed_fan(g, u, v, k)
                 yield f"paths {name} {u} {v} {k} {paths if len(paths) == k else None}"
     for name, g in KAPPA_GRAPHS:
         yield f"kappa {name} {vertex_connectivity(g)}"
@@ -340,8 +349,8 @@ class TestPairReduction:
         g = NEIGHBOUR_PAIR_GRAPH
         assert min(range(g.n), key=g.degree) == 1
         for w in (0, 6):
-            assert len(connectivity._flow_paths(g, 1, (w,), 4)) == 4
-        assert len(connectivity._flow_paths(g, 2, (4,), 4)) < 4
+            assert len(closed_fan(g, 1, w, 4)) == 4
+        assert len(closed_fan(g, 2, 4, 4)) < 4
         assert vertex_connectivity(g) == brute_vertex_connectivity(g) == 3
 
     @pytest.mark.parametrize("g, kappa", [
@@ -363,12 +372,12 @@ class TestPairReduction:
     def test_greedy_trap_runs_the_flow(self, monkeypatch):
         # around vertex 0 (degree 2) the greedy fan from 1 into {0, 2, 4}
         # first takes 1-3-2, which holds 3, the only way left from 1 to 4, so
-        # it stops at one path; the fan 1-3-4, 1-5-2 and the flow's paths
-        # 0-2-5-1 and 0-4-3-1 exist
+        # it stops at one path; the flow into the same set finds the fan
+        # 1-3-4, 1-5-2
         g = make_graph(6, [(0, 2), (0, 4), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4)])
         assert not connectivity._greedy_fan(g, 1, {0, 2, 4}, 2)
         assert find_fan(g, 1, {0, 2, 4}, 2) is not None
-        assert len(connectivity._flow_paths(g, 0, (1,), 2)) == 2
+        assert connectivity._flow_paths(g, 1, {0, 2, 4}, 2) == [[1, 3, 4], [1, 5, 2]]
         flows = count_calls(monkeypatch, "_flow_paths")
         assert vertex_connectivity(g) == brute_vertex_connectivity(g) == 2
         assert len(flows) > 0
