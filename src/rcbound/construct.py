@@ -526,7 +526,7 @@ def repair_step(state: GrowState, added_vertices,
     patch that searches at each budget in turn would. A patch that cuts a
     vertex off from a single-colored added one (say two non-adjacent
     added vertices on one fresh star color) is rejected by the checker's
-    color-clash bound without a rainbow search.
+    color-clash bound after one first-walk pass, without the exact search.
     Returns the first accepted patch, as checked, with the layout its
     check read, or None when no pattern works; the caller then aborts
     with a ConstructionError.

@@ -24,10 +24,12 @@ first walks miss many pairs from one end, almost none from both). Its
 reached set does not depend on which other targets it is given, so the
 witness is the one the exact search alone would report.
 
-A check restricted to sources first tries a cheap proof of failure, the
-color-clash bound (`_color_clash`) on sources whose edges share one
-color; the repair search's candidates often fail that way. A full check
-skips it and keeps its lexicographically smallest witness.
+A check restricted to sources also runs a cheap proof of failure, the
+color-clash bound (`_color_clash`), on each source whose pass misses a
+vertex and whose edges share one color; the repair search's candidates
+often fail that way. A pass that misses nothing proves that its source
+has no clash pair, so an accepted check never pays for the bound. A
+full check skips it and keeps its lexicographically smallest witness.
 
 The searches read a ColoredLayout. The checker builds one from a (Graph,
 EdgeColoring) pair or takes one that a growing subgraph keeps and extends
@@ -242,20 +244,21 @@ def _first_walk_misses(adjc: list[list[tuple[int, int]]], source: int,
     vertex it reaches lies on that walk, a path in the search tree, so it
     has a rainbow path; a missed target may still have one through a
     later walk, which `_rainbow_reach` decides."""
-    mask_at = {source: 0}
+    mask_at = [-1] * len(adjc)  # vertex -> its first walk's colors, -1 unreached
+    mask_at[source] = 0
     queue = [source]
     remaining = len(targets)
     for v in queue:
         mask = mask_at[v]
         for w, bit in adjc[v]:
-            if w not in mask_at and not mask & bit:
+            if mask_at[w] < 0 and not mask & bit:
                 mask_at[w] = mask | bit
                 queue.append(w)
                 if w in targets:
                     remaining -= 1
                     if not remaining:
                         return set()
-    return targets.difference(mask_at)
+    return {t for t in targets if mask_at[t] < 0}
 
 
 def _one_color(adj: list[tuple[int, int]]) -> int:
@@ -264,38 +267,37 @@ def _one_color(adj: list[tuple[int, int]]) -> int:
     return bits.pop() if len(bits) == 1 else 0
 
 
-def _color_clash(adjc: list[list[tuple[int, int]]], sources,
-                 universe: set[int]) -> Edge | None:
-    """A pair of a source and a universe vertex that no rainbow path joins,
+def _color_clash(adjc: list[list[tuple[int, int]]], u: int, universe) -> Edge | None:
+    """A pair of source u and a universe vertex that no rainbow path joins,
     found without a rainbow search, or None, which proves nothing.
 
-    Let u be a source whose edges all carry one color c. A rainbow path
-    from u leaves u on c and never uses c again; its first inner vertex is
-    a neighbour of u, and each later inner vertex is entered and left on
-    two different colors. So a walk from u that steps to u's neighbours,
-    then follows only edges not colored c, and goes on from a vertex only
-    when it is a neighbour of u or carries more than one color, reaches
-    every end of a rainbow path from u: a universe vertex it never reaches
-    has no rainbow path to u. (A non-adjacent w whose edges all carry c is
-    the simplest case: no edge enters it.) Of the sources in ascending
-    order, the first with such a w comes back with its lowest one, as
-    (min, max). The other vertices' colors are read only when some source
-    has one color, and only those that a walk reaches."""
-    lone = [(u, c) for u in sorted(sources) if (c := _one_color(adjc[u]))]
-    for u, c in lone:
-        near = {w for w, _ in adjc[u]}
-        seen = near | {u}
-        stack = list(near)
-        while stack:
-            for y, bit in adjc[stack.pop()]:
-                if bit != c and y not in seen:
-                    seen.add(y)
-                    if not _one_color(adjc[y]):
-                        stack.append(y)
-        missed = universe - seen
-        if missed:
-            w = min(missed)
-            return (min(u, w), max(u, w))
+    Let u's edges all carry one color c. A rainbow path from u leaves u
+    on c and never uses c again; its first inner vertex is a neighbour of
+    u, and each later inner vertex is entered and left on two different
+    colors. So a walk from u that steps to u's neighbours, then follows
+    only edges not colored c, and goes on from a vertex only when it is a
+    neighbour of u or carries more than one color, reaches every end of a
+    rainbow path from u: a universe vertex it never reaches has no
+    rainbow path to u. (A non-adjacent w whose edges all carry c is the
+    simplest case: no edge enters it.) The lowest such w comes back with
+    u as (min, max). The other vertices' colors are read only when u has
+    one color, and only those that the walk reaches."""
+    c = _one_color(adjc[u])
+    if not c:
+        return None
+    near = {w for w, _ in adjc[u]}
+    seen = near | {u}
+    stack = list(near)
+    while stack:
+        for y, bit in adjc[stack.pop()]:
+            if bit != c and y not in seen:
+                seen.add(y)
+                if not _one_color(adjc[y]):
+                    stack.append(y)
+    missed = [w for w in universe if w not in seen]
+    if missed:
+        w = min(missed)
+        return (min(u, w), max(u, w))
     return None
 
 
@@ -310,12 +312,25 @@ def find_rainbow_witness(g: Graph, coloring: EdgeColoring | ColoredLayout,
 
     `sources`, a subset of the universe, restricts the check to the pairs
     with at least one end in it, and a failing pair comes back as (min,
-    max) with one end in the sources, not necessarily the smallest. When
-    the color-clash bound (_color_clash) proves a pair failing, that pair
-    comes back without a search. Otherwise one search runs from each
+    max) with one end in the sources, not necessarily the smallest. Of
+    the sources in ascending order, the first that the color-clash bound
+    (_color_clash) proves failing comes back with its lowest clash
+    partner, without an exact search. Otherwise one search runs from each
     source in ascending order, aimed at every universe vertex except the
     sources already searched, and the pair is the first source that misses
     one with its lowest missed vertex.
+
+    The bound runs on a source only after its first-walk pass (below)
+    misses a vertex, and that finds the same pair:
+    - A clash pair (u, w) has no rainbow path. So u's pass misses w: w is
+      either still a target, or an earlier source whose own pass missed
+      u and so is aimed at again from u. A source whose pass misses
+      nothing has no clash pair.
+    - So the first source, in ascending order, whose bound finds a vertex
+      is the first that has a clash pair, with the same lowest vertex. It
+      still comes back before any exact search.
+    - When no source has a clash pair, the passes and the exact search
+      run as they would without the bound.
 
     The searches go in two rounds. First a first-walk pass runs from each
     source, aimed also at the earlier sources whose pass missed it, and
@@ -347,8 +362,6 @@ def find_rainbow_witness(g: Graph, coloring: EdgeColoring | ColoredLayout,
     order = verts if sources is None else sorted(sources)
     if not targets.issuperset(order):
         raise ValueError("sources must lie inside the vertex universe")
-    if sources is not None and (clash := _color_clash(adjc, order, targets)) is not None:
-        return clash
     missed_by: dict[int, set[int]] = {}  # source -> open targets its pass missed
     aims: dict[int, set[int]] = {}  # target -> sources whose pass missed it
     for u in order:
@@ -357,6 +370,8 @@ def find_rainbow_witness(g: Graph, coloring: EdgeColoring | ColoredLayout,
         if not targets and not back:
             continue
         missed = _first_walk_misses(adjc, u, targets | back if back else targets)
+        if missed and sources is not None and (clash := _color_clash(adjc, u, verts)):
+            return clash
         if back:  # a pass from u that reaches s settles the pair (s, u)
             for s in back - missed:
                 missed_by[s].discard(u)

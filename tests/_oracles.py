@@ -65,6 +65,26 @@ def brute_rainbow_witness(g: Graph, colors: dict, vertices=None):
     return None
 
 
+def clash_first_witness(g: Graph, colors: dict, universe, sources, bound):
+    """The pair a sources-restricted check reports: `bound(u)`, the
+    color-clash bound's pair for source u or None, over the sources in
+    ascending order first; then, per source in ascending order, its lowest
+    partner in the universe minus the earlier sources that no rainbow
+    path joins, as (min, max); else None."""
+    order = sorted(sources)
+    for u in order:
+        pair = bound(u)
+        if pair is not None:
+            return pair
+    done = set()
+    for u in order:
+        done.add(u)
+        for w in sorted(set(universe) - done):
+            if not has_rainbow_path(g, colors, u, w):
+                return (min(u, w), max(u, w))
+    return None
+
+
 def brute_rc(g: Graph, max_colors: int | None = None) -> int:
     """Minimum colors by trying every coloring outright (tiny graphs only)."""
     m = g.m

@@ -17,7 +17,8 @@ from rcbound.graphs import gen_family, make_graph, norm_edge
 from rcbound.rainbow import EdgeColoring, find_rainbow_witness, rc_exact
 
 from _capped import run_capped
-from _oracles import brute_connected, has_rainbow_path, reach_order_by_rescan
+from _oracles import (brute_connected, clash_first_witness, has_rainbow_path,
+                      reach_order_by_rescan)
 from test_connectivity import (CONSTRUCTION_FAN_GRAPHS, EAR_FALLBACK_GRAPH,
                                generalized_petersen, hypercube, mobius_ladder, relabeled)
 from test_graphs import graph_from_mask, ladder
@@ -595,10 +596,12 @@ class TestRepair:
         calls = count_calls(monkeypatch)
         searches = count_searches(monkeypatch)
         first = dict.fromkeys([(1, 4), (2, 4), (0, 5), (3, 5)], 3)
+        # one first-walk pass from 4 misses 5, and the checker's
+        # color-clash bound then rejects the pair without an exact search
         assert construct._try_coloring(state, (4, 5), first)[0] == (4, 5)
-        assert len(calls) == 1 and searches == []
-        # the checker's color-clash bound rejects those labels again, and
-        # only the next labels (3, 4), which it accepts, get searched
+        assert len(calls) == 1 and searches == ["_first_walk_misses"]
+        # the bound rejects those labels again after one pass, and the
+        # next labels (3, 4), which it accepts, get searched in full
         calls.clear()
         assert repair_step(state, [4, 5], range(2, 3))[0] == {(0, 5): 3, (1, 4): 4, (2, 4): 4,
                                                               (3, 5): 3}
@@ -729,13 +732,34 @@ class TestColorClash:
         assume(brute_connected(sub, universe))
         state = GrowState(g, hset, coloring, max(coloring.values(), default=0))
         adjc = rainbow.ColoredLayout.build(sub, EdgeColoring(full)).adj
-        pair = rainbow._color_clash(adjc, aset, universe)
-        if pair is not None:
-            assert set(pair) & aset and set(pair) <= universe
-            assert not has_rainbow_path(sub, full, *pair)
-        # the kept layout's check reports the witness of the public call
+        for u in added:
+            pair = rainbow._color_clash(adjc, u, universe)
+            if pair is not None:
+                assert u in pair and set(pair) <= universe
+                assert not has_rainbow_path(sub, full, *pair)
+        # the check reports the first source's clash pair, else the first
+        # source's lowest partner that no rainbow path joins
         witness = find_rainbow_witness(sub, EdgeColoring(full), vertices=universe, sources=aset)
+        assert witness == clash_first_witness(
+            sub, full, universe, aset, lambda u: rainbow._color_clash(adjc, u, universe))
+        # the kept layout's check reports the witness of the public call
         assert construct._try_coloring(state, added, patch)[0] == witness
+
+    @pytest.mark.parametrize("accepted", ["k4_seed", "repair_patch"])
+    def test_accepted_check_skips_the_bound(self, accepted, monkeypatch):
+        # a pass that misses nothing proves its source has no clash pair,
+        # so an accepted growth check never runs the bound
+        clashes = []
+        real = rainbow._color_clash
+        monkeypatch.setattr(rainbow, "_color_clash",
+                            lambda *args: clashes.append(args[1]) or real(*args))
+        if accepted == "k4_seed":
+            seed_subgraph(gen_family("complete", 4))
+        else:
+            state = state_on([(4, 1), (4, 2), (5, 0), (5, 3)])
+            patch = {(0, 5): 3, (1, 4): 4, (2, 4): 4, (3, 5): 3}
+            assert construct._try_coloring(state, (4, 5), patch)[0] is None
+        assert clashes == []
 
 
     def test_unreachable_pair_without_a_shared_color(self, monkeypatch):
@@ -743,7 +767,8 @@ class TestColorClash:
         # on color 2; added 4 links to 0, 1 and to 5 on color 3; added 5
         # links to 1, 2 on color 2. The single-colored 3 and 4 differ in
         # color, yet 5 is entered only on color 2 or from the
-        # single-colored 4, so no rainbow path leaves 3 for 5
+        # single-colored 4, so no rainbow path leaves 3 for 5: 3's pass
+        # misses 5, and the bound then rejects the pair without an exact search
         h_colors = {(0, 1): 1, (0, 2): 1, (1, 2): 1}
         patch = {(0, 3): 2, (1, 3): 2, (2, 3): 2, (0, 4): 3, (1, 4): 3, (4, 5): 3,
                  (1, 5): 2, (2, 5): 2}
@@ -751,21 +776,22 @@ class TestColorClash:
         state = GrowState(g, {0, 1, 2}, dict(h_colors), 1)
         searches = count_searches(monkeypatch)
         assert construct._try_coloring(state, (3, 4, 5), patch)[0] == (3, 5)
-        assert searches == []
+        assert searches == ["_first_walk_misses"]
         assert not has_rainbow_path(g, {**h_colors, **patch}, 3, 5)
 
     def test_walk_from_a_pendant_of_its_only_neighbour(self, monkeypatch):
         # H is the triangle {0, 1, 2} in color 1; added 4 links to 0, 1, 2
         # and to the pendant 3, all on color 3. Every single-colored vertex
         # (3 and 4) is a source or its neighbour, yet the walk from 3 stops
-        # at 4, so no rainbow path joins 3 to H
+        # at 4, so no rainbow path joins 3 to H: 3's pass misses 0, 1 and
+        # 2, and the bound then rejects (0, 3) without an exact search
         h_colors = {(0, 1): 1, (0, 2): 1, (1, 2): 1}
         patch = {(0, 4): 3, (1, 4): 3, (2, 4): 3, (3, 4): 3}
         g = make_graph(5, [*h_colors, *patch])
         state = GrowState(g, {0, 1, 2}, dict(h_colors), 1)
         searches = count_searches(monkeypatch)
         assert construct._try_coloring(state, (3, 4), patch)[0] == (0, 3)
-        assert searches == []
+        assert searches == ["_first_walk_misses"]
 
 
 class TestFinalAbsorb:
