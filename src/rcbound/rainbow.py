@@ -5,10 +5,13 @@ graph rainbow connected when every vertex pair is joined by some rainbow
 path. The checker's exact search (`_rainbow_reach`) runs over (vertex,
 used-color bit mask) states, and so does the exact solver's walk search
 (`_witness_walk`), which reads a partial coloring and keeps the walk it
-finds. Both run one walk length at a time and drop a walk whose colors
-hold those of a walk already kept at the same vertex: the dropped walk is
-no shorter and can only go where the kept one goes. The pruning is exact,
-so it changes no answer, and a failing check holds a few masks per vertex
+finds. The solver mends a pair's broken walk with one of the pair's
+two-step walks when one is still valid, and searches only when none is
+(at k = 2 it never searches: those are all the pair's walks). Both
+searches run one walk length at a time and drop a walk whose colors hold
+those of a walk already kept at the same vertex: the dropped walk is no
+shorter and can only go where the kept one goes. The pruning is exact, so
+it changes no answer, and a failing check holds a few masks per vertex
 instead of every color set that reaches it.
 
 The checker runs a cheaper pass first. From each source, a breadth-first
@@ -464,11 +467,14 @@ def rc_exact(g: Graph, max_colors: int | None = None,
     pairs whose walk uses it (its watchers). The first walks are the
     shortest paths of the breadth-first searches that give the diameter:
     they have no colored edge and at most diameter <= k edges. Painting
-    edge i rechecks only i's watchers; a watcher whose walk broke gets a
-    new one from `_witness_walk`, and a pair left without one rejects the
-    node. The verdicts are those of searching every pair at every node,
-    by this invariant: before edge i is painted, every kept walk is valid
-    once edge i is taken as uncolored.
+    edge i rechecks only i's watchers. A watcher (u, t) whose walk broke
+    takes the first of its two-step walks u-x-t, one per common
+    neighbour x, listed when the pair first breaks, whose two edges do
+    not carry one color. Only when none does is `_witness_walk` asked,
+    and not at k = 2. A pair left without a walk rejects the node. The
+    verdicts are those of searching every pair at every node, by this
+    invariant: before edge i is painted, every kept walk is valid once
+    edge i is taken as uncolored.
 
     - It holds at edge 0 of each k: every edge is uncolored, and a kept
       walk is a first walk or was found for a smaller k.
@@ -477,8 +483,16 @@ def rc_exact(g: Graph, max_colors: int | None = None,
       when another of its edges has color c or it uses i twice, which is
       when c occurs twice among its colors: the recheck. So when every
       watcher passes or gets a new walk, every pair has a valid walk; when
-      a pair's search fails, it has none. Either way the verdict is that
-      of searching every pair.
+      a pair is left without one, it has none. Either way the verdict is
+      that of searching every pair.
+    - A new walk is valid. A two-step walk has two different edges and
+      2 <= k of them (k is at least the diameter, which is at least 2
+      when a non-adjacent pair exists), so it is valid exactly when its
+      edges do not carry one color; a walk from `_witness_walk` is valid
+      by that search. A pair is left without one only when it has none:
+      `_witness_walk` found none, or k = 2 and no two-step walk is valid,
+      since a walk of at most two edges between non-adjacent u and t is
+      u-x-t for a common neighbour x.
     - Edges after i are uncolored whenever the search stands at i, so
       after an accept the next paint is of the uncolored edge i + 1, and
       every walk is valid: the invariant holds there.
@@ -490,9 +504,10 @@ def rc_exact(g: Graph, max_colors: int | None = None,
       walk and leaves every walk valid: the invariant holds for the
       previous edge's next paint.
 
-    So each node's verdict, the search tree, the returned (k, coloring)
-    and BudgetExhaustedError's (k, nodes) do not depend on which walks
-    are kept.
+    The invariant holds whichever valid walks are kept, so each node's
+    verdict, the search tree, the returned (k, coloring) and
+    BudgetExhaustedError's (k, nodes) do not depend on which walks are
+    kept, nor on whether a two-step walk or a search mends a broken one.
     """
     m = g.m
     max_colors = m if max_colors is None else min(max_colors, m)
@@ -535,6 +550,8 @@ def rc_exact(g: Graph, max_colors: int | None = None,
     for p, walk in enumerate(walks):
         for e in walk:
             watch[e].add(p)
+    # pair p -> its two-step walks as edge id pairs, listed when it first breaks
+    twos: list[list[tuple[int, int]] | None] = [None] * len(ends)
     nodes = 0
 
     def rewatch(i: int, c: int, k: int) -> bool:
@@ -543,9 +560,20 @@ def rc_exact(g: Graph, max_colors: int | None = None,
         for p in list(watch[i]):
             walk = walks[p]
             if [col[e] for e in walk].count(c) > 1:
-                found = _witness_walk(inc, col, *ends[p], k)
-                if found is None:
-                    return False
+                steps = twos[p]
+                if steps is None:
+                    u, t = ends[p]
+                    steps = twos[p] = [(e, f) for x, e in inc[u] for y, f in inc[x] if y == t]
+                for e, f in steps:
+                    a = col[e]
+                    if not a or a != col[f]:
+                        found = [e, f]
+                        break
+                else:
+                    # at k = 2 the two-step walks are all of the pair's walks
+                    found = None if k == 2 else _witness_walk(inc, col, *ends[p], k)
+                    if found is None:
+                        return False
                 for e in walk:
                     watch[e].discard(p)
                 for e in found:

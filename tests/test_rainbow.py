@@ -492,16 +492,11 @@ class TestRcExact:
             return
         assert rc_exact(g)[0] == brute_rc(g)
 
-    @pytest.mark.parametrize("seed", range(50))
-    def test_matches_the_probe_that_keeps_no_walks(self, seed):
-        # the same search with every non-adjacent pair probed afresh at
-        # every node: the same coloring, and the budget runs out at the
-        # same (k, node) wherever it is set below the full count
-        rng = random.Random(seed)
-        g = make_graph(1, [])
-        while g.m == 0 or not brute_connected(g):
-            n, p = rng.randint(4, 6), rng.choice([0.4, 0.6, 0.8])
-            g = make_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+    @staticmethod
+    def matches_the_probe_that_keeps_no_walks(g, rng):
+        """The same search with every non-adjacent pair probed afresh at
+        every node: the same coloring, and the budget runs out at the same
+        (k, node) wherever it is set below the full count. Returns k."""
         k, colors, nodes = reference_rc_exact(g)
         assert rc_exact(g) == (k, EdgeColoring(colors))
         budget = rng.randrange(nodes)
@@ -509,6 +504,53 @@ class TestRcExact:
         with pytest.raises(BudgetExhaustedError) as info:
             rc_exact(g, node_budget=budget)
         assert (info.value.k, info.value.nodes) == (k_out, at) == (k_out, budget + 1)
+        return k
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_the_probe_that_keeps_no_walks(self, seed):
+        rng = random.Random(seed)
+        g = make_graph(1, [])
+        while g.m == 0 or not brute_connected(g):
+            n, p = rng.randint(4, 6), rng.choice([0.4, 0.6, 0.8])
+            g = make_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        self.matches_the_probe_that_keeps_no_walks(g, rng)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_the_probe_that_keeps_no_walks_past_two_steps(self, seed):
+        # sparse graphs of diameter >= 3, so rc >= 3 and a broken pair's
+        # walks are not all two-step walks: the walk search mends some
+        rng = random.Random(seed)
+        g = make_graph(2, [])
+        while not brute_connected(g) or brute_diameter(g) < 3:
+            n = rng.randint(7, 8)
+            g = make_graph(n, rng.sample(list(combinations(range(n), 2)), n + rng.randint(0, 2)))
+        assert self.matches_the_probe_that_keeps_no_walks(g, rng) >= 3
+
+    @pytest.mark.parametrize("g,nodes", [(k3m(5), 818), (k3m(6), 4953)], ids=["K35", "K36"])
+    def test_two_step_walks_mend_every_pair_at_k2(self, g, nodes, monkeypatch):
+        # rc = 2 and every non-adjacent pair has common neighbours: a broken
+        # walk is mended from the pair's two-step walks or the node rejected
+        calls = []
+        monkeypatch.setattr(rainbow, "_witness_walk", lambda *args: calls.append(args))
+        assert rc_exact(g, node_budget=nodes)[0] == 2
+        assert calls == []
+
+    def test_broken_two_step_walks_send_a_pair_to_the_search(self, monkeypatch):
+        # K4 on 0, 2, 3, 4 less the edge (0, 2), with a pendant 1 at 0:
+        # rc = 3, and at the node painting 1, 1, 2, 1, 2 both two-step walks
+        # 0-3-2 and 0-4-2 carry one color each, so only the walk search
+        # finds 0-3-4-2, over the uncolored edge (3, 4)
+        g = make_graph(5, [(0, 1), (0, 3), (0, 4), (2, 3), (2, 4), (3, 4)])
+        found = []
+
+        def spy(inc, col, source, target, k):
+            walk = _witness_walk(inc, col, source, target, k)
+            found.append((source, target, k, col[:], walk))
+            return walk
+
+        monkeypatch.setattr(rainbow, "_witness_walk", spy)
+        assert self.matches_the_probe_that_keeps_no_walks(g, random.Random(0)) == 3
+        assert (0, 2, 3, [1, 1, 2, 1, 2, 0], [1, 5, 4]) in found
 
     @pytest.mark.parametrize("fam,args", [("cycle", (5,)), ("cycle", (6,)),
                                           ("prism", (3,))])
