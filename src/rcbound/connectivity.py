@@ -39,14 +39,10 @@ from itertools import combinations
 from .graphs import Graph
 
 
-def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int,
-                entered: bytearray | None = None) -> list[list[int]]:
+def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int) -> list[list[int]]:
     """Up to `want` pairwise internally disjoint paths from x into targets,
     shortest first, ties in lexicographic order. The targets must be
     distinct, and only membership is read, so their order is unused.
-    `entered`, when given, is a bytearray of g.n entries in which every
-    search sets entered[v] = 1 for each vertex v whose entering half it
-    labels.
 
     The flow is the set of directed edges that carry a unit. Every vertex
     but x and the targets passes at most one path, so four records hold
@@ -64,18 +60,6 @@ def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int,
     Waiting to pop that state gives the same path: the queue is FIFO, so
     the first such state queued is the first one popped, and prev[state]
     is fixed when a state is queued, so the walk back to x is the same.
-
-    The target set is read only through `is_target`, and only at vertices
-    whose entering half some search labels (prev[2v] != -1, which sets
-    entered[v]): a step reads it as it labels 2b, a popped state was
-    labeled, and the search that routed a path through a vertex entered
-    it. So take a larger target set T' that adds to T only vertices with
-    entered[v] = 0. A fresh run on T' makes the same tests, gets the same
-    answers and returns the same paths. A caller whose target set only
-    grows can therefore keep an answer until a vertex with entered[v] = 1
-    joins the targets. One byte a vertex per call keeps that record far
-    smaller than the searches' label arrays, which hold a pointer per
-    vertex half.
     """
     adj = g.adj
     is_target = bytearray(g.n)
@@ -84,8 +68,6 @@ def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int,
     succ = [-1] * g.n
     pred = [-1] * g.n
     out_x: set[int] = set()
-    if entered is None:
-        entered = bytearray(g.n)
     src = 2 * x + 1
     for _ in range(want):
         prev = [-1] * (2 * g.n)
@@ -96,14 +78,12 @@ def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int,
             v = state >> 1
             if state & 1:
                 if succ[v] >= 0 and prev[state - 1] == -1:
-                    # entered[v] is set: the search that routed a path through v entered it
                     prev[state - 1] = state
                     queue.append(state - 1)
                 used = out_x if v == x else (succ[v],)
                 for b in adj[v]:
                     if prev[2 * b] == -1 and b not in used:
                         prev[2 * b] = state
-                        entered[b] = 1
                         if is_target[b] == 1:
                             end = b
                             break
@@ -126,8 +106,13 @@ def _flow_paths(g: Graph, x: int, targets: Collection[int], want: int,
             before = prev[state]
             u, v = before >> 1, state >> 1
             if u != v and state & 1:  # back along v -> u, cancelling its unit
-                # u's new in-edge, if any, is the step into u's entering
-                # half, which this backward walk takes next
+                # the walk's next step sets u's new in-edge when a
+                # neighbour's leaving half labeled u's entering half. When
+                # u's own leaving half did, the path runs back along the
+                # flow through u and u leaves the flow, so only this store
+                # clears its in-edge: a stale one would let a later search
+                # step from u's entering half along v -> u, which carries
+                # no unit, and route a second path through v
                 pred[u] = -1
                 if succ[v] == u:  # v may already hold its new out-edge
                     succ[v] = -1
@@ -184,20 +169,16 @@ def _greedy_fan(g: Graph, x: int, marked: Container[int], want: int) -> bool:
     return True
 
 
-def find_fan(g: Graph, x: int, targets: Iterable[int], k: int,
-             entered: bytearray | None = None) -> tuple[tuple[int, ...], ...] | None:
+def find_fan(g: Graph, x: int, targets: Iterable[int],
+             k: int) -> tuple[tuple[int, ...], ...] | None:
     """A k-fan from x into the target set, as a tuple of its k paths (each
     a vertex tuple from x to a target), or None when none exists.
 
     Any graph whose vertex connectivity is at least k admits one whenever
     the target set has at least k vertices, so None on such a graph
     signals a bug. Among valid fans the search prefers short paths
-    (shortest-path augmentation) with deterministic tie-breaking.
-    `entered`, a bytearray of g.n entries when given, gets entered[v] = 1
-    for each vertex v the search entered (see `_flow_paths`): the same fan
-    comes back for any larger target set that adds only vertices with
-    entered[v] = 0. A frozenset of targets is used as it is, without a
-    copy.
+    (shortest-path augmentation) with deterministic tie-breaking. A
+    frozenset of targets is used as it is, without a copy.
     """
     tset = frozenset(targets)
     if not 0 <= x < g.n:
@@ -210,9 +191,7 @@ def find_fan(g: Graph, x: int, targets: Iterable[int], k: int,
         raise ValueError(f"fan width must be positive, got {k}")
     if len(tset) < k:
         raise ValueError(f"target set smaller than fan width: {len(tset)} < {k}")
-    if entered is not None and len(entered) != g.n:
-        raise ValueError(f"entered must hold one entry per vertex, holds {len(entered)}")
-    paths = _flow_paths(g, x, tset, k, entered)
+    paths = _flow_paths(g, x, tset, k)
     if len(paths) < k:
         return None
     fan = tuple(map(tuple, paths))

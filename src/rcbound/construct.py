@@ -120,8 +120,8 @@ class GrowState:
     keys are the subgraph's edges) and the step trace. The trace records
     every repair search: a step flagged repaired, a fallback_absorb step,
     or a final_absorb step that adds a vertex. `fans` keeps each outside
-    vertex's 3-fan into H with the vertices its search entered, as flags,
-    until _commit absorbs one of them (see _read_fan). `layout` is the
+    vertex's last 3-fan into H until _commit absorbs that vertex; each read
+    cuts it to the H of its round (see _read_fan). `layout` is the
     checker's colored layout of `coloring`, built when the state is made;
     each commit then adopts the layout that its step's accepted check read
     (see _try_coloring), so a step builds one layout. Every step checks
@@ -133,7 +133,7 @@ class GrowState:
     coloring: dict[Edge, int]
     colors_used: int
     trace: list[StepRecord] = field(default_factory=list)
-    fans: dict[int, tuple[tuple, bytearray]] = field(default_factory=dict)
+    fans: dict[int, tuple] = field(default_factory=dict)
     layout: ColoredLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -238,9 +238,10 @@ def seed_subgraph(g: Graph) -> GrowState:
 def classify_extension(state: GrowState) -> ExtensionPlan:
     """Choose the next bulk move.
 
-    The outside vertices with a link into H get a canonical 3-fan into H
-    (shortest-path preference) in label order, kept from an earlier round
-    while no vertex absorbed since could change it (_read_fan). Vertices
+    The outside vertices with a link into H get a 3-fan into H in label
+    order: a fan kept from an earlier round cut to the current H, or a
+    fresh shortest-path search where the cut fan lacks a direct link that
+    a fresh one would have (_read_fan). Vertices
     whose fan mixes a direct link with a longer path drive the move
     choice: the one with the largest combined interior s + t wins, the
     lower label on a tie, long combinations become ears and short ones the
@@ -273,8 +274,8 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
     leaves: list[int] = []
     mixed: list[tuple[int, int]] = []  # (s + t, vertex)
     for w, lens in profiles.items():
-        # lens[0] == 1: the flow's first search takes w's lowest link and no
-        # later one enters w to cancel it, so only unlinked fans can be long
+        # a fan read for w has min(links, 3) one-edge paths (_read_fan), so a
+        # linked w's shortest path is a link and a 3-link w is a leaf
         if lens == [1, 1, 1]:
             leaves.append(w)
         else:
@@ -326,21 +327,35 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
 
 
 def _read_fan(state: GrowState, w: int, hset: frozenset[int]) -> tuple | None:
-    """w's canonical 3-fan into H = hset, or None when it has none.
+    """A 3-fan from w into H = hset with min(|N(w) & H|, 3) one-edge paths,
+    or None when w has no 3-fan into H.
 
-    A fan kept in state.fans is the one a fresh search would find: H only
-    grows, and _commit drops a kept fan once it absorbs a vertex that the
-    fan's search entered, so a fresh search tests the same vertices and
-    gets the same answers (see _flow_paths). A kept fan is checked again
-    against the current H; a missing one is searched for and kept."""
+    A fan kept in state.fans is cut to the current H: each path stops at
+    its first vertex in H, and the paths are sorted by (length, path). The
+    cut is a fan into H. The kept fan was a fan into an earlier H0, and H
+    only grows, so H0 is a subset of H: its paths share only w and end at
+    distinct vertices of H0, so each path meets H, and the cut paths still
+    share only w, end at distinct vertices of H and have their inner
+    vertices outside H. The cut fan is checked again against H all the
+    same. It is kept and returned unless it has fewer one-edge paths than
+    min(|N(w) & H|, 3); then a fresh search replaces it. That keeps what
+    classify_extension reads from a fan: a fresh search has that many,
+    since each of the flow's searches takes w's lowest unused link into H
+    first and no search enters w to cancel it, so a linked vertex's
+    shortest path is a link and a vertex with three links is a [1, 1, 1]
+    leaf. A vertex with no fan gets a search each time it is read."""
+    host = state.host
     kept = state.fans.get(w)
     if kept is not None:
-        check_fan(state.host, kept[0], w, hset, 3)
-        return kept[0]
-    entered = bytearray(state.host.n)
-    fan = find_fan(state.host, w, hset, 3, entered)
+        cut = (p[:next(i for i, v in enumerate(p) if v in hset) + 1] for p in kept)
+        fan = tuple(sorted(cut, key=lambda p: (len(p), p)))
+        check_fan(host, fan, w, hset, 3)
+        if sum(len(p) == 2 for p in fan) >= min(len(hset.intersection(host.adj[w])), 3):
+            state.fans[w] = fan
+            return fan
+    fan = find_fan(host, w, hset, 3)
     if fan is not None:
-        state.fans[w] = (fan, entered)
+        state.fans[w] = fan
     return fan
 
 
@@ -462,6 +477,20 @@ def _fallback_absorb_plan(state: GrowState) -> ExtensionPlan:
     return ExtensionPlan(FALLBACK_ABSORB, take, ())
 
 
+def _fallback_retries(state: GrowState, failed: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The 4-sets a fallback absorption tries after its repair search fails
+    on `failed`: for each vertex of `failed` in turn, the first four
+    _reach_order vertices of the outside vertices without it. So at most
+    four more sets, each tried once."""
+    ext = state.externals()
+    tried = {failed}
+    for v in failed:
+        take = tuple(itertools.islice(_reach_order(state, (w for w in ext if w != v)), 4))
+        if len(take) == 4 and take not in tried:
+            tried.add(take)
+            yield take
+
+
 def _try_coloring(state: GrowState, added: tuple[int, ...],
                   patch: dict[Edge, int]) -> tuple[Edge | None, ColoredLayout]:
     """Check H plus the patch with one checker call on H's kept layout
@@ -487,8 +516,9 @@ def _commit(state: GrowState, kind: str, added: tuple[int, ...], patch: dict[Edg
     seed and a repair patch stay inside theirs by construction, and
     apply_extension refuses an over-budget script. Then H grows and adopts
     `layout`, the layout of H plus the patch that the step's accepted check
-    read, the kept fans that its new vertices could change are dropped,
-    and the step is recorded."""
+    read, the kept fans of the absorbed vertices are dropped, and the step
+    is recorded. The other kept fans stay: _read_fan cuts them to the
+    grown H."""
     fresh = sorted({c for c in patch.values() if c > state.colors_used})
     used = len(fresh)
     if fresh != list(range(state.colors_used + 1, state.colors_used + 1 + used)):
@@ -497,8 +527,8 @@ def _commit(state: GrowState, kind: str, added: tuple[int, ...], patch: dict[Edg
     state.vertices.update(added)
     state.coloring.update(patch)
     state.colors_used += used
-    state.fans = {w: kept for w, kept in state.fans.items()
-                  if w not in state.vertices and not any(kept[1][v] for v in added)}
+    for v in added:
+        state.fans.pop(v, None)
     state.trace.append(StepRecord(len(state.trace), kind, added, used,
                                   state.h, state.colors_used, repaired))
 
@@ -587,9 +617,10 @@ def repair_step(state: GrowState, added_vertices,
 def apply_extension(state: GrowState, plan: ExtensionPlan) -> GrowState:
     """Absorb the plan's vertices: refuse a script over move_budget before
     any check, check the scripted coloring once, and repair when it fails.
-    A plan with no slots is colored by repair search alone. The one repair
-    search widens its palette while the invariant allows (see
-    move_budget)."""
+    A plan with no slots is colored by repair search alone; when that
+    search fails, it tries the few other 4-sets of _fallback_retries and
+    commits the first that colors. Each repair search widens its palette
+    while the invariant allows (see move_budget)."""
     added = plan.vertices
     if len(set(added)) < len(added):
         raise ValueError("plan lists a vertex twice")
@@ -614,6 +645,10 @@ def apply_extension(state: GrowState, plan: ExtensionPlan) -> GrowState:
     if repaired or not plan.slots:
         most = min((3 * (state.h + len(added)) - 1) // 5 - state.colors_used, len(added) + 1)
         found = repair_step(state, added, range(budget, most + 1))
+        if found is None and not plan.slots:
+            for added in _fallback_retries(state, added):
+                if (found := repair_step(state, added, range(budget, most + 1))) is not None:
+                    break
         if found is None:
             raise ConstructionError(f"repair failed after a {plan.kind} move" if repaired
                                     else "repair failed on a fallback absorption", state.trace)

@@ -190,25 +190,14 @@ class TestFindFan:
         fan = find_fan(g, x, targets, k)
         assert (fan is None) == (not brute_has_disjoint_paths(joined, x, g.n, k))
 
-    @settings(max_examples=150, deadline=None)
-    @given(st_small_graph, st.integers(1, 3), st.randoms(use_true_random=False))
-    def test_same_fan_for_targets_it_never_entered(self, g, k, rng):
-        # a fan stays the answer when the target set grows by vertices the
-        # search never entered; one it did enter may change it
-        x = rng.randrange(g.n)
-        pool = [v for v in range(g.n) if v != x]
-        if len(pool) < max(k, 2):
-            return
-        targets = set(rng.sample(pool, rng.randint(max(k, 2), len(pool))))
-        entered = bytearray(g.n)
-        fan = find_fan(g, x, targets, k, entered)
-        unseen = [v for v in pool if v not in targets and not entered[v]]
-        more = targets | set(rng.sample(unseen, rng.randint(0, len(unseen))))
-        assert find_fan(g, x, more, k) == fan
-
-    def test_entered_needs_one_entry_per_vertex(self):
-        with pytest.raises(ValueError, match="one entry per vertex"):
-            find_fan(gen_family("complete", 4), 0, [1, 2, 3], 3, bytearray(3))
+    def test_freed_vertex_loses_its_in_edge(self):
+        # the second search enters the first path at 3, runs back through 2
+        # to 1 and leaves along 1 -> 8, so 2 leaves the flow; the third
+        # search enters 2 from the chain 12..16 and must not step back to 1
+        assert find_fan(FREED_VERTEX_GRAPH, 0, [4, 11, 22], 2) == (
+            (0, 1, 8, 9, 10, 11), (0, 5, 6, 7, 3, 4))
+        # 11 and 22 are reachable only through 1, so there is no third path
+        assert find_fan(FREED_VERTEX_GRAPH, 0, [4, 11, 22], 3) is None
 
     def test_three_connected_always_succeeds(self):
         rng = random.Random(7)
@@ -221,6 +210,16 @@ class TestFindFan:
                 fan = find_fan(g, x, targets, 3)
                 assert fan is not None
                 check_fan(g, fan, x, targets, 3)
+
+
+# a first path 0-1-2-3-4, then a second search that enters it at 3 and
+# leaves it at 1 for 8..11, which frees 2; a third search reaches 2 through
+# 12..16 while 1 still passes the rerouted path 0-1-8-9-10-11, and 22 hangs
+# off 1 behind 17..21
+FREED_VERTEX_GRAPH = make_graph(23, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7),
+                                     (7, 3), (1, 8), (8, 9), (9, 10), (10, 11), (0, 12),
+                                     (12, 13), (13, 14), (14, 15), (15, 16), (16, 2), (1, 17),
+                                     (17, 18), (18, 19), (19, 20), (20, 21), (21, 22)])
 
 
 def complete_bipartite(a: int, b: int):
@@ -446,8 +445,8 @@ EAR_FALLBACK_GRAPH = make_graph(10, [(0, 1), (1, 2), (0, 2)]
 
 # The fans the construction really reads: every fan classify_extension takes
 # for an outside vertex w while run_constructive colors these graphs, whether
-# kept from an earlier round or found by find_fan(host, w, H, 3) now, with
-# its answer. H grows to most of the graph, so these target sets are far
+# kept from an earlier round and cut to H or found by find_fan(host, w, H, 3)
+# now, with its answer. H grows to most of the graph, so these target sets are far
 # larger than the ones FLOW_SHA256 covers. Outside vertices with no link
 # into H are read only in a round that reaches the ear-fallback scan, as the
 # last graph's does.
@@ -459,7 +458,7 @@ CONSTRUCTION_FAN_GRAPHS = [
     ("k3_9", complete_bipartite(3, 9)),
     ("ear_fallback", EAR_FALLBACK_GRAPH),
 ]
-FAN_QUERY_SHA256 = "336c885e8b410852c664ad6b201036123262bf6b617b5011febb06c8ff8093f3"
+FAN_QUERY_SHA256 = "10a21ef751a72f9c2d71beb2f035af8990022c725bf5c19951b119799eccf275"
 
 
 def record_fan_reads(monkeypatch, check=None):
@@ -516,14 +515,67 @@ class TestConstructionFanQueries:
     @pytest.mark.parametrize("g", named([
         ("q5", hypercube(5)), ("gp24_3", generalized_petersen(24, 3)),
         ("random3c120", gen_family("random3c", 120, 30, seed=0))]))
-    def test_kept_fan_equals_fresh_search(self, g, monkeypatch):
-        kept_reads = []
+    def test_every_read_is_a_fan_with_its_links(self, g, monkeypatch):
+        # kept or fresh, a read is a fan into the current H whose one-edge
+        # paths are min(links, 3) of w's links into H; some kept reads are
+        # cut fans that a fresh search would not return
+        kept_reads, cut_reads = [], []
 
         def check(state, w, hset, fan, kept):
-            assert fan == find_fan(state.host, w, hset, 3)
+            if fan is None:
+                return
+            check_fan(state.host, fan, w, hset, 3)
+            links = len(hset.intersection(state.host.adj[w]))
+            assert sum(len(p) == 2 for p in fan) == min(links, 3)
             kept_reads.append(kept)
+            cut_reads.append(kept and fan != find_fan(state.host, w, hset, 3))
 
         record_fan_reads(monkeypatch, check)
         for seed in (0, 1, 2):
             construct.run_constructive(relabeled(g, seed) if seed else g)
-        assert any(kept_reads) and not all(kept_reads)
+        assert any(kept_reads) and not all(kept_reads) and any(cut_reads)
+
+
+# w = 0 reaches the first H {4, 5, 6} only by the 2-step paths through 1, 2
+# and 3, and links into H once 1 or 7 joins it
+CUT_FAN_GRAPH = make_graph(8, [(0, 1), (0, 2), (0, 3), (0, 7), (1, 4), (2, 5), (3, 6), (4, 7),
+                               (4, 5), (5, 6), (4, 6)])
+
+
+class TestCutFans:
+    def kept_state(self, monkeypatch):
+        state = construct.GrowState(CUT_FAN_GRAPH, {4, 5, 6}, {}, 0)
+        assert construct._read_fan(state, 0, frozenset({4, 5, 6})) == (
+            (0, 1, 4), (0, 2, 5), (0, 3, 6))
+        searches = []
+        real = construct.find_fan
+
+        def counted(*args):
+            searches.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(construct, "find_fan", counted)
+        return state, searches
+
+    def test_cut_at_a_new_link_is_kept(self, monkeypatch):
+        state, searches = self.kept_state(monkeypatch)
+        fan = construct._read_fan(state, 0, frozenset({1, 4, 5, 6}))
+        assert fan == ((0, 1), (0, 2, 5), (0, 3, 6)) and not searches
+        assert state.fans[0] == fan
+
+    def test_cut_fan_without_a_direct_link_is_searched_again(self, monkeypatch):
+        # 7 joins H off every kept path: the cut fan has no one-edge path
+        # though 0 links H once, so a fresh search takes the link 0-7
+        state, searches = self.kept_state(monkeypatch)
+        fan = construct._read_fan(state, 0, frozenset({4, 5, 6, 7}))
+        assert fan == ((0, 7), (0, 1, 4), (0, 2, 5)) and len(searches) == 1
+        assert state.fans[0] == fan
+
+    def test_only_an_absorbed_vertex_drops_its_fan(self):
+        # 0's search entered 7, and 0 keeps its fan when 7 joins H
+        state = construct.GrowState(CUT_FAN_GRAPH, {4, 5, 6}, {}, 0)
+        construct._read_fan(state, 0, frozenset({4, 5, 6}))
+        construct._commit(state, "ear", (7,), {}, state.layout)
+        assert set(state.fans) == {0}
+        construct._commit(state, "ear", (0,), {}, state.layout)
+        assert state.fans == {}

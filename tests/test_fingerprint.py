@@ -25,7 +25,7 @@ from rcbound.rainbow import serialize_coloring
 from test_graphs import graph_from_mask
 
 CORPUS_SEED = 42
-PINNED_SHA256 = "d85cb8c93ce9e014f9ccc44e60b434ccd2cb2d45a3a71126790feb3d4f2cf9e2"
+PINNED_SHA256 = "b0475c0a710cfbe83006fb332d965091b7fb6067b85683303d9b7c65c2b7f8b8"
 
 
 def corpus_fingerprint(seed: int) -> str:
