@@ -559,7 +559,10 @@ def repair_step(state: GrowState, added_vertices,
     color-clash bound after one first-walk pass, without the exact search.
     Returns the first accepted patch, as checked, with the layout its
     check read, or None when no pattern works; the caller then aborts
-    with a ConstructionError.
+    with a ConstructionError. No caller adds a vertex that the added
+    vertices do not join to H (plans follow fans into H, fallback sets
+    _reach_order, and final_absorb takes the rest of a connected host);
+    such a vertex fails every check.
     """
     added = tuple(sorted(added_vertices))
     if set(added) & state.vertices:
@@ -568,9 +571,6 @@ def repair_step(state: GrowState, added_vertices,
         raise ValueError(f"repair budgets must be non-negative, got {budgets}")
     log.info("repair search over %d vertices with budgets %s", len(added), budgets)
 
-    # every added vertex needs a link into the enlarged subgraph at all
-    if len(list(_reach_order(state, added))) < len(added):
-        return None
     host, hset, aset = state.host, state.vertices, set(added)
     base = state.colors_used
     fresh = [base + 1 + i for i in range(max(budgets, default=0))]

@@ -550,12 +550,11 @@ class TestRepair:
         assert repair_step(state, [3], range(0, 1)) is None
         assert repair_step(state, [3], range(1, 2))[0] == {(0, 3): 2}
 
-    def test_unlinked_vertex_fails_without_checks(self, monkeypatch):
-        # 5 reaches H only through 6, which is not added
+    def test_unlinked_vertex_fails(self):
+        # 5 reaches H only through 6, which is not added: every candidate
+        # leaves 5 without a colored edge, and the checker rejects it
         state = state_on([(4, 0), (4, 1), (4, 2), (5, 6), (6, 0), (6, 1), (6, 2)])
-        calls = count_calls(monkeypatch)
         assert repair_step(state, [4, 5], range(2, 3)) is None
-        assert calls == []
 
     def test_deterministic(self):
         a, _ = repair_step(state_on([(4, 0), (4, 1), (4, 2)], n=5), [4], range(2, 3))
@@ -938,12 +937,12 @@ class TestRunConstructive:
         pytest.param(MOBIUS_200, 101, 120, id="mobius200"),
     ])
     def test_long_ladder_checks_in_bounded_time(self, graph, k, bound):
-        # on these long ladders the first walks from one end of a pair miss
-        # many pairs that the pass from the other end reaches. Exact
-        # searches on them once took about 130 s in the final check of
-        # prism 100 and 110 s in that of the Moebius ladder; prism 150's
-        # move checks, whose other ends lie in H and are not sources, took
-        # 35 s when only sources ran a pass
+        # exact searches on these long ladders once took about 130 s in the
+        # final check of prism 100 and 110 s in that of the Moebius ladder,
+        # and prism 150's move checks took 35 s, while layouts listed each
+        # vertex's edges by label. Listed in the order they were colored,
+        # the edges lead every check's first-walk passes along H's growth,
+        # and the passes settle every pair without an exact search
         setup = ("from rcbound.construct import run_constructive\n"
                  "from rcbound.graphs import gen_family, make_graph\n"
                  "from rcbound.rainbow import find_rainbow_witness\n"
@@ -975,6 +974,20 @@ class TestRunConstructive:
                 "print(r.colors_used, r.bound)\n")
         k, bound = run_capped(setup, body, headroom_mb=64, timeout=60)
         assert int(k) <= int(bound) == 120
+
+    @pytest.mark.parametrize("graph, seed", [
+        pytest.param(gen_family("prism", 100), 1, id="prism100-s1"),
+        pytest.param(gen_family("prism", 100), 3, id="prism100-s3"),
+        pytest.param(mobius_ladder(200), 3, id="mobius200-s3")])
+    def test_relabeled_ladder_grows_without_exact_searches(self, graph, seed, monkeypatch):
+        # H's layout lists each vertex's edges in the order they were
+        # colored, and on relabeled ladders the first-walk passes then
+        # settle every pair of every check. With layouts sorted by label,
+        # prism 100 (s = 3) and Moebius-200 (s = 3) ran 53 and 51 exact
+        # searches, in the same colorings
+        searches = count_searches(monkeypatch)
+        run_constructive(relabeled(graph, seed))
+        assert searches and "_rainbow_reach" not in searches
 
     @pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
                        reason="ROADMAP item 1: the checker falls back on exact searches that "
