@@ -553,9 +553,20 @@ def repair_step(state: GrowState, added_vertices,
     colors of one already tried gets its verdict. A search thus costs at
     most the sum over b of (b + 2) ** len(added) checker calls, each on
     H's kept layout extended by the candidate patch, and accepts the
-    patch that searches at each budget in turn would. A patch that cuts a
-    vertex off from a single-colored added one (say two non-adjacent
-    added vertices on one fresh star color) is rejected by the checker's
+    patch that searches at each budget in turn would.
+
+    A combination that puts one color c on every candidate edge at u and
+    at w, for two added vertices u and w that are not adjacent in the host
+    and both have candidate edges, is skipped before it is renumbered or
+    checked. c is read from the filled colors: an inner edge takes its
+    owner's label. The skip changes no answer. No edge of H touches an
+    added vertex, so in the candidate layout u's colored edges are exactly
+    its candidate edges, and so are w's. A u-w path then has at least two
+    edges, and its first and last both carry c, so no rainbow path joins
+    u and w and _try_coloring would reject the patch. The first accepted
+    patch, and with it every coloring, trace and fingerprint, is the one
+    the unskipped search finds. Other patches that cut a vertex off from a
+    single-colored added one are still rejected by the checker's
     color-clash bound after one first-walk pass, without the exact search.
     Returns the first accepted patch, as checked, with the layout its
     check read, or None when no pattern works; the caller then aborts
@@ -588,18 +599,26 @@ def repair_step(state: GrowState, added_vertices,
         alt = ([fresh[1]] * len(own) + [fresh[i % 2] for i in range(len(link))]
                if len(fresh) >= 2 else None)
         stars.append(([pos[e] for e in own + link], alt))
+    # the non-adjacent added pairs whose ends both have candidate edges, each
+    # with the positions of all those edges, inner ones owned by others too
+    pairs = [(u, w) for u, w in itertools.combinations(added, 2) if not host.has_edge(u, w)]
+    at = {w: [i for i, e in enumerate(cand) if w in e] for w in added} if pairs else {}
+    apart = [at[u] + at[w] for u, w in pairs if at[u] and at[w]]
     colors = [0] * len(cand)
     tried: set[tuple[int, ...]] = set()
     for b in budgets:
         options = [*fresh[:b], 1] + (["alt"] if b >= 2 else [])
         for combo in itertools.product(options, repeat=len(added)):
-            for (at, alt), label in zip(stars, combo):
+            for (star, alt), label in zip(stars, combo):
                 if label == "alt":
-                    for i, c in zip(at, alt):
+                    for i, c in zip(star, alt):
                         colors[i] = c
                 else:
-                    for i in at:
+                    for i in star:
                         colors[i] = label
+            # a pair whose edges all share one color has no rainbow path
+            if any(len({colors[i] for i in pair}) == 1 for pair in apart):
+                continue
             # fresh colors renumbered by first appearance in edge order
             remap: dict[int, int] = {}
             key = tuple(remap.setdefault(c, base + 1 + len(remap)) if c > base else c

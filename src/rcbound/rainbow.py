@@ -28,10 +28,12 @@ the exact search alone would report.
 
 A check restricted to sources also runs a cheap proof of failure, the
 color-clash bound (`_color_clash`), on each source whose pass misses a
-vertex and whose edges share one color; the repair search's candidates
-often fail that way. A pass that misses nothing proves that its source
-has no clash pair, so an accepted check never pays for the bound. A
-full check skips it and keeps its lexicographically smallest witness.
+vertex and whose edges share one color. The repair search skips the
+candidates that would most often fail that way, two non-adjacent added
+vertices with one color on all their edges, before any check; the bound
+still rejects a few others. A pass that misses nothing proves that its
+source has no clash pair, so an accepted check never pays for the bound.
+A full check skips it and keeps its lexicographically smallest witness.
 
 The searches read a ColoredLayout. The checker builds one from a (Graph,
 EdgeColoring) pair or takes one that a growing subgraph keeps and extends

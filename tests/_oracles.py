@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from rcbound.graphs import Graph, norm_edge
+from rcbound.graphs import Graph, make_graph, norm_edge
 
 
 def all_simple_paths(g: Graph, u: int, v: int):
@@ -290,3 +290,48 @@ def canonical_colorings(m: int, k: int):
             yield from rec(i + 1, max(top, c))
 
     yield from rec(0, 0)
+
+
+def reference_repair_step(g: Graph, hset, coloring: dict, colors_used: int, added,
+                          budgets):
+    """repair_step's search with nothing skipped: for each budget b in turn,
+    every label combination of the star patterns (the first b fresh colors,
+    color 1, then the alternating star when b >= 2), its fresh colors
+    renumbered by first appearance over the sorted edges, is checked unless
+    an earlier one renumbers the same, by path enumeration over every pair
+    with an added vertex. An added vertex's star colors the inner edges it
+    owns (their smaller end) and its links into H; the alternating star
+    puts the second fresh color on its inner edges and alternates the first
+    two over its links in ascending order. Returns (the first patch every
+    such pair has a rainbow path under, or None, the patches checked)."""
+    added = sorted(added)
+    hset, aset = set(hset), set(added)
+    fresh = [colors_used + 1 + i for i in range(max(budgets, default=0))]
+    own = {w: [(w, q) for q in g.adj[w] if q > w and q in aset] for w in added}
+    links = {w: [norm_edge(w, q) for q in g.adj[w] if q in hset] for w in added}
+    universe = sorted(hset | aset)
+    seen, checked = set(), []
+    for b in budgets:
+        options = fresh[:b] + [1] + (["alt"] if b >= 2 else [])
+        for combo in product(options, repeat=len(added)):
+            patch = {}
+            for w, label in zip(added, combo):
+                for e in own[w]:
+                    patch[e] = fresh[1] if label == "alt" else label
+                for i, e in enumerate(links[w]):
+                    patch[e] = fresh[i % 2] if label == "alt" else label
+            remap = {}
+            for e in sorted(patch):
+                if patch[e] > colors_used:
+                    patch[e] = remap.setdefault(patch[e], colors_used + 1 + len(remap))
+            key = tuple(sorted(patch.items()))
+            if key in seen:
+                continue
+            seen.add(key)
+            checked.append(patch)
+            full = {**coloring, **patch}
+            sub = make_graph(g.n, sorted(full))
+            if all(has_rainbow_path(sub, full, u, v)
+                   for u in added for v in universe if v != u):
+                return patch, checked
+    return None, checked

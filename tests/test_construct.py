@@ -1,4 +1,5 @@
 import itertools
+import random
 import subprocess
 from collections import Counter
 from dataclasses import replace
@@ -19,7 +20,7 @@ from rcbound.rainbow import EdgeColoring, find_rainbow_witness, rc_exact
 
 from _capped import run_capped
 from _oracles import (brute_connected, clash_first_witness, has_rainbow_path,
-                      reach_order_by_rescan)
+                      reach_order_by_rescan, reference_repair_step)
 from test_connectivity import (CONSTRUCTION_FAN_GRAPHS, EAR_FALLBACK_GRAPH,
                                generalized_petersen, hypercube, mobius_ladder, relabeled)
 from test_graphs import graph_from_mask
@@ -606,12 +607,12 @@ class TestRepair:
         # color-clash bound then rejects the pair without an exact search
         assert construct._try_coloring(state, (4, 5), first)[0] == (4, 5)
         assert len(calls) == 1 and searches == ["_first_walk_misses"]
-        # the bound rejects those labels again after one pass, and the
-        # next labels (3, 4), which it accepts, get searched in full
+        # the repair search skips those labels without a check, and the
+        # next labels (3, 4) are the first it checks and accepts
         calls.clear()
         assert repair_step(state, [4, 5], range(2, 3))[0] == {(0, 5): 3, (1, 4): 4, (2, 4): 4,
                                                               (3, 5): 3}
-        assert len(calls) == 2 and searches
+        assert len(calls) == 1
 
     def test_negative_budget_rejected(self, monkeypatch):
         # fresh[:b] would slice from the end of the palette
@@ -656,6 +657,55 @@ class TestRepair:
             keys.append(tuple(remap.setdefault(c, 3 + len(remap)) if c > 2 else c
                               for _, c in sorted(patch.items())))
         assert len(set(keys)) == single
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(4, 7).flatmap(
+        lambda n: st.tuples(st.builds(graph_from_mask, st.just(n),
+                                      st.integers(0, (1 << (n * (n - 1) // 2)) - 1)),
+                            st.integers(max(1, n - 4), n - 1))),
+           st.integers(0, 2), st.integers(0, 1), st.randoms(use_true_random=False))
+    # the adjacent added 2 and 3 take color 3 on all their edges
+    @example(drawn=(graph_from_mask(5, 984), 3), low=0, width=1, rng=random.Random(30))
+    # the non-adjacent added 1 and 4 take one color each, 1 and 2
+    @example(drawn=(graph_from_mask(5, 827), 1), low=2, width=1, rng=random.Random(23))
+    def test_skipped_patterns_fail_the_check(self, drawn, low, width, rng):
+        # H is a BFS prefix of the host with random colors on its edges, and
+        # up to three other vertices are added, maybe one with no edge to H
+        # or to another added vertex. repair_step returns the patch of a
+        # search that checks every pattern up to a renaming, and checks just
+        # the patterns of that search it does not skip. A skipped pattern
+        # gives two non-adjacent added vertices one color on all their
+        # edges, and _try_coloring rejects it
+        (g, h), colors = drawn, [1, 2, 3]
+        order, seen = [0], {0}
+        for u in order:
+            for w in g.adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+        hset = set(order[:h])
+        outside = sorted(set(range(g.n)) - hset)
+        added = tuple(sorted(rng.sample(outside, rng.randint(1, min(3, len(outside))))))
+        coloring = {e: rng.choice(colors) for e in g.edges if set(e) <= hset}
+        state = GrowState(g, hset, coloring, max(coloring.values(), default=0))
+        budgets = range(low, low + width + 1)
+        want, checked = reference_repair_step(g, hset, coloring, state.colors_used, added,
+                                              budgets)
+
+        def skipped(patch):
+            at = {w: {c for e, c in patch.items() if w in e} for w in added}
+            return any(at[u] and at[w] and len(at[u] | at[w]) == 1
+                       for u, w in itertools.combinations(added, 2) if not g.has_edge(u, w))
+
+        real, tried = construct._try_coloring, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(construct, "_try_coloring",
+                       lambda *args: tried.append(args[2]) or real(*args))
+            found = repair_step(state, added, budgets)
+        assert (found[0] if found else None) == want
+        assert tried == [patch for patch in checked if not skipped(patch)]
+        for patch in filter(skipped, checked):
+            assert construct._try_coloring(state, added, patch)[0] is not None
 
     def test_failure_is_bounded(self, monkeypatch):
         # a triangle hung off vertex 4: reaching 0 from 6 takes three
@@ -868,9 +918,11 @@ class TestRunConstructive:
         res = run_constructive(g)
         assert res.colors_used <= res.bound == 6
         # the fallback absorption's repair search fails at 2 fresh colors and
-        # succeeds at 3, checking no renaming of a patch it already rejected
+        # succeeds at 3. It checks no renaming of a patch it already rejected,
+        # and no patch that puts one color on every edge at two non-adjacent
+        # added vertices
         assert "kind=fallback_absorb added=2,4,5,1 new_colors=3" in res.trace_lines()[1]
-        assert len(calls) == 44
+        assert len(calls) == 27
 
     @pytest.mark.parametrize("name", ["regular-s5-2700", "regular-s5-2823"])
     def test_failed_fallback_retries_another_four_set(self, name, monkeypatch):
