@@ -238,7 +238,7 @@ def vertex_connectivity(g: Graph) -> int:
     kappa is the smaller of d and the fewest internally disjoint paths over
     the pairs (v, w) with w not adjacent to v and the non-adjacent pairs of
     v's neighbours (Esfahanian & Hakimi); a complete graph has no such pair
-    and gives d = n - 1.
+    and gives d = n - 1, so the one-vertex graph gives 0.
 
     Why this is exact: take a minimum separator S. If v is not in S, a side
     of S holds no neighbour of v, and any w there has kappa(v, w) <= |S|.
@@ -270,8 +270,6 @@ def vertex_connectivity(g: Graph) -> int:
     Cutting each path at its first vertex in the set leaves j paths that
     share only b and end at distinct vertices, a j-fan.
     """
-    if g.n < 2:
-        raise ValueError("vertex connectivity needs at least 2 vertices")
     v = min(range(g.n), key=g.degree)
     near, best = g.adj[v], g.degree(v)
     pairs = [(v, w) for w in range(g.n) if w != v and w not in near]

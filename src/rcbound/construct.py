@@ -36,7 +36,6 @@ Move kinds
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import logging
 from collections.abc import Iterator
@@ -269,17 +268,16 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
             fans[w] = fan
             if len(fan[1]) + len(fan[2]) - 3 == len(ext):
                 break
-    profiles = {w: [len(p) - 1 for p in fan] for w, fan in fans.items()}
 
     leaves: list[int] = []
     mixed: list[tuple[int, int]] = []  # (s + t, vertex)
-    for w, lens in profiles.items():
+    for w, (_, p1, p2) in fans.items():
         # a fan read for w has min(links, 3) one-edge paths (_read_fan), so a
         # linked w's shortest path is a link and a 3-link w is a leaf
-        if lens == [1, 1, 1]:
+        if len(p2) == 2:
             leaves.append(w)
         else:
-            mixed.append((lens[1] + lens[2] - 2, w))
+            mixed.append((len(p1) + len(p2) - 4, w))
 
     if not mixed and len(leaves) >= 4:
         return _four_leaves_plan(fans, leaves[:4])
@@ -293,13 +291,13 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
             return _ear_plan(EAR, p1, p2, e0)
         if st == 2:
             if s == 1:
-                return _companion_dispatch(state, fans, profiles, center=x, e0=e0,
+                return _companion_dispatch(state, fans, center=x, e0=e0,
                                            u1=p1[1], a=p1[2], v1=p2[1], b=p2[2])
             # s == 0, t == 2: shift the center onto the long path's first
             # vertex, whose lowest link into H (if any) becomes e0
             v1, v2, b = p2[1], p2[2], p2[3]
             links = [q for q in host.adj[v1] if q in hset]
-            return _companion_dispatch(state, fans, profiles, center=v1,
+            return _companion_dispatch(state, fans, center=v1,
                                        e0=norm_edge(v1, links[0]) if links else None,
                                        u1=x, a=p1[1], v1=v2, b=b)
         # st == 1: a fork (two direct links, one 2-step path)
@@ -309,7 +307,7 @@ def classify_extension(state: GrowState) -> ExtensionPlan:
         if len(twins) >= 2:
             return _fork_leaves_plan(x, v1, b, e0, e1, fans, twins[0], twins[1])
         for w, fan in fans.items():
-            if w in (x, v1) or profiles[w] != [1, 1, 2]:
+            if w in (x, v1) or [len(p) - 1 for p in fan] != [1, 1, 2]:
                 continue
             vp = fan[2][1]
             if vp not in (x, v1):
@@ -362,7 +360,8 @@ def _read_fan(state: GrowState, w: int, hset: frozenset[int]) -> tuple | None:
 def _four_leaves_plan(fans, picked: list[int]) -> ExtensionPlan:
     slots: list[tuple[Edge, int]] = []
     for w in picked:
-        links = sorted(norm_edge(w, p[1]) for p in fans[w])
+        # a leaf's fan is three links sorted by their ends in H, so by edge
+        links = [norm_edge(w, p[1]) for p in fans[w]]
         slots.append((links[0], 1))
         slots.extend((e, 2) for e in links[1:])
     return ExtensionPlan(FOUR_LEAVES, tuple(picked), tuple(slots))
@@ -378,7 +377,7 @@ def _ear_plan(kind: str, p1, p2, e0: Edge | None) -> ExtensionPlan:
     return ExtensionPlan(kind, added, tuple(slots))
 
 
-def _companion_dispatch(state: GrowState, fans, profiles, center: int, e0: Edge | None,
+def _companion_dispatch(state: GrowState, fans, center: int, e0: Edge | None,
                         u1: int, a: int, v1: int, b: int) -> ExtensionPlan:
     """Pick the fourth vertex joining a 2-2 double bridge around `center`:
     a tripod companion first, else (when the center links H through e0) an
@@ -400,7 +399,7 @@ def _companion_dispatch(state: GrowState, fans, profiles, center: int, e0: Edge 
         joining = {v for p in fan for v in p[:-1]}  # w and its fan's inner vertices
         if not base.isdisjoint(joining):
             continue
-        lens = profiles[w]
+        lens = [len(p) - 1 for p in fan]
         links = [norm_edge(w, p[1]) for p in fan]
         added = tuple(sorted(base | joining))
         if lens == [1, 1, 1]:
@@ -451,41 +450,40 @@ def _fork_fork_plan(x: int, v1: int, b: int, e0: Edge, e1: Edge,
     return ExtensionPlan(FORK_FORK, tuple(sorted({x, v1, x1, vp})), tuple(slots))
 
 
-def _reach_order(state: GrowState, pool) -> Iterator[int]:
-    """The vertices of `pool` that H reaches through pool vertices, each
-    step taking the lowest label next to H or to a vertex already taken.
-    A heap holds the pool vertices next to either, each pushed once."""
-    adj, hset, pool = state.host.adj, state.vertices, set(pool)
-    near = [w for w in pool if not hset.isdisjoint(adj[w])]
-    queued = set(near)
-    heapq.heapify(near)
-    while near:
-        w = heapq.heappop(near)
-        yield w
-        for q in adj[w]:
-            if q in pool and q not in queued:
-                queued.add(q)
-                heapq.heappush(near, q)
+def _first_four(state: GrowState, pool) -> tuple[int, ...]:
+    """The first four vertices of `pool` that H reaches through pool
+    vertices (fewer when H reaches fewer), each step taking the lowest
+    label next to H or to a vertex already taken."""
+    adj, reach, pool = state.host.adj, set(state.vertices), sorted(pool)
+    take: list[int] = []
+    for _ in range(4):
+        w = next((w for w in pool if w not in take and not reach.isdisjoint(adj[w])), None)
+        if w is None:
+            break
+        take.append(w)
+        reach.add(w)
+    return tuple(take)
 
 
 def _fallback_absorb_plan(state: GrowState) -> ExtensionPlan:
     """Four outside vertices reachable from H, to be colored by repair search."""
-    take = tuple(itertools.islice(_reach_order(state, state.externals()), 4))
+    take = _first_four(state, state.externals())
     if len(take) < 4:
         raise ConstructionError("outside vertices unreachable from the grown subgraph",
                                 state.trace)
     return ExtensionPlan(FALLBACK_ABSORB, take, ())
 
 
-def _fallback_retries(state: GrowState, failed: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The 4-sets a fallback absorption tries after its repair search fails
-    on `failed`: for each vertex of `failed` in turn, the first four
-    _reach_order vertices of the outside vertices without it. So at most
-    four more sets, each tried once."""
+def _fallback_sets(state: GrowState, first: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The 4-sets a fallback absorption tries in turn: `first`, then for
+    each vertex of `first` the first four vertices H reaches among the
+    outside vertices without it. Each set is yielded once, so at most
+    five."""
+    yield first
     ext = state.externals()
-    tried = {failed}
-    for v in failed:
-        take = tuple(itertools.islice(_reach_order(state, (w for w in ext if w != v)), 4))
+    tried = {first}
+    for v in first:
+        take = _first_four(state, [w for w in ext if w != v])
         if len(take) == 4 and take not in tried:
             tried.add(take)
             yield take
@@ -571,9 +569,9 @@ def repair_step(state: GrowState, added_vertices,
     Returns the first accepted patch, as checked, with the layout its
     check read, or None when no pattern works; the caller then aborts
     with a ConstructionError. No caller adds a vertex that the added
-    vertices do not join to H (plans follow fans into H, fallback sets
-    _reach_order, and final_absorb takes the rest of a connected host);
-    such a vertex fails every check.
+    vertices do not join to H (plans follow fans into H, _first_four takes
+    fallback vertices that H reaches, and final_absorb takes the rest of a
+    connected host); such a vertex fails every check.
     """
     added = tuple(sorted(added_vertices))
     if set(added) & state.vertices:
@@ -636,10 +634,11 @@ def repair_step(state: GrowState, added_vertices,
 def apply_extension(state: GrowState, plan: ExtensionPlan) -> GrowState:
     """Absorb the plan's vertices: refuse a script over move_budget before
     any check, check the scripted coloring once, and repair when it fails.
-    A plan with no slots is colored by repair search alone; when that
-    search fails, it tries the few other 4-sets of _fallback_retries and
-    commits the first that colors. Each repair search widens its palette
-    while the invariant allows (see move_budget)."""
+    A plan with no slots is colored by repair search alone, over the
+    4-sets of _fallback_sets in turn, and commits the first that colors. A
+    rejected script's repair search tries its own vertices only. Each
+    repair search widens its palette while the invariant allows (see
+    move_budget)."""
     added = plan.vertices
     if len(set(added)) < len(added):
         raise ValueError("plan lists a vertex twice")
@@ -663,12 +662,10 @@ def apply_extension(state: GrowState, plan: ExtensionPlan) -> GrowState:
         log.warning("scripted %s coloring rejected; invoking repair", plan.kind)
     if repaired or not plan.slots:
         most = min((3 * (state.h + len(added)) - 1) // 5 - state.colors_used, len(added) + 1)
-        found = repair_step(state, added, range(budget, most + 1))
-        if found is None and not plan.slots:
-            for added in _fallback_retries(state, added):
-                if (found := repair_step(state, added, range(budget, most + 1))) is not None:
-                    break
-        if found is None:
+        for added in (added,) if repaired else _fallback_sets(state, added):
+            if (found := repair_step(state, added, range(budget, most + 1))) is not None:
+                break
+        else:
             raise ConstructionError(f"repair failed after a {plan.kind} move" if repaired
                                     else "repair failed on a fallback absorption", state.trace)
         patch, layout = found
@@ -737,7 +734,7 @@ def run_constructive(g: Graph, force: bool = False) -> ConstructionResult:
     holds for whatever comes back, the color bound does not.
     """
     # K1 is connected with kappa 0: refused without force, colored with it
-    kappa = vertex_connectivity(g) if g.n > 1 else 0
+    kappa = vertex_connectivity(g)
     if kappa == 0 and g.n > 1:
         raise PreconditionError("graph is disconnected; no coloring is rainbow connected")
     if kappa < 3 and not force:

@@ -62,11 +62,13 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"duplicate edge {e}")
         seen.add(e)
     sorted_edges = tuple(sorted(seen))
+    # the sorted edges give v its lower neighbours (u, v) in order of u, then
+    # its higher ones (v, w) in order of w, so each list comes out ascending
     neigh: list[list[int]] = [[] for _ in range(n)]
     for u, v in sorted_edges:
         neigh[u].append(v)
         neigh[v].append(u)
-    return Graph(n, sorted_edges, tuple(tuple(sorted(a)) for a in neigh))
+    return Graph(n, sorted_edges, tuple(map(tuple, neigh)))
 
 
 def document_lines(text: str) -> Iterator[tuple[int, list[str]]]:

@@ -229,6 +229,13 @@ class TestQueries:
         code, out, _ = run(capsys, "kappa", petersen_file)
         assert code == 0 and out.strip() == "3"
 
+    def test_kappa_one_vertex(self, capsys, tmp_path):
+        # like construct's "connectivity 0 < 3" for the same graph
+        g = tmp_path / "k1.txt"
+        g.write_text("1 0\n")
+        code, out, _ = run(capsys, "kappa", str(g))
+        assert code == 0 and out.strip() == "0"
+
     def test_kappa_refuses_isolated_vertices(self, capsys, tmp_path):
         g = tmp_path / "empty4.txt"
         g.write_text("4 0\n")

@@ -47,9 +47,8 @@ class TestVertexConnectivity:
             g = gen_family("random3c", n, n // 4, seed=42 + i)
             assert vertex_connectivity(g) >= 3
 
-    def test_too_small(self):
-        with pytest.raises(ValueError, match="2 vertices"):
-            vertex_connectivity(make_graph(1, []))
+    def test_one_vertex_gives_zero(self):
+        assert vertex_connectivity(make_graph(1, [])) == 0
 
     @settings(max_examples=80, deadline=None)
     @given(st_graph_n2to6)

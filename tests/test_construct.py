@@ -248,8 +248,8 @@ class TestClassify:
         edges |= {norm_edge(a, b) for p in fan for a, b in zip(p, p[1:])}
         state = state_on(sorted(edges), n=10)
         fans = {7: fan, 9: ((9, 1), (9, 2), (9, 3))}
-        profiles = {7: lens, 9: [1, 1, 1]}
-        plan = construct._companion_dispatch(state, fans, profiles, center=4, e0=(1, 4),
+        assert [len(p) - 1 for p in fan] == lens
+        plan = construct._companion_dispatch(state, fans, center=4, e0=(1, 4),
                                              u1=5, a=0, v1=6, b=2)
         assert (plan.kind, plan.vertices) == ("arch_111", (4, 5, 6, 9))
 
@@ -747,13 +747,12 @@ class TestReachOrder:
                                       st.integers(0, (1 << (n * (n - 1) // 2)) - 1)),
                             st.sets(st.integers(0, n - 1)), st.sets(st.integers(0, n - 1)))))
     def test_matches_the_rescanning_order(self, drawn):
-        # the heap yields the order of rescanning the pool at every step,
-        # and so the four vertices a fallback absorption takes
+        # the four vertices a fallback absorption takes are the first four
+        # of the order that rescans the pool at every step
         g, hset, pool = drawn
         state = GrowState(g, set(hset), {}, 0)
         want = reach_order_by_rescan(g, hset, pool)
-        assert list(construct._reach_order(state, pool)) == want
-        assert tuple(itertools.islice(construct._reach_order(state, pool), 4)) == tuple(want[:4])
+        assert construct._first_four(state, pool) == tuple(want[:4])
 
 
 class TestColorClash:
@@ -929,20 +928,25 @@ class TestRunConstructive:
         # regular draws whose first fallback 4-set colors under no star
         # pattern; dropping one of its vertices gives a set that does
         g = parse_graph((CORPUS / f"{name}.txt").read_text())
-        retried = []
-        real = construct._fallback_retries
+        tried = []
+        real = construct._fallback_sets
 
-        def recorded(state, failed):
-            for take in real(state, failed):
-                assert take != failed and set(take).isdisjoint(state.vertices)
-                retried.append(take)
+        def recorded(state, first):
+            # first comes first and no set comes twice
+            sets = []
+            tried.append(sets)
+            for take in real(state, first):
+                assert take == first if not sets else take not in sets
+                assert set(take).isdisjoint(state.vertices)
+                sets.append(take)
                 yield take
 
-        monkeypatch.setattr(construct, "_fallback_retries", recorded)
+        monkeypatch.setattr(construct, "_fallback_sets", recorded)
         res = run_constructive(g)
         assert res.colors_used <= res.bound
-        assert 1 <= len(retried) <= 4
-        assert any(rec.kind == "fallback_absorb" and rec.added == retried[-1]
+        retried = [sets for sets in tried if len(sets) > 1]
+        assert retried and all(len(sets) <= 5 for sets in retried)
+        assert any(rec.kind == "fallback_absorb" and rec.added == retried[-1][-1]
                    for rec in res.trace)
 
     @pytest.mark.xfail(strict=True, raises=ConstructionError,

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +11,6 @@ from _oracles import brute_connected, brute_girth, brute_shortest_cycle
 
 
 def graph_from_mask(n, mask):
-    from itertools import combinations
     pairs = list(combinations(range(n), 2))
     return make_graph(n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1])
 
@@ -109,6 +110,21 @@ class TestMakeGraph:
     def test_rejected(self, n, edges, message):
         with pytest.raises(ValueError, match=message):
             make_graph(n, edges)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.sampled_from(list(combinations(range(n), 2)))),
+        st.randoms(use_true_random=False))))
+    def test_neighbours_ascend_whatever_the_edge_order(self, drawn):
+        # shortest_cycle's proof and the flow's scan order read each
+        # neighbour list in ascending order
+        n, edges, rnd = drawn
+        listed = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in edges]
+        rnd.shuffle(listed)
+        g = make_graph(n, listed)
+        assert g.edges == tuple(sorted(edges))
+        for v in range(n):
+            assert list(g.adj[v]) == sorted({u for e in edges for u in e if v in e} - {v})
 
 
 class TestSerialize:
