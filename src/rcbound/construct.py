@@ -15,8 +15,12 @@ without a gap, and each step adds one trace line. A failed scripted
 coloring hands over to one bounded repair search; a repair failure aborts
 with a ConstructionError that carries the full trace. A move check covers
 only the pairs with an added vertex: a move colors only new edges at its
-added vertices, so every pair already inside H keeps its rainbow path. The
-finished coloring gets one full check.
+added vertices, so every pair already inside H keeps its rainbow path.
+For the same reason H's kept layout makes H rainbow connected in H's own
+colors, so a check's pass from an added vertex that reaches H by a walk
+with none of those colors settles every vertex of H at once (see
+_try_coloring). The finished coloring gets one full check, with no such
+shortcut.
 
 Move kinds
   four_leaves      four outside vertices, three host links each
@@ -126,7 +130,15 @@ class GrowState:
     (see _try_coloring), so a step builds one layout. Every step checks
     the patch it commits, so after each commit `layout` equals
     ColoredLayout.build of `coloring`. final_absorb's color-1 leftovers,
-    added after the last commit, stay out of it."""
+    added after the last commit, stay out of it.
+
+    `grown` records that the state was made with an empty H, as
+    seed_subgraph makes it. Then every vertex of H came in through a step
+    whose check passed on the layout it commits, and layouts only gain
+    edges, so `layout` joins every two vertices of H by a rainbow path in
+    H's own colors: the invariant that lets _try_coloring hand H to the
+    checker as a core. A state made around a given H promises nothing of
+    it, and its checks run without a core."""
     host: Graph
     vertices: set[int]
     coloring: dict[Edge, int]
@@ -134,9 +146,11 @@ class GrowState:
     trace: list[StepRecord] = field(default_factory=list)
     fans: dict[int, tuple] = field(default_factory=dict)
     layout: ColoredLayout = field(init=False, repr=False, compare=False)
+    grown: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.layout = ColoredLayout.build(self.host, EdgeColoring(self.coloring))
+        self.grown = not self.vertices
 
     @property
     def h(self) -> int:
@@ -497,14 +511,20 @@ def _try_coloring(state: GrowState, added: tuple[int, ...],
     the check read, which _commit adopts for an accepted step. That is
     sound while the patch colors only new edges at added vertices:
     extending the layout refuses an edge H colors, and the assertion one
-    that touches no added vertex."""
+    that touches no added vertex. A grown state's H goes to the checker as
+    its core, with H's palette as the layout's first len(state.layout.bits)
+    color bits (ColoredLayout.extended numbers the patch's new colors
+    after them): a pass from an added vertex that reaches H by a walk with
+    none of H's colors settles all of H at once."""
     aset = set(added)
     for u, v in patch:
         if u not in aset and v not in aset:
             raise AssertionError(f"patch edge {(u, v)} is not a new edge at an added vertex")
     layout = state.layout.extended(patch)
+    core = state.vertices if state.grown else None
     return find_rainbow_witness(state.host, layout, vertices=state.vertices | aset,
-                                sources=aset or None), layout
+                                sources=aset or None, core=core,
+                                core_colors=len(state.layout.bits)), layout
 
 
 def _commit(state: GrowState, kind: str, added: tuple[int, ...], patch: dict[Edge, int],

@@ -26,6 +26,14 @@ search runs only on the pairs the passes left open. Its reached set does
 not depend on which other targets it is given, so the witness is the one
 the exact search alone would report.
 
+A growth check may also name a core, the grown subgraph H, whose pairs
+are joined by rainbow paths in H's own colors. A pass that reaches H by
+a walk with none of H's colors settles all of H at once: that walk and
+H's path to any vertex of H share no color, so together they hold a
+rainbow path. Only pairs with a rainbow path are settled that way, so no
+answer changes; the exact search is spared the H vertices that the first
+walks alone would miss.
+
 A check restricted to sources also runs a cheap proof of failure, the
 color-clash bound (`_color_clash`), on each source whose pass misses a
 vertex and whose edges share one color. The repair search skips the
@@ -238,12 +246,18 @@ def _witness_walk(inc: list[list[tuple[int, int]]], col: list[int], source: int,
 
 
 def _first_walk_misses(adjc: list[list[tuple[int, int]]], source: int,
-                       targets: set[int]) -> set[int]:
+                       targets: set[int], core_mask: int = -1, core=None) -> set[int]:
     """Vertices of `targets` that a breadth-first pass from source misses
     when it keeps only the first rainbow walk to reach each vertex. Every
     vertex it reaches lies on that walk, a path in the search tree, so it
     has a rainbow path; a missed target may still have one through a
-    later walk, which `_rainbow_reach` decides."""
+    later walk, which `_rainbow_reach` decides.
+
+    The first time the pass labels a vertex of `core` by a walk with no
+    color bit of `core_mask`, every core vertex counts as reached (see
+    find_rainbow_witness), and the pass goes on for the other targets
+    only. With the default mask of every bit that never happens, and the
+    test costs one AND per labelled vertex."""
     mask_at = [-1] * len(adjc)  # vertex -> its first walk's colors, -1 unreached
     mask_at[source] = 0
     queue = [source]
@@ -252,9 +266,15 @@ def _first_walk_misses(adjc: list[list[tuple[int, int]]], source: int,
         mask = mask_at[v]
         for w, bit in adjc[v]:
             if mask_at[w] < 0 and not mask & bit:
-                mask_at[w] = mask | bit
+                new = mask_at[w] = mask | bit
                 queue.append(w)
-                if w in targets:
+                if not new & core_mask and w in core:
+                    # the targets left: those outside the core not labelled yet
+                    core_mask, targets = -1, targets.difference(core, queue)
+                    remaining = len(targets)
+                    if not remaining:
+                        return set()
+                elif w in targets:
                     remaining -= 1
                     if not remaining:
                         return set()
@@ -302,7 +322,8 @@ def _color_clash(adjc: list[list[tuple[int, int]]], u: int, universe) -> Edge | 
 
 
 def find_rainbow_witness(g: Graph, coloring: EdgeColoring | ColoredLayout,
-                         vertices=None, sources=None) -> Edge | None:
+                         vertices=None, sources=None, core=None,
+                         core_colors: int = 0) -> Edge | None:
     """None when every pair is rainbow connected, otherwise the
     lexicographically smallest failing pair.
 
@@ -347,6 +368,23 @@ def find_rainbow_witness(g: Graph, coloring: EdgeColoring | ColoredLayout,
     `coloring` may also be a ColoredLayout over g, such as a growing
     subgraph's kept layout: then only its colored edges count, as if g
     had no others, and its edges are taken as checked when it was built.
+
+    `core`, a set of vertices given with a layout, is the caller's promise
+    that every two core vertices are joined by a rainbow path whose colors
+    all have bits below 1 << core_colors: a grown subgraph H, rainbow
+    connected in its own layout, whose colors ColoredLayout.extended keeps
+    in the low bits. The set is read, not copied. The first time a source's
+    pass labels a core vertex v by a walk P with none of those bits, every
+    core vertex counts as reached from that source, and the pass goes on
+    only for its other targets and the earlier sources it is aimed at.
+    That settles only pairs that have a rainbow path: for a core vertex t,
+    P and the promised rainbow path Q from v to t use disjoint color sets,
+    so P followed by Q is a walk with no repeated color, and cutting its
+    closed sub-walks leaves a rainbow path from the source to t. So the
+    passes still settle only pairs with a rainbow path, as above, and every
+    verdict and witness, the color-clash bound's included, are those of the
+    check without `core`. Without `core` the pass tests an all-ones mask,
+    which every walk meets, so a full check runs as it always has.
     """
     if isinstance(coloring, ColoredLayout):
         if coloring.host is not g:
@@ -364,6 +402,8 @@ def find_rainbow_witness(g: Graph, coloring: EdgeColoring | ColoredLayout,
     order = verts if sources is None else sorted(sources)
     if not targets.issuperset(order):
         raise ValueError("sources must lie inside the vertex universe")
+    # a walk with no bit of core_mask enters the core clean
+    core_mask = (1 << core_colors) - 1 if core else -1
     missed_by: dict[int, set[int]] = {}  # source -> open targets its pass missed
     aims: dict[int, set[int]] = {}  # target -> sources whose pass missed it
     for u in order:
@@ -371,7 +411,8 @@ def find_rainbow_witness(g: Graph, coloring: EdgeColoring | ColoredLayout,
         back = aims.pop(u, None)
         if not targets and not back:
             continue
-        missed = _first_walk_misses(adjc, u, targets | back if back else targets)
+        missed = _first_walk_misses(adjc, u, targets | back if back else targets,
+                                    core_mask, core)
         if missed and sources is not None and (clash := _color_clash(adjc, u, verts)):
             return clash
         if back:  # a pass from u that reaches s settles the pair (s, u)

@@ -2,14 +2,25 @@
 
 Everything here is deliberately naive (path enumeration, subset
 enumeration, full coloring products) so it shares no code path with the
-library implementations it validates.
+library implementations it validates. The soak helpers at the end are the
+exception: they record the construction's growth checks and replay them
+through the library checker, whose answer without a core is the reference
+for its answer with one.
 """
 
 from __future__ import annotations
 
+import importlib
+import random
+import sys
 from itertools import combinations, product
+from pathlib import Path
 
-from rcbound.graphs import Graph, make_graph, norm_edge
+from rcbound import construct, rainbow
+from rcbound.graphs import Graph, gen_family, make_graph, norm_edge
+from rcbound.rainbow import find_rainbow_witness
+
+LAYERBENCH = Path(__file__).resolve().parents[1] / "layerbench"
 
 
 def all_simple_paths(g: Graph, u: int, v: int):
@@ -335,3 +346,101 @@ def reference_repair_step(g: Graph, hset, coloring: dict, colors_used: int, adde
                    for u in added for v in universe if v != u):
                 return patch, checked
     return None, checked
+
+
+def layerbench_families(seed: int) -> list[Graph]:
+    """The graphs of the layered benchmark's families workload for `seed`,
+    built by its own workloads module."""
+    import rcbound.cli  # workloads takes the package with its cli module loaded
+    sys.path.insert(0, str(LAYERBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(LAYERBENCH))
+    return [case.graph for case in workloads.families(rcbound, seed)]
+
+
+def relabeled_scan() -> list[Graph]:
+    """Prism 100, Moebius-200, GP(100, 3), GP(100, 2), Q7 and wheel 200,
+    each under the labelings s = 1..10, shuffled by random.Random(s) as the
+    layered benchmark relabels its families: 60 graphs."""
+    gp = [[(i, (i + 1) % 100) for i in range(100)] + [(i, 100 + i) for i in range(100)]
+          + [(100 + i, 100 + (i + k) % 100) for i in range(100)] for k in (3, 2)]
+    bases = [gen_family("prism", 100),
+             make_graph(200, [(i, (i + 1) % 200) for i in range(200)]
+                        + [(i, i + 100) for i in range(100)]),
+             make_graph(200, gp[0]), make_graph(200, gp[1]),
+             make_graph(128, [(v, v | 1 << b) for v in range(128) for b in range(7)
+                              if not v >> b & 1]),
+             gen_family("wheel", 200)]
+    out = []
+    for g in bases:
+        for s in range(1, 11):
+            perm = list(range(g.n))
+            random.Random(s).shuffle(perm)
+            out.append(make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
+    return out
+
+
+def record_growth_checks(graphs) -> list[tuple]:
+    """The growth checks that constructing each graph makes on a grown
+    subgraph H with at least one vertex, each as (host, H's kept layout,
+    H's vertices, the added vertices, the patch, H's colors used). A
+    construction that fails keeps the checks it made."""
+    checks = []
+    real = construct._try_coloring
+
+    def recorded(state, added, patch):
+        if state.grown and state.vertices and added:
+            checks.append((state.host, state.layout, frozenset(state.vertices),
+                           added, dict(patch), state.colors_used))
+        return real(state, added, patch)
+
+    construct._try_coloring = recorded
+    try:
+        for g in graphs:
+            try:
+                construct.run_constructive(g)
+            except construct.ConstructionError:
+                pass
+    finally:
+        construct._try_coloring = real
+    return checks
+
+
+def core_rule_soak(checks, rng, tries: int) -> dict:
+    """Recolor each recorded growth check's patch `tries` times at random,
+    each edge from {1, 2, k, k+1, ..., k+4} for H's k colors, and check
+    each recoloring twice with the library checker: with H as its core (a
+    clean route into H settles all of H) and without. The check without a
+    core is the reference here. Returns the checks made, how many of them
+    fail, the exact searches each side ran, and the recolorings whose two
+    verdicts or witnesses differ."""
+    out = {"checks": 0, "failing": 0, "plain_searches": 0, "core_searches": 0, "differ": []}
+    real = rainbow._rainbow_reach
+    side = "plain_searches"
+
+    def counted(*args):
+        out[side] += 1
+        return real(*args)
+
+    rainbow._rainbow_reach = counted
+    try:
+        for host, layout, hset, added, patch, k in checks:
+            universe, sources = hset.union(added), set(added)
+            palette = [1, 2, k] + [k + i for i in range(1, 5)]
+            for _ in range(tries):
+                recolored = {e: rng.choice(palette) for e in patch}
+                grown = layout.extended(recolored)
+                side = "plain_searches"
+                plain = find_rainbow_witness(host, grown, vertices=universe, sources=sources)
+                side = "core_searches"
+                ruled = find_rainbow_witness(host, grown, vertices=universe, sources=sources,
+                                             core=hset, core_colors=len(layout.bits))
+                out["checks"] += 1
+                out["failing"] += plain is not None
+                if ruled != plain:
+                    out["differ"].append((sorted(hset), added, recolored, plain, ruled))
+    finally:
+        rainbow._rainbow_reach = real
+    return out

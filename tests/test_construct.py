@@ -103,6 +103,25 @@ def state_on(extra_edges, n=None):
 
 
 class TestSeed:
+    def test_only_a_grown_state_hands_h_to_the_checker(self, monkeypatch):
+        # a state seeded from an empty H passes its own H, uncopied, and
+        # H's palette size as the checker's core; a state made around a
+        # given H passes no core
+        cores = []
+        real = construct.find_rainbow_witness
+
+        def recorded(*args, core, core_colors, **kwargs):
+            cores.append((core, None if core is None else set(core), core_colors))
+            return real(*args, core=core, core_colors=core_colors, **kwargs)
+
+        monkeypatch.setattr(construct, "find_rainbow_witness", recorded)
+        state = seed_subgraph(gen_family("complete", 7))
+        assert state.grown and len(cores) == 1 and cores[0][1:] == (set(), 0)
+        apply_extension(state, classify_extension(state))
+        assert cores[1][0] is state.vertices and cores[1][1:] == ({0, 1, 2}, 1)
+        assert state_on([(4, 0), (4, 1), (4, 2)]).grown is False
+        assert cores[-1] == (None, None, 2)
+
     def test_triangle_seed(self):
         state = seed_subgraph(gen_family("complete", 4))
         assert state.h == 3 and state.colors_used == 1
@@ -420,9 +439,9 @@ class TestApply:
         searches = []
         real = rainbow._first_walk_misses
 
-        def counted(adjc, source, targets):
+        def counted(adjc, source, targets, *rest):
             searches.append(source)
-            return real(adjc, source, targets)
+            return real(adjc, source, targets, *rest)
 
         monkeypatch.setattr(rainbow, "_first_walk_misses", counted)
         apply_extension(state, plan)

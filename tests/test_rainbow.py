@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcbound import rainbow
+from rcbound.connectivity import vertex_connectivity
 from rcbound.construct import cycle_color_sequence, run_constructive
 from rcbound.graphs import GraphFormatError, gen_family, make_graph, norm_edge
 from rcbound.rainbow import (BudgetExhaustedError, ColoredLayout, EdgeColoring, NoColoringError,
@@ -13,7 +14,8 @@ from rcbound.rainbow import (BudgetExhaustedError, ColoredLayout, EdgeColoring, 
 
 from _capped import run_capped
 from _oracles import (brute_connected, brute_diameter, brute_rainbow_witness, brute_rc,
-                      canonical_colorings, has_capped_rainbow_path, has_rainbow_path,
+                      canonical_colorings, core_rule_soak, has_capped_rainbow_path,
+                      has_rainbow_path, layerbench_families, record_growth_checks,
                       reference_rc_exact)
 from test_graphs import graph_from_mask
 
@@ -332,6 +334,77 @@ class TestWitness:
         g = gen_family("cycle", 5)
         with pytest.raises(ValueError, match="0..4"):
             find_rainbow_witness(g, EdgeColoring({e: 1 for e in g.edges}), vertices=[-1, 0])
+
+
+class TestCore:
+    # H is the star 0-1, 0-2, 0-3 in colors 1, 2, 3: rainbow connected in
+    # its own layout, whose colors take the low three bits
+    STAR = {(0, 1): 1, (0, 2): 2, (0, 3): 3}
+    H = {0, 1, 2, 3}
+
+    def grown(self, patch):
+        g = make_graph(6, list(self.STAR) + list(patch))
+        base = ColoredLayout.build(g, EdgeColoring(self.STAR))
+        return g, base, base.extended(patch)
+
+    def test_clean_route_settles_the_core(self, monkeypatch):
+        # 4's first walk into H takes color 2 at 0, which blocks 0-2, so the
+        # pass alone misses 2; its walk 4-1 in fresh color 4 enters H clean,
+        # and 4-1-0-2 is rainbow
+        g, base, layout = self.grown({(0, 4): 2, (1, 4): 4})
+        assert rainbow._first_walk_misses(layout.adj, 4, self.H) == {2}
+        assert rainbow._first_walk_misses(layout.adj, 4, self.H, 0b111, self.H) == set()
+        searched = []
+        real = rainbow._rainbow_reach
+        monkeypatch.setattr(rainbow, "_rainbow_reach",
+                            lambda *args: searched.append(args[1]) or real(*args))
+        universe = self.H | {4}
+        assert find_rainbow_witness(g, layout, vertices=universe, sources={4}, core=self.H,
+                                    core_colors=len(base.bits)) is None
+        assert searched == []
+        assert find_rainbow_witness(g, layout, vertices=universe, sources={4}) is None
+        assert searched == [4]
+
+    def test_reused_color_route_leaves_the_core_open(self, monkeypatch):
+        # 4 enters H only by 0-4 in color 1, H's own color 1 (REUSE), so 1 is
+        # cut off behind it from 4 and from 5; the rule must not fire, and
+        # the exact search reports today's witness
+        g, base, layout = self.grown({(0, 4): 1, (4, 5): 4})
+        searched = []
+        real = rainbow._rainbow_reach
+        monkeypatch.setattr(rainbow, "_rainbow_reach",
+                            lambda *args: searched.append(args[1]) or real(*args))
+        universe = self.H | {4, 5}
+        assert find_rainbow_witness(g, layout, vertices=universe, sources={4, 5},
+                                    core=self.H, core_colors=len(base.bits)) == (1, 4)
+        assert searched == [4]
+        assert find_rainbow_witness(g, layout, vertices=universe, sources={4, 5}) == (1, 4)
+        colors = {**self.STAR, (0, 4): 1, (4, 5): 4}
+        assert not has_rainbow_path(make_graph(6, list(colors)), colors, 1, 4)
+
+    def test_full_check_tests_an_all_ones_mask(self, monkeypatch):
+        g = gen_family("prism", 5)
+        coloring = run_constructive(g).coloring
+        masks = []
+        real = rainbow._first_walk_misses
+        monkeypatch.setattr(rainbow, "_first_walk_misses",
+                            lambda *args: masks.append(args[3:]) or real(*args))
+        assert find_rainbow_witness(g, coloring) is None
+        assert masks and all(rest == (-1, None) for rest in masks)
+
+    def test_growth_checks_agree_with_and_without_the_core(self):
+        # families seed 1 of the layered benchmark and a slice of the
+        # six-vertex graphs: each growth check's patch recolored at random
+        # from H's colors 1, 2, k and fresh ones, checked both ways
+        six = [g for g in (graph_from_mask(6, mask) for mask in range(3, 1 << 15, 7))
+               if min(map(len, g.adj)) >= 3 and vertex_connectivity(g) >= 3]
+        rng = random.Random(41)
+        fam = core_rule_soak(record_growth_checks(layerbench_families(1)), rng, 40)
+        small = core_rule_soak(record_growth_checks(six), rng, 12)
+        assert fam["differ"] == small["differ"] == []
+        assert fam["checks"] > 4000 and fam["failing"] > 1000 and small["failing"] > 0
+        # the core settles pairs that would go to the exact search
+        assert fam["core_searches"] < fam["plain_searches"]
 
 
 class TestColoredLayout:
