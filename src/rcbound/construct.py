@@ -562,9 +562,12 @@ def repair_step(state: GrowState, added_vertices,
     first two fresh colors alternating over its links into H. The stars
     are built once, for the widest palette. At budget b the labels (the
     first b fresh colors, color 1, then the alternating star when b >= 2)
-    are tried in a fixed lexicographic order. Each vertex's edges are laid
-    out as positions in the sorted candidate edges, so a label
-    combination fills one color list. Its fresh colors, renumbered by
+    are tried in a fixed lexicographic order. One pass over each added
+    vertex's host neighbours lists the candidate edges once, sorted, each
+    tagged with its owner and the color its owner's alternating star gives
+    it, so a label combination fills one color list by reading each
+    edge's owner label, or the tag where that label is the alternating
+    star. Its fresh colors, renumbered by
     first appearance, give the candidate's final form, and each such
     patch goes through _try_coloring once over all budgets: the checker
     reads only which colors are equal, so a patch that renames the fresh
@@ -604,43 +607,59 @@ def repair_step(state: GrowState, added_vertices,
     base = state.colors_used
     fresh = [base + 1 + i for i in range(max(budgets, default=0))]
 
-    # each added vertex's edges: the inner ones it owns (its smaller end),
-    # then its links into H; every edge has one owner
-    owned = [[(w, q) for q in host.adj[w] if q > w and q in aset] for w in added]
-    links = [[norm_edge(w, q) for q in host.adj[w] if q in hset] for w in added]
-    cand = sorted(e for own, link in zip(owned, links) for e in own + link)
-    pos = {e: i for i, e in enumerate(cand)}
-    # each added vertex's edges as positions in the sorted candidate edges,
-    # with the colors its alternating star puts on them
-    stars = []
-    for own, link in zip(owned, links):
-        alt = ([fresh[1]] * len(own) + [fresh[i % 2] for i in range(len(link))]
-               if len(fresh) >= 2 else None)
-        stars.append(([pos[e] for e in own + link], alt))
+    # every candidate edge once, tagged with its owner's index and the color
+    # the owner's alternating star gives it: an added vertex owns its inner
+    # edges to larger added vertices (the second fresh color) and its links
+    # into H (the first two fresh colors in turn, in host order). Without
+    # two fresh colors no budget offers that star, and the tags are 0
+    first, second = fresh[:2] if len(fresh) >= 2 else (0, 0)
+    tagged = []
+    for j, w in enumerate(added):
+        linked = 0
+        for q in host.adj[w]:
+            if q in hset:
+                tagged.append((norm_edge(w, q), j, second if linked & 1 else first))
+                linked += 1
+            elif q > w and q in aset:
+                tagged.append(((w, q), j, second))
+    tagged.sort()
+    cand = [e for e, _, _ in tagged]
+    owner = [j for _, j, _ in tagged]
+    alt = [a for _, _, a in tagged]
     # the non-adjacent added pairs whose ends both have candidate edges, each
     # with the positions of all those edges, inner ones owned by others too
+    apart = []
     pairs = [(u, w) for u, w in itertools.combinations(added, 2) if not host.has_edge(u, w)]
-    at = {w: [i for i, e in enumerate(cand) if w in e] for w in added} if pairs else {}
-    apart = [at[u] + at[w] for u, w in pairs if at[u] and at[w]]
-    colors = [0] * len(cand)
+    if pairs:
+        at: dict[int, list[int]] = {w: [] for w in added}
+        for i, (u, w) in enumerate(cand):
+            if u in at:
+                at[u].append(i)
+            if w in at:
+                at[w].append(i)
+        apart = [at[u] + at[w] for u, w in pairs if at[u] and at[w]]
     tried: set[tuple[int, ...]] = set()
     for b in budgets:
-        options = [*fresh[:b], 1] + (["alt"] if b >= 2 else [])
+        # label 0 is the alternating star
+        options = [*fresh[:b], 1] + ([0] if b >= 2 else [])
         for combo in itertools.product(options, repeat=len(added)):
-            for (star, alt), label in zip(stars, combo):
-                if label == "alt":
-                    for i, c in zip(star, alt):
-                        colors[i] = c
-                else:
-                    for i in star:
-                        colors[i] = label
+            colors = [combo[j] or a for j, a in zip(owner, alt)]
             # a pair whose edges all share one color has no rainbow path
-            if any(len({colors[i] for i in pair}) == 1 for pair in apart):
+            one_color = False
+            for pair in apart:
+                c = colors[pair[0]]
+                for i in pair:
+                    if colors[i] != c:
+                        break
+                else:
+                    one_color = True
+                    break
+            if one_color:
                 continue
             # fresh colors renumbered by first appearance in edge order
             remap: dict[int, int] = {}
-            key = tuple(remap.setdefault(c, base + 1 + len(remap)) if c > base else c
-                        for c in colors)
+            key = tuple([remap.setdefault(c, base + 1 + len(remap)) if c > base else c
+                         for c in colors])
             if key in tried:
                 continue
             tried.add(key)

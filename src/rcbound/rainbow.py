@@ -591,12 +591,43 @@ def rc_exact(g: Graph, max_colors: int | None = None,
     twos: list[list[tuple[int, int]] | None] = [None] * len(ends)
     nodes = 0
 
-    def rewatch(i: int, c: int, k: int) -> bool:
-        """Whether every watcher of edge i, now painted c, keeps or finds a
-        valid walk; stops at the first that cannot."""
-        for p in list(watch[i]):
-            walk = walks[p]
-            if [col[e] for e in walk].count(c) > 1:
+    def search(k: int) -> bool:
+        """Depth-first over the edges in order; col[i] is edge i's color
+        (0 while uncolored) and used[i] the highest color before edge i.
+        After painting edge i with c, every watcher of i must keep or find
+        a valid walk; the recheck stops at the first that cannot."""
+        nonlocal nodes
+        used = [0] * (m + 1)
+        i = 0
+        while 0 <= i < m:
+            c = col[i] + 1
+            top = used[i]
+            if c > top + 1 or c > k:
+                col[i] = 0  # every color tried: back to the previous edge
+                i -= 1
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExhaustedError(k, nodes)
+            col[i] = c
+            if c > top:
+                top = c
+            used[i + 1] = top
+            # every color must still be reachable with the edges left
+            if k - top > m - i - 1:
+                continue
+            # every non-adjacent pair must keep a valid walk; the watchers are
+            # read from a snapshot, since mending a walk changes them
+            for p in list(watch[i]) if watch[i] else ():
+                walk = walks[p]
+                seen = False
+                for e in walk:
+                    if col[e] == c:
+                        if seen:
+                            break
+                        seen = True
+                else:
+                    continue  # c occurs once on the walk, at i: still valid
                 steps = twos[p]
                 if steps is None:
                     u, t = ends[p]
@@ -610,34 +641,13 @@ def rc_exact(g: Graph, max_colors: int | None = None,
                     # at k = 2 the two-step walks are all of the pair's walks
                     found = None if k == 2 else _witness_walk(inc, col, *ends[p], k)
                     if found is None:
-                        return False
+                        break
                 for e in walk:
                     watch[e].discard(p)
                 for e in found:
                     watch[e].add(p)
                 walks[p] = found
-        return True
-
-    def search(k: int) -> bool:
-        """Depth-first over the edges in order; col[i] is edge i's color
-        (0 while uncolored) and used[i] the highest color before edge i."""
-        nonlocal nodes
-        used = [0] * (m + 1)
-        i = 0
-        while 0 <= i < m:
-            c = col[i] + 1
-            if c > min(used[i] + 1, k):
-                col[i] = 0  # every color tried: back to the previous edge
-                i -= 1
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExhaustedError(k, nodes)
-            col[i] = c
-            used[i + 1] = max(used[i], c)
-            # every color must still be reachable with the edges left, and
-            # every non-adjacent pair must keep a valid walk
-            if k - used[i + 1] <= m - i - 1 and rewatch(i, c, k):
+            else:
                 i += 1
         return i == m
 

@@ -2,14 +2,16 @@
 
 Everything here is deliberately naive (path enumeration, subset
 enumeration, full coloring products) so it shares no code path with the
-library implementations it validates. The soak helpers at the end are the
-exception: they record the construction's growth checks and replay them
-through the library checker, whose answer without a core is the reference
-for its answer with one.
+library implementations it validates. The recording helpers at the end
+are the exception: they record the construction's growth checks, to
+replay them through the library checker, whose answer without a core is
+the reference for its answer with one, or its repair searches, to time
+`repair_step` on them in-process.
 """
 
 from __future__ import annotations
 
+import copy
 import importlib
 import random
 import sys
@@ -348,16 +350,16 @@ def reference_repair_step(g: Graph, hset, coloring: dict, colors_used: int, adde
     return None, checked
 
 
-def layerbench_families(seed: int) -> list[Graph]:
-    """The graphs of the layered benchmark's families workload for `seed`,
-    built by its own workloads module."""
+def layerbench_graphs(workload: str, seed: int) -> list[Graph]:
+    """The graphs of the layered benchmark's workload ("families" or
+    "small_exact") for `seed`, built by its own workloads module."""
     import rcbound.cli  # workloads takes the package with its cli module loaded
     sys.path.insert(0, str(LAYERBENCH))
     try:
         workloads = importlib.import_module("workloads")
     finally:
         sys.path.remove(str(LAYERBENCH))
-    return [case.graph for case in workloads.families(rcbound, seed)]
+    return [case.graph for case in getattr(workloads, workload)(rcbound, seed)]
 
 
 def relabeled_scan() -> list[Graph]:
@@ -406,6 +408,34 @@ def record_growth_checks(graphs) -> list[tuple]:
     finally:
         construct._try_coloring = real
     return checks
+
+
+def record_repair_searches(graphs) -> list[tuple]:
+    """The repair searches that constructing each graph makes, each as (a
+    copy of the state it searched from, the added vertices, the budgets,
+    the patch it accepted or None), so that repair_step can be replayed on
+    them in-process. A construction that fails keeps the searches it made."""
+    searches = []
+    real = construct.repair_step
+
+    def recorded(state, added, budgets):
+        snap = copy.copy(state)
+        snap.vertices, snap.coloring = set(state.vertices), dict(state.coloring)
+        snap.trace, snap.fans = list(state.trace), dict(state.fans)
+        found = real(state, added, budgets)
+        searches.append((snap, tuple(added), budgets, found and found[0]))
+        return found
+
+    construct.repair_step = recorded
+    try:
+        for g in graphs:
+            try:
+                construct.run_constructive(g)
+            except construct.ConstructionError:
+                pass
+    finally:
+        construct.repair_step = real
+    return searches
 
 
 def core_rule_soak(checks, rng, tries: int) -> dict:

@@ -20,7 +20,7 @@ from rcbound.rainbow import EdgeColoring, find_rainbow_witness, rc_exact
 
 from _capped import run_capped
 from _oracles import (brute_connected, clash_first_witness, has_rainbow_path,
-                      reach_order_by_rescan, reference_repair_step)
+                      reach_order_by_rescan, record_repair_searches, reference_repair_step)
 from test_connectivity import (CONSTRUCTION_FAN_GRAPHS, EAR_FALLBACK_GRAPH,
                                generalized_petersen, hypercube, mobius_ladder, relabeled)
 from test_graphs import graph_from_mask
@@ -681,15 +681,18 @@ class TestRepair:
     @given(st.integers(4, 7).flatmap(
         lambda n: st.tuples(st.builds(graph_from_mask, st.just(n),
                                       st.integers(0, (1 << (n * (n - 1) // 2)) - 1)),
-                            st.integers(max(1, n - 4), n - 1))),
-           st.integers(0, 2), st.integers(0, 1), st.randoms(use_true_random=False))
+                            st.integers(max(1, n - 5), n - 1))),
+           st.integers(0, 4), st.integers(0, 1), st.randoms(use_true_random=False))
     # the adjacent added 2 and 3 take color 3 on all their edges
     @example(drawn=(graph_from_mask(5, 984), 3), low=0, width=1, rng=random.Random(30))
     # the non-adjacent added 1 and 4 take one color each, 1 and 2
-    @example(drawn=(graph_from_mask(5, 827), 1), low=2, width=1, rng=random.Random(23))
+    @example(drawn=(graph_from_mask(5, 827), 1), low=2, width=1, rng=random.Random(62))
+    # the added 3 links to all of H = {0, 1, 2}, and the accepted patch gives
+    # it the alternating star: colors 4, 5, 4 on its links, 5 on (3, 4)
+    @example(drawn=(graph_from_mask(5, 679), 3), low=2, width=0, rng=random.Random(0))
     def test_skipped_patterns_fail_the_check(self, drawn, low, width, rng):
         # H is a BFS prefix of the host with random colors on its edges, and
-        # up to three other vertices are added, maybe one with no edge to H
+        # up to four other vertices are added, maybe one with no edge to H
         # or to another added vertex. repair_step returns the patch of a
         # search that checks every pattern up to a renaming, and checks just
         # the patterns of that search it does not skip. A skipped pattern
@@ -704,7 +707,7 @@ class TestRepair:
                     order.append(w)
         hset = set(order[:h])
         outside = sorted(set(range(g.n)) - hset)
-        added = tuple(sorted(rng.sample(outside, rng.randint(1, min(3, len(outside))))))
+        added = tuple(sorted(rng.sample(outside, rng.randint(1, min(4, len(outside))))))
         coloring = {e: rng.choice(colors) for e in g.edges if set(e) <= hset}
         state = GrowState(g, hset, coloring, max(coloring.values(), default=0))
         budgets = range(low, low + width + 1)
@@ -725,6 +728,18 @@ class TestRepair:
         assert tried == [patch for patch in checked if not skipped(patch)]
         for patch in filter(skipped, checked):
             assert construct._try_coloring(state, added, patch)[0] is not None
+
+    def test_recorded_searches_replay(self):
+        # the repair searches of a slice of the six-vertex graphs, recorded
+        # for in-process replays, accept on replay the patch they accepted:
+        # each recorded state is a copy the construction's later steps leave
+        six = [g for g in (graph_from_mask(6, mask) for mask in range(3, 1 << 15, 29))
+               if min(map(len, g.adj)) >= 3 and vertex_connectivity(g) >= 3]
+        searches = record_repair_searches(six)
+        assert len(searches) == len(six)  # each closes with a final absorption
+        for state, added, budgets, patch in searches:
+            found = repair_step(state, added, budgets)
+            assert (found and found[0]) == patch
 
     def test_failure_is_bounded(self, monkeypatch):
         # a triangle hung off vertex 4: reaching 0 from 6 takes three

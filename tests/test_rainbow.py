@@ -15,7 +15,7 @@ from rcbound.rainbow import (BudgetExhaustedError, ColoredLayout, EdgeColoring, 
 from _capped import run_capped
 from _oracles import (brute_connected, brute_diameter, brute_rainbow_witness, brute_rc,
                       canonical_colorings, core_rule_soak, has_capped_rainbow_path,
-                      has_rainbow_path, layerbench_families, record_growth_checks,
+                      has_rainbow_path, layerbench_graphs, record_growth_checks,
                       reference_rc_exact)
 from test_graphs import graph_from_mask
 
@@ -399,7 +399,7 @@ class TestCore:
         six = [g for g in (graph_from_mask(6, mask) for mask in range(3, 1 << 15, 7))
                if min(map(len, g.adj)) >= 3 and vertex_connectivity(g) >= 3]
         rng = random.Random(41)
-        fam = core_rule_soak(record_growth_checks(layerbench_families(1)), rng, 40)
+        fam = core_rule_soak(record_growth_checks(layerbench_graphs("families", 1)), rng, 40)
         small = core_rule_soak(record_growth_checks(six), rng, 12)
         assert fam["differ"] == small["differ"] == []
         assert fam["checks"] > 4000 and fam["failing"] > 1000 and small["failing"] > 0
@@ -563,11 +563,12 @@ class TestRcExact:
         (k3m(5), 2, 818),
         (k3m(6), 2, 4953),
         (k3m(7), 2, 24414),
+        (k3m(8), 2, 109064),
         (make_graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)]),
          2, 44),
         (gen_family("wheel", 8), 3, 102),
     ], ids=["petersen", "prism4", "C7", "W7", "K33", "random3c-n10-e2-s42", "K35", "K36", "K37",
-            "moebius8", "W8"])
+            "K38", "moebius8", "W8"])
     def test_pinned_node_counts(self, g, k, nodes):
         assert rc_exact(g, node_budget=nodes)[0] == k
         with pytest.raises(BudgetExhaustedError) as info:
@@ -610,7 +611,7 @@ class TestRcExact:
         self.matches_the_probe_that_keeps_no_walks(g, rng)
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_matches_the_probe_that_keeps_no_walks_past_two_steps(self, seed):
+    def test_matches_the_probe_that_keeps_no_walks_past_two_steps(self, seed, monkeypatch):
         # sparse graphs of diameter >= 3, so rc >= 3 and a broken pair's
         # walks are not all two-step walks: the walk search mends some
         rng = random.Random(seed)
@@ -618,7 +619,17 @@ class TestRcExact:
         while not brute_connected(g) or brute_diameter(g) < 3:
             n = rng.randint(7, 8)
             g = make_graph(n, rng.sample(list(combinations(range(n), 2)), n + rng.randint(0, 2)))
+        mended = []
+
+        def spy(inc, col, source, target, k):
+            walk = _witness_walk(inc, col, source, target, k)
+            if walk is not None:
+                mended.append(k)
+            return walk
+
+        monkeypatch.setattr(rainbow, "_witness_walk", spy)
         assert self.matches_the_probe_that_keeps_no_walks(g, rng) >= 3
+        assert mended and min(mended) >= 3
 
     @pytest.mark.parametrize("g,nodes", [(k3m(5), 818), (k3m(6), 4953)], ids=["K35", "K36"])
     def test_two_step_walks_mend_every_pair_at_k2(self, g, nodes, monkeypatch):
