@@ -6,13 +6,14 @@ path. The checker's exact search (`_rainbow_reach`) runs over (vertex,
 used-color bit mask) states, and so does the exact solver's walk search
 (`_witness_walk`), which reads a partial coloring and keeps the walk it
 finds. The solver mends a pair's broken walk with one of the pair's
-two-step walks when one is still valid, and searches only when none is
-(at k = 2 it never searches: those are all the pair's walks). Both
-searches run one walk length at a time and drop a walk whose colors hold
-those of a walk already kept at the same vertex: the dropped walk is no
-shorter and can only go where the kept one goes. The pruning is exact, so
-it changes no answer, and a failing check holds a few masks per vertex
-instead of every color set that reaches it.
+two-step or three-step walks when one is still valid, and searches only
+when none is and k >= 4 (at k <= 3 it never searches: those are all the
+pair's walks of at most k edges). Both searches run one walk length at a
+time and drop a walk whose colors hold those of a walk already kept at
+the same vertex: the dropped walk is no shorter and can only go where the
+kept one goes. The pruning is exact, so it changes no answer, and a
+failing check holds a few masks per vertex instead of every color set
+that reaches it.
 
 The checker runs a cheaper pass first. From each source, a breadth-first
 search keeps only the first rainbow walk to reach each vertex, with that
@@ -483,6 +484,75 @@ def serialize_coloring(coloring: EdgeColoring) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _three_steps(inc: list[list[tuple[int, int]]], u: int, t: int) -> list[tuple[int, int, int]]:
+    """The walks u-x-y-t of three edges as edge id triples, in `inc` order."""
+    return [(e, f, h) for x, e in inc[u] for y, f in inc[x] for z, h in inc[y] if z == t]
+
+
+def _pair_walks(g: Graph, inc: list[list[tuple[int, int]]]
+                ) -> tuple[list[tuple[int, int]], list, list, list, int]:
+    """rc_exact's set-up: per non-adjacent pair u < t, in ascending order,
+    the pair, its first walk, its two-step walks and its three-step walks,
+    each walk a tuple or list of edge ids from u; then the diameter (1 with
+    no non-adjacent pair). `inc[v]` holds v's (neighbour, edge id) pairs.
+    ValueError when g is disconnected.
+
+    A pair with a two-step walk lists its three-step walks only when they
+    are first needed (None until then). A pair four or more edges apart
+    lists neither (an empty tuple each), and its first walk is the path to
+    it of a breadth-first search from u, which runs only for a u with such
+    a pair; any other pair's first walk is the first walk it lists, the
+    path that search would keep (see rc_exact)."""
+    n = g.n
+    ends: list[tuple[int, int]] = []
+    walks: list = []
+    twos: list = []
+    threes: list = []
+    lower = 1
+    for u in range(n):
+        near = g.adj[u]
+        path = None
+        for t in range(u + 1, n):
+            if t in near:
+                continue
+            ends.append((u, t))
+            if path is None or len(path[t]) < 4:
+                steps = [(e, f) for x, e in inc[u] for y, f in inc[x] if y == t]
+                if steps:
+                    walks.append(steps[0])
+                    twos.append(steps)
+                    threes.append(None)
+                    if lower < 2:
+                        lower = 2
+                    continue
+                steps = _three_steps(inc, u, t)
+                if steps:
+                    walks.append(steps[0])
+                    twos.append(())
+                    threes.append(steps)
+                    if lower < 3:
+                        lower = 3
+                    continue
+            if path is None:
+                # the pair is four or more edges apart: one breadth-first
+                # search from u gives u's eccentricity and its far pairs' walks
+                path = [None] * n
+                path[u] = []
+                queue = [u]
+                for v in queue:
+                    for w, e in inc[v]:
+                        if path[w] is None:
+                            path[w] = path[v] + [e]
+                            queue.append(w)
+                if len(queue) < n:
+                    raise ValueError("rc_exact requires a connected graph")
+                lower = max(lower, len(path[queue[-1]]))
+            walks.append(path[t])
+            twos.append(())
+            threes.append(())
+    return ends, walks, twos, threes, lower
+
+
 def rc_exact(g: Graph, max_colors: int | None = None,
              node_budget: int = 10 ** 8) -> tuple[int, EdgeColoring]:
     """Smallest k admitting a rainbow-connected coloring, with one coloring;
@@ -501,17 +571,33 @@ def rc_exact(g: Graph, max_colors: int | None = None,
     BudgetExhaustedError rather than truncating.
 
     The probe keeps one valid walk per non-adjacent pair, and per edge the
-    pairs whose walk uses it (its watchers). The first walks are the
-    shortest paths of the breadth-first searches that give the diameter:
-    they have no colored edge and at most diameter <= k edges. Painting
-    edge i rechecks only i's watchers. A watcher (u, t) whose walk broke
-    takes the first of its two-step walks u-x-t, one per common
-    neighbour x, listed when the pair first breaks, whose two edges do
-    not carry one color. Only when none does is `_witness_walk` asked,
-    and not at k = 2. A pair left without a walk rejects the node. The
-    verdicts are those of searching every pair at every node, by this
-    invariant: before edge i is painted, every kept walk is valid once
-    edge i is taken as uncolored.
+    pairs whose walk uses it (its watchers). Each pair u < t lists its
+    two-step walks u-x-t, one per common neighbour x, and when it has
+    none, its three-step walks u-x-y-t (`_pair_walks`). Its first walk is
+    the first walk it lists, or for a pair four or more edges apart the
+    path of a breadth-first search from u. Either way it is the path that
+    search keeps, a shortest path with no colored edge and at most
+    diameter <= k edges, and the longest first walk gives the diameter:
+    the search reads each vertex's edges in `inc` order, and
+
+    - at distance 2 it reaches t first from the first neighbour x of u,
+      in that order, that is adjacent to t: the first two-step walk listed.
+    - At distance 3 every three-step walk u-x-y-t has x at distance 1 and
+      y at distance 2, and the search reaches t from the first y in its
+      queue adjacent to t. The first walk listed, u-x0-y0-t, has y0
+      labelled from x0 (an earlier neighbour of u adjacent to y0 would
+      list an earlier walk), and any other such y joins the queue after
+      y0, since the walk through y and the vertex it was labelled from is
+      listed later. So the search keeps u-x0-y0-t.
+
+    Painting edge i rechecks only i's watchers. A watcher whose walk broke
+    takes its first two-step walk whose two edges do not carry one color;
+    when there is none and k >= 3, its first three-step walk with no color
+    twice on its colored edges, listed the first time one is needed; when
+    there is none of those either and k >= 4, a walk from `_witness_walk`.
+    A pair left without a walk rejects the node. The verdicts are those of
+    searching every pair at every node, by this invariant: before edge i
+    is painted, every kept walk is valid once edge i is taken as uncolored.
 
     - It holds at edge 0 of each k: every edge is uncolored, and a kept
       walk is a first walk or was found for a smaller k.
@@ -525,11 +611,18 @@ def rc_exact(g: Graph, max_colors: int | None = None,
     - A new walk is valid. A two-step walk has two different edges and
       2 <= k of them (k is at least the diameter, which is at least 2
       when a non-adjacent pair exists), so it is valid exactly when its
-      edges do not carry one color; a walk from `_witness_walk` is valid
-      by that search. A pair is left without one only when it has none:
-      `_witness_walk` found none, or k = 2 and no two-step walk is valid,
-      since a walk of at most two edges between non-adjacent u and t is
-      u-x-t for a common neighbour x.
+      edges do not carry one color. A three-step walk u-x-y-t of a
+      non-adjacent pair has four different vertices (y = u or x = t would
+      make u and t adjacent), so three different edges, and it is tried
+      only at k >= 3: it is valid exactly when no color occurs twice on
+      its colored edges. A walk from `_witness_walk` is valid by that
+      search.
+    - A pair is left without one only when it has none. A walk of at
+      most three edges between non-adjacent u and t is a two-step walk
+      or a three-step walk, and the pair lists them all when it needs
+      them: at k = 2 its two-step walks are all its walks of at most k
+      edges, and at k = 3 its two- and three-step walks are. At k >= 4,
+      `_witness_walk` found none.
     - Edges after i are uncolored whenever the search stands at i, so
       after an accept the next paint is of the uncolored edge i + 1, and
       every walk is valid: the invariant holds there.
@@ -544,7 +637,7 @@ def rc_exact(g: Graph, max_colors: int | None = None,
     The invariant holds whichever valid walks are kept, so each node's
     verdict, the search tree, the returned (k, coloring) and
     BudgetExhaustedError's (k, nodes) do not depend on which walks are
-    kept, nor on whether a two-step walk or a search mends a broken one.
+    kept, nor on whether a listed walk or a search mends a broken one.
     """
     m = g.m
     max_colors = m if max_colors is None else min(max_colors, m)
@@ -558,28 +651,7 @@ def rc_exact(g: Graph, max_colors: int | None = None,
     for i, (u, v) in enumerate(edges):
         inc[u].append((v, i))
         inc[v].append((u, i))
-    # one breadth-first search per vertex gives its eccentricity and, as
-    # edge ids, shortest paths to its later non-adjacent vertices: the
-    # first walks of those pairs
-    ends: list[tuple[int, int]] = []  # pair p -> its two vertices
-    walks: list[list[int]] = []  # pair p -> its kept walk
-    lower = 1
-    for u in range(n):
-        path: list[list[int] | None] = [None] * n
-        path[u] = []
-        queue = [u]
-        for v in queue:
-            for w, e in inc[v]:
-                if path[w] is None:
-                    path[w] = path[v] + [e]
-                    queue.append(w)
-        if len(queue) < n:
-            raise ValueError("rc_exact requires a connected graph")
-        lower = max(lower, len(path[queue[-1]]))
-        for t in range(u + 1, n):
-            if len(path[t]) > 1:
-                ends.append((u, t))
-                walks.append(path[t])
+    ends, walks, twos, threes, lower = _pair_walks(g, inc)
     if m == 0:
         return 0, EdgeColoring({})
     col = [0] * m
@@ -587,8 +659,6 @@ def rc_exact(g: Graph, max_colors: int | None = None,
     for p, walk in enumerate(walks):
         for e in walk:
             watch[e].add(p)
-    # pair p -> its two-step walks as edge id pairs, listed when it first breaks
-    twos: list[list[tuple[int, int]] | None] = [None] * len(ends)
     nodes = 0
 
     def search(k: int) -> bool:
@@ -628,20 +698,27 @@ def rc_exact(g: Graph, max_colors: int | None = None,
                         seen = True
                 else:
                     continue  # c occurs once on the walk, at i: still valid
-                steps = twos[p]
-                if steps is None:
-                    u, t = ends[p]
-                    steps = twos[p] = [(e, f) for x, e in inc[u] for y, f in inc[x] if y == t]
-                for e, f in steps:
+                for e, f in twos[p]:
                     a = col[e]
                     if not a or a != col[f]:
-                        found = [e, f]
+                        found = (e, f)
                         break
                 else:
-                    # at k = 2 the two-step walks are all of the pair's walks
-                    found = None if k == 2 else _witness_walk(inc, col, *ends[p], k)
-                    if found is None:
+                    if k == 2:  # the two-step walks are all of the pair's walks
                         break
+                    steps = threes[p]
+                    if steps is None:
+                        steps = threes[p] = _three_steps(inc, *ends[p])
+                    for e, f, h in steps:
+                        a, b, d = col[e], col[f], col[h]
+                        if (not a or a != b and a != d) and (not b or b != d):
+                            found = (e, f, h)
+                            break
+                    else:
+                        # at k = 3 the listed walks are all of the pair's walks
+                        found = None if k == 3 else _witness_walk(inc, col, *ends[p], k)
+                        if found is None:
+                            break
                 for e in walk:
                     watch[e].discard(p)
                 for e in found:

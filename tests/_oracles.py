@@ -147,6 +147,37 @@ def reference_rc_exact(g: Graph, node_budget: int | None = None):
     raise AssertionError("m distinct colors always suffice")
 
 
+def bfs_first_walks(g: Graph):
+    """rc_exact's first walks as one breadth-first search per vertex gives
+    them: (pairs, walks, diameter), with per non-adjacent pair u < t, in
+    ascending order, the search from u's path to t as edge ids (edges
+    numbered as in g.edges, each vertex's read in that order), and the
+    largest eccentricity, at least 1. ValueError on a disconnected graph."""
+    n = g.n
+    inc = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(g.edges):
+        inc[u].append((v, i))
+        inc[v].append((u, i))
+    ends, walks, lower = [], [], 1
+    for u in range(n):
+        path = [None] * n
+        path[u] = []
+        queue = [u]
+        for v in queue:
+            for w, e in inc[v]:
+                if path[w] is None:
+                    path[w] = path[v] + [e]
+                    queue.append(w)
+        if len(queue) < n:
+            raise ValueError("disconnected")
+        lower = max(lower, len(path[queue[-1]]))
+        for t in range(u + 1, n):
+            if len(path[t]) > 1:
+                ends.append((u, t))
+                walks.append(path[t])
+    return ends, walks, lower
+
+
 def brute_shortest_cycle(g: Graph) -> list[int] | None:
     """The canonical shortest cycle via exhaustive DFS by target length,
     then start, then sorted adjacency: the first cycle found starts at its

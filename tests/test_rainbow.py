@@ -13,8 +13,8 @@ from rcbound.rainbow import (BudgetExhaustedError, ColoredLayout, EdgeColoring, 
                              rc_exact, serialize_coloring)
 
 from _capped import run_capped
-from _oracles import (brute_connected, brute_diameter, brute_rainbow_witness, brute_rc,
-                      canonical_colorings, core_rule_soak, has_capped_rainbow_path,
+from _oracles import (bfs_first_walks, brute_connected, brute_diameter, brute_rainbow_witness,
+                      brute_rc, canonical_colorings, core_rule_soak, has_capped_rainbow_path,
                       has_rainbow_path, layerbench_graphs, record_growth_checks,
                       reference_rc_exact)
 from test_graphs import graph_from_mask
@@ -567,8 +567,10 @@ class TestRcExact:
         (make_graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)]),
          2, 44),
         (gen_family("wheel", 8), 3, 102),
+        (gen_family("wheel", 9), 3, 54),
+        (gen_family("prism", 5), 3, 67),
     ], ids=["petersen", "prism4", "C7", "W7", "K33", "random3c-n10-e2-s42", "K35", "K36", "K37",
-            "K38", "moebius8", "W8"])
+            "K38", "moebius8", "W8", "W9", "prism5"])
     def test_pinned_node_counts(self, g, k, nodes):
         assert rc_exact(g, node_budget=nodes)[0] == k
         with pytest.raises(BudgetExhaustedError) as info:
@@ -578,6 +580,42 @@ class TestRcExact:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="connected"):
             rc_exact(make_graph(4, [(0, 1), (2, 3)]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9), st.lists(st.integers(0, 7), min_size=8, max_size=8),
+           st.integers(0, 9), st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=8))
+    def test_first_walks_are_the_breadth_first_paths(self, n, parents, cut, extra):
+        # a tree that hangs each vertex v > 0 from an earlier one, less the
+        # edge to `cut` (disconnected when 0 < cut < n), plus a few extra
+        # edges: pairs at every distance from 1 to 8, and n = 1 and 2
+        edges = {(parents[v - 1] % v, v) for v in range(1, n) if v != cut}
+        edges.update(norm_edge(u, v) for u, v in extra if u != v and max(u, v) < n)
+        g = make_graph(n, sorted(edges))
+        try:
+            expected = bfs_first_walks(g)
+        except ValueError:
+            with pytest.raises(ValueError, match="connected"):
+                rc_exact(g)
+            return
+        kept = []
+        pair_walks = rainbow._pair_walks
+
+        def spy(g, inc):
+            out = pair_walks(g, inc)
+            kept.append(out)
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rainbow, "_pair_walks", spy)
+            if g.m:
+                # the search stops at its first node, at k = the lower bound
+                with pytest.raises(BudgetExhaustedError) as info:
+                    rc_exact(g, node_budget=0)
+                assert (info.value.k, info.value.nodes) == (expected[2], 1)
+            else:
+                assert rc_exact(g) == (0, EdgeColoring({}))
+        ends, walks, _, _, lower = kept[0]
+        assert (ends, [list(walk) for walk in walks], lower) == expected
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(3, 5), st.integers(0, 2 ** 10 - 1))
@@ -610,26 +648,33 @@ class TestRcExact:
             g = make_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
         self.matches_the_probe_that_keeps_no_walks(g, rng)
 
+    @staticmethod
+    def spy_on_searches(monkeypatch):
+        """Every `_witness_walk` call from now on, as (source, target, k,
+        walk found), the search itself still answering."""
+        calls = []
+
+        def spy(inc, col, source, target, k):
+            walk = _witness_walk(inc, col, source, target, k)
+            calls.append((source, target, k, walk))
+            return walk
+
+        monkeypatch.setattr(rainbow, "_witness_walk", spy)
+        return calls
+
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_the_probe_that_keeps_no_walks_past_two_steps(self, seed, monkeypatch):
         # sparse graphs of diameter >= 3, so rc >= 3 and a broken pair's
-        # walks are not all two-step walks: the walk search mends some
+        # walks are not all two-step walks: at k = 3 its listed three-step
+        # walks are the rest, and only at k >= 4 does the walk search run
         rng = random.Random(seed)
         g = make_graph(2, [])
         while not brute_connected(g) or brute_diameter(g) < 3:
             n = rng.randint(7, 8)
             g = make_graph(n, rng.sample(list(combinations(range(n), 2)), n + rng.randint(0, 2)))
-        mended = []
-
-        def spy(inc, col, source, target, k):
-            walk = _witness_walk(inc, col, source, target, k)
-            if walk is not None:
-                mended.append(k)
-            return walk
-
-        monkeypatch.setattr(rainbow, "_witness_walk", spy)
+        searches = self.spy_on_searches(monkeypatch)
         assert self.matches_the_probe_that_keeps_no_walks(g, rng) >= 3
-        assert mended and min(mended) >= 3
+        assert all(k >= 4 for _, _, k, _ in searches)
 
     @pytest.mark.parametrize("g,nodes", [(k3m(5), 818), (k3m(6), 4953)], ids=["K35", "K36"])
     def test_two_step_walks_mend_every_pair_at_k2(self, g, nodes, monkeypatch):
@@ -640,22 +685,51 @@ class TestRcExact:
         assert rc_exact(g, node_budget=nodes)[0] == 2
         assert calls == []
 
-    def test_broken_two_step_walks_send_a_pair_to_the_search(self, monkeypatch):
+    def test_broken_two_step_walks_send_a_pair_to_its_three_step_walks(self, monkeypatch):
         # K4 on 0, 2, 3, 4 less the edge (0, 2), with a pendant 1 at 0:
-        # rc = 3, and at the node painting 1, 1, 2, 1, 2 both two-step walks
-        # 0-3-2 and 0-4-2 carry one color each, so only the walk search
-        # finds 0-3-4-2, over the uncolored edge (3, 4)
+        # rc = 3, and node 7 paints 1, 1, 2, 1, 2 on the edges (0, 1), (0, 3),
+        # (0, 4), (2, 3), (2, 4). Both two-step walks 0-3-2 and 0-4-2 then
+        # carry one color each, so the pair (0, 2) takes its first
+        # three-step walk 0-3-4-2, over the uncolored edge (3, 4), with no
+        # walk search
         g = make_graph(5, [(0, 1), (0, 3), (0, 4), (2, 3), (2, 4), (3, 4)])
-        found = []
+        pair_walks = rainbow._pair_walks
+        mends = []
 
-        def spy(inc, col, source, target, k):
-            walk = _witness_walk(inc, col, source, target, k)
-            found.append((source, target, k, col[:], walk))
-            return walk
+        class Kept(list):
+            """A pair's kept walks, logging each walk written in."""
+            def __setitem__(self, p, walk):
+                mends[-1].append((self.ends[p], list(walk)))
+                super().__setitem__(p, walk)
 
-        monkeypatch.setattr(rainbow, "_witness_walk", spy)
+        def logged(g, inc):
+            ends, walks, *rest = pair_walks(g, inc)
+            walks = Kept(walks)
+            walks.ends = ends
+            mends.append([])
+            return (ends, walks, *rest)
+
+        monkeypatch.setattr(rainbow, "_pair_walks", logged)
+        searches = self.spy_on_searches(monkeypatch)
+        for budget in (6, 7):
+            with pytest.raises(BudgetExhaustedError) as info:
+                rc_exact(g, node_budget=budget)
+            assert (info.value.k, info.value.nodes) == (3, budget + 1)
+        before, through = mends
+        assert through[:len(before)] == before
+        assert through[len(before):] == [((0, 2), [1, 5, 4])]
         assert self.matches_the_probe_that_keeps_no_walks(g, random.Random(0)) == 3
-        assert (0, 2, 3, [1, 1, 2, 1, 2, 0], [1, 5, 4]) in found
+        assert searches == []
+
+    def test_the_walk_search_mends_walks_from_k4(self, monkeypatch):
+        # C7 has diameter 3 and rc = 4: at k = 4 a pair three edges apart
+        # whose path breaks has one other walk, four edges the other way
+        # round, which only the walk search finds
+        searches = self.spy_on_searches(monkeypatch)
+        assert self.matches_the_probe_that_keeps_no_walks(gen_family("cycle", 7),
+                                                           random.Random(0)) == 4
+        assert searches and all(k == 4 for _, _, k, _ in searches)
+        assert any(walk is not None and len(walk) == 4 for _, _, _, walk in searches)
 
     @pytest.mark.parametrize("fam,args", [("cycle", (5,)), ("cycle", (6,)),
                                           ("prism", (3,))])
