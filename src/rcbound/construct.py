@@ -8,16 +8,29 @@ move_budget: q >= 4 added vertices may take at most ceil(q/2) fresh
 colors, so the budget survives by arithmetic alone. The last at most three
 vertices are absorbed with at most two extra colors, which lands the
 total at 5k <= 3n + 3, i.e. k <= floor((3n + 3) / 5). A scripted move
-over its budget is refused before it is checked. Every growth step (seed,
-move, final absorption) is checked once by the rainbow-connectivity
-checker, then commits through one path: fresh colors follow H's palette
-without a gap, and each step adds one trace line. A failed scripted
-coloring hands over to one bounded repair search; a repair failure aborts
-with a ConstructionError that carries the full trace. A move check covers
-only the pairs with an added vertex: a move colors only new edges at its
-added vertices, so every pair already inside H keeps its rainbow path.
-For the same reason H's kept layout makes H rainbow connected in H's own
-colors, so a check's pass from an added vertex that reaches H by a walk
+over its budget is refused. Every growth step commits through one path:
+fresh colors follow H's palette without a gap, and each step adds one
+trace line. The seed and each repair patch (a fallback or final
+absorption) are checked once by the rainbow-connectivity checker; a
+repair failure aborts with a ConstructionError that carries the full
+trace. A scripted move commits unchecked, on a proof in its plan
+builder's docstring. Call a color fresh when the move adds it (slots 1,
+2, 3 are f1, f2, f3; REUSE is color 1), and a route of an added vertex a
+path of patch edges with distinct fresh colors through added vertices
+into H. Each script meets
+  (a) every added vertex has a route;
+  (b) every two added vertices are joined by a path of patch edges with
+      distinct colors, or have routes with disjoint colors.
+Then H plus the patch is rainbow connected when H is so in its own
+colors. A patch colors only new edges at added vertices, so pairs inside
+H keep their paths. An added vertex reaches a vertex of H by its route
+and H's path on from the route's end, and two added vertices under (b)
+by one route, H's path between the two ends and the other route. H's
+paths use only H's colors, which no route carries, so each such walk
+repeats no color and holds a rainbow path; routes may end at one vertex.
+A growth check covers only the pairs with an added vertex, for the same
+reason, and since H's kept layout makes H rainbow connected in H's own
+colors, a check's pass from an added vertex that reaches H by a walk
 with none of those colors settles every vertex of H at once (see
 _try_coloring). The finished coloring gets one full check, with no such
 shortcut.
@@ -93,20 +106,17 @@ class StepRecord:
     new_colors: int
     h: int
     k: int
-    repaired: bool = False
+    repaired: bool = False  # no step sets it; the benchmark harness reads it
 
     @property
     def fallback(self) -> bool:
         return self.kind in (EAR_FALLBACK, FALLBACK_ABSORB)
 
     def format(self) -> str:
-        line = (f"step={self.index} kind={self.kind} "
+        return (f"step={self.index} kind={self.kind} "
                 f"added={','.join(map(str, self.added)) or '-'} "
                 f"new_colors={self.new_colors} h={self.h} k={self.k} "
                 f"budget_lhs={5 * self.k} budget_rhs={3 * self.h - 1}")
-        if self.repaired:
-            line += " repaired=1"
-        return line
 
 
 @dataclass(frozen=True)
@@ -121,24 +131,26 @@ class ExtensionPlan:
 class GrowState:
     """Mutable growth state: the subgraph's vertices, its coloring (whose
     keys are the subgraph's edges) and the step trace. The trace records
-    every repair search: a step flagged repaired, a fallback_absorb step,
-    or a final_absorb step that adds a vertex. `fans` keeps each outside
-    vertex's last 3-fan into H until _commit absorbs that vertex; each read
-    cuts it to the H of its round (see _read_fan). `layout` is the
-    checker's colored layout of `coloring`, built when the state is made;
-    each commit then adopts the layout that its step's accepted check read
-    (see _try_coloring), so a step builds one layout. Every step checks
-    the patch it commits, so after each commit `layout` equals
-    ColoredLayout.build of `coloring`. final_absorb's color-1 leftovers,
-    added after the last commit, stay out of it.
+    every repair search: a fallback_absorb step, or a final_absorb step
+    that adds a vertex. `fans` keeps each outside vertex's last 3-fan into
+    H until _commit absorbs that vertex; each read cuts it to the H of its
+    round (see _read_fan). `layout` is the checker's colored layout of
+    `coloring`, built when the state is made; each commit then adopts the
+    layout extended by the patch it commits (see _extend), the one its
+    accepted check read when it has one, so a step builds one layout and
+    after each commit `layout` equals ColoredLayout.build of `coloring`.
+    final_absorb's color-1 leftovers, added after the last commit, stay
+    out of it.
 
     `grown` records that the state was made with an empty H, as
     seed_subgraph makes it. Then every vertex of H came in through a step
-    whose check passed on the layout it commits, and layouts only gain
-    edges, so `layout` joins every two vertices of H by a rainbow path in
-    H's own colors: the invariant that lets _try_coloring hand H to the
-    checker as a core. A state made around a given H promises nothing of
-    it, and its checks run without a core."""
+    that was either checked on the layout it commits or is a scripted move
+    proved in the module docstring's terms, and layouts only gain edges,
+    so `layout` joins every two vertices of H by a rainbow path in H's own
+    colors: the invariant that lets _try_coloring hand H to the checker as
+    a core. A state made around a given H promises nothing of it: its
+    checks run without a core, and a scripted move keeps H plus the patch
+    rainbow connected only where H was."""
     host: Graph
     vertices: set[int]
     coloring: dict[Edge, int]
@@ -171,12 +183,12 @@ def move_budget(q: int) -> int:
     vertices has a third neighbour off it. A move then adds 3q to the
     right side and at most 5 * ceil(q/2) <= 3q to the left, which holds
     for every q >= 4 (10 <= 12, 15 <= 15, ...). So apply_extension's
-    check of a scripted move is the only budget check a growth step
-    needs. A repair may also use the invariant's slack: apply_extension's
-    one repair search takes the budgets from ceil(q/2) up to
-    floor((3(h + q) - 1) / 5) - k, and at most q + 1, the most fresh
-    colors q star patterns can use (the alternating star two, each other
-    star one).
+    refusal of an over-budget script is the only budget check a growth
+    step needs. A repair may also use the invariant's slack:
+    apply_extension's one repair search takes the budgets from ceil(q/2)
+    up to floor((3(h + q) - 1) / 5) - k, and at most q + 1, the most
+    fresh colors q star patterns can use (the alternating star two, each
+    other star one).
     """
     if q < 4:
         raise ValueError(f"a move must add at least 4 vertices, adds {q}")
@@ -372,6 +384,9 @@ def _read_fan(state: GrowState, w: int, hset: frozenset[int]) -> tuple | None:
 
 
 def _four_leaves_plan(fans, picked: list[int]) -> ExtensionPlan:
+    """Four leaves, each with f1 on its first link into H and f2 on the
+    other two. (a) A leaf's links are its routes, on f1 and on f2. (b) Two
+    leaves take routes on f1 and on f2."""
     slots: list[tuple[Edge, int]] = []
     for w in picked:
         # a leaf's fan is three links sorted by their ends in H, so by edge
@@ -382,6 +397,17 @@ def _four_leaves_plan(fans, picked: list[int]) -> ExtensionPlan:
 
 
 def _ear_plan(kind: str, p1, p2, e0: Edge | None) -> ExtensionPlan:
+    """An ear: the path v0, ..., v(q+1) from p1's end in H through the
+    center to p2's end, a distinct fan end, whose q inner vertices are
+    added; edge vi v(i+1) takes slot i of ear_color_sequence(q), and e0,
+    when given, REUSE. Let m = ceil(q/2) and r = q + 1 - m (m for odd q,
+    m + 1 for even). The first i <= m edges carry f1..fi, the last l <= m
+    the top l fresh colors, and any r consecutive edges repeat no color
+    (f1..fm twice, or around one REUSE edge). (a) vi takes its route to v0
+    when i <= m, else to v(q+1), on q + 1 - i < r edges. (b) vi and vj,
+    i < j, join along the ear when j - i <= r; otherwise their routes to
+    v0 and to v(q+1) take f1..fi and the top q + 1 - j colors, and
+    i + q + 1 - j < m. e0 serves neither."""
     added = tuple(sorted(set(p1[:-1]) | set(p2[:-1])))
     walk = list(reversed(p1)) + list(p2[1:])  # terminal(p1) .. x .. terminal(p2)
     seq = ear_color_sequence(len(added))
@@ -395,7 +421,24 @@ def _companion_dispatch(state: GrowState, fans, center: int, e0: Edge | None,
                         u1: int, a: int, v1: int, b: int) -> ExtensionPlan:
     """Pick the fourth vertex joining a 2-2 double bridge around `center`:
     a tripod companion first, else (when the center links H through e0) an
-    arch companion."""
+    arch companion.
+
+    The arch scripts share a base: u1 reaches a on f1, the center H
+    through e0 on f1 and v1 reaches b on f2, their routes; u1-center f2 and
+    center-v1 f1 join the three in the patch. The companion w, with the
+    inner vertices of its fan, takes:
+      arch_111  links f1, f1, f2: routes on f1 and on f2.
+      arch_112  links f1, f2, w-vp f1, vp-bp f3: w as in arch_111, vp's
+                route on f3.
+      arch_122  ap-up f1, up-w f2, w-vp f1, w's link f3, vp-bp f3: routes
+                w {f3}, vp {f3}, up {f1} and {f2, f3} (through w).
+      arch_113  vp-vq f1, w-vp f2, w's links f3, vq-bp f3: routes w {f3},
+                vq {f3}, vp {f1, f3} and {f2, f3}.
+    (b) The added vertices beyond the base form a path in the patch on f1
+    and f2 (w-vp; up-w-vp; w-vp-vq). A base route takes f1 (u1, center)
+    or f2 (v1), and every other added vertex has a route that misses
+    either one. e0's end may be a or b, and a companion's fan may end at
+    any of them: (a) and (b) ask nothing of the ends."""
     host = state.host
     base = {center, u1, v1}
     for w in host.adj[center]:
@@ -440,6 +483,12 @@ def _companion_dispatch(state: GrowState, fans, center: int, e0: Edge | None,
 
 def _tripod_plan(a: int, u1: int, center: int, v1: int, b: int,
                  x1: int, c: int) -> ExtensionPlan:
+    """A tripod: u1 and v1 reach H at a and b on f1, x1 at c on f2, and
+    the center joins u1 on f2, v1 and x1 on REUSE. (a) u1, v1 and x1 take
+    their links, the center the route center-u1-a on f2, f1. (b) Every pair
+    with the center or u1 joins in the patch (u1 reaches v1 and x1 through
+    the center on f2, REUSE); v1 and x1 take routes on f1 and f2. c may
+    be a or b."""
     slots = [(norm_edge(a, u1), 1), (norm_edge(b, v1), 1),
              (norm_edge(u1, center), 2), (norm_edge(c, x1), 2),
              (norm_edge(v1, center), REUSE), (norm_edge(center, x1), REUSE)]
@@ -448,6 +497,10 @@ def _tripod_plan(a: int, u1: int, center: int, v1: int, b: int,
 
 def _fork_leaves_plan(x: int, v1: int, b: int, e0: Edge, e1: Edge,
                       fans, x1: int, x2: int) -> ExtensionPlan:
+    """A fork x (e0 f1, e1 f2, x-v1 f1, v1-b f2) and two leaves with links
+    f1, f1, f2, none of them v1. (a) x and each leaf have routes on f1 and
+    on f2, v1 on f2. (b) x and v1 are adjacent; every other pair takes
+    routes on f1 and f2."""
     slots = [(e0, 1), (norm_edge(x, v1), 1), (e1, 2), (norm_edge(v1, b), 2)]
     for w in (x1, x2):
         links = [norm_edge(w, p[1]) for p in fans[w]]
@@ -457,6 +510,11 @@ def _fork_leaves_plan(x: int, v1: int, b: int, e0: Edge, e1: Edge,
 
 def _fork_fork_plan(x: int, v1: int, b: int, e0: Edge, e1: Edge,
                     x1: int, fan) -> ExtensionPlan:
+    """A fork x with e0, e1, x-v1 and v1-b on f1, and a fork x1 with its
+    links, x1-vp and vp-bp on f2, where x1 and vp lie outside {x, v1}. (a)
+    x and v1 have routes on f1 (e0; v1-b), x1 and vp on f2 (a link;
+    vp-bp). (b) x and v1 are adjacent, as are x1 and vp; every other pair
+    takes routes on f1 and f2."""
     vp, bp = fan[2][1], fan[2][2]
     links = [norm_edge(x1, p[1]) for p in fan]
     slots = [(e0, 1), (e1, 1), (norm_edge(x, v1), 1), (norm_edge(v1, b), 1),
@@ -503,24 +561,30 @@ def _fallback_sets(state: GrowState, first: tuple[int, ...]) -> Iterator[tuple[i
             yield take
 
 
+def _extend(state: GrowState, added, patch: dict[Edge, int]) -> ColoredLayout:
+    """H's kept layout extended by a patch that colors only new edges at
+    added vertices: extending refuses an edge H colors (ValueError), and
+    the assertion an edge that touches no added vertex."""
+    for u, v in patch:
+        if u not in added and v not in added:
+            raise AssertionError(f"patch edge {(u, v)} is not a new edge at an added vertex")
+    return state.layout.extended(patch)
+
+
 def _try_coloring(state: GrowState, added: tuple[int, ...],
                   patch: dict[Edge, int]) -> tuple[Edge | None, ColoredLayout]:
     """Check H plus the patch with one checker call on H's kept layout
-    extended by the patch; with vertices added, only the pairs that touch
-    them. Returns the witness (None when the check passes) and the layout
-    the check read, which _commit adopts for an accepted step. That is
-    sound while the patch colors only new edges at added vertices:
-    extending the layout refuses an edge H colors, and the assertion one
-    that touches no added vertex. A grown state's H goes to the checker as
-    its core, with H's palette as the layout's first len(state.layout.bits)
-    color bits (ColoredLayout.extended numbers the patch's new colors
-    after them): a pass from an added vertex that reaches H by a walk with
-    none of H's colors settles all of H at once."""
+    extended by the patch (_extend); with vertices added, only the pairs
+    that touch them. Returns the witness (None when the check passes) and
+    the layout the check read, which _commit adopts for an accepted step.
+    A grown state's H goes to the checker as its core, with H's palette as
+    the layout's first len(state.layout.bits) color bits
+    (ColoredLayout.extended numbers the patch's new colors after them): H
+    is rainbow connected in those colors, since each step that grew it was
+    checked or proved (GrowState), so a pass from an added vertex that
+    reaches H by a walk with none of H's colors settles all of H at once."""
     aset = set(added)
-    for u, v in patch:
-        if u not in aset and v not in aset:
-            raise AssertionError(f"patch edge {(u, v)} is not a new edge at an added vertex")
-    layout = state.layout.extended(patch)
+    layout = _extend(state, aset, patch)
     core = state.vertices if state.grown else None
     return find_rainbow_witness(state.host, layout, vertices=state.vertices | aset,
                                 sources=aset or None, core=core,
@@ -528,15 +592,14 @@ def _try_coloring(state: GrowState, added: tuple[int, ...],
 
 
 def _commit(state: GrowState, kind: str, added: tuple[int, ...], patch: dict[Edge, int],
-            layout: ColoredLayout, repaired: bool = False) -> None:
-    """Commit one checked growth step: its fresh colors must follow the
-    palette of H without a gap. No step reaches this over its budget: a
-    seed and a repair patch stay inside theirs by construction, and
-    apply_extension refuses an over-budget script. Then H grows and adopts
-    `layout`, the layout of H plus the patch that the step's accepted check
-    read, the kept fans of the absorbed vertices are dropped, and the step
-    is recorded. The other kept fans stay: _read_fan cuts them to the
-    grown H."""
+            layout: ColoredLayout) -> None:
+    """Commit one checked or proved growth step: its fresh colors must
+    follow the palette of H without a gap. No step reaches this over its
+    budget: a seed and a repair patch stay inside theirs by construction,
+    and apply_extension refuses an over-budget script. Then H grows and
+    adopts `layout`, the layout of H plus the patch, the kept fans of the
+    absorbed vertices are dropped, and the step is recorded. The other
+    kept fans stay: _read_fan cuts them to the grown H."""
     fresh = sorted({c for c in patch.values() if c > state.colors_used})
     used = len(fresh)
     if fresh != list(range(state.colors_used + 1, state.colors_used + 1 + used)):
@@ -548,7 +611,7 @@ def _commit(state: GrowState, kind: str, added: tuple[int, ...], patch: dict[Edg
     for v in added:
         state.fans.pop(v, None)
     state.trace.append(StepRecord(len(state.trace), kind, added, used,
-                                  state.h, state.colors_used, repaired))
+                                  state.h, state.colors_used))
 
 
 def repair_step(state: GrowState, added_vertices,
@@ -671,13 +734,12 @@ def repair_step(state: GrowState, added_vertices,
 
 
 def apply_extension(state: GrowState, plan: ExtensionPlan) -> GrowState:
-    """Absorb the plan's vertices: refuse a script over move_budget before
-    any check, check the scripted coloring once, and repair when it fails.
-    A plan with no slots is colored by repair search alone, over the
-    4-sets of _fallback_sets in turn, and commits the first that colors. A
-    rejected script's repair search tries its own vertices only. Each
-    repair search widens its palette while the invariant allows (see
-    move_budget)."""
+    """Absorb the plan's vertices: refuse a script over move_budget, then
+    commit the scripted coloring unchecked, on its plan builder's proof
+    (see the module docstring). A plan with no slots is colored by repair
+    search alone, over the 4-sets of _fallback_sets in turn, and commits
+    the first that colors; each search widens its palette while the
+    invariant allows (see move_budget)."""
     added = plan.vertices
     if len(set(added)) < len(added):
         raise ValueError("plan lists a vertex twice")
@@ -695,20 +757,17 @@ def apply_extension(state: GrowState, plan: ExtensionPlan) -> GrowState:
     if used > budget:
         raise ConstructionError(
             f"{plan.kind} spent {used} fresh colors, its budget allows {budget}", state.trace)
-    witness, layout = _try_coloring(state, added, patch) if plan.slots else (None, None)
-    repaired = witness is not None
-    if repaired:
-        log.warning("scripted %s coloring rejected; invoking repair", plan.kind)
-    if repaired or not plan.slots:
+    if plan.slots:
+        layout = _extend(state, added, patch)
+    else:
         most = min((3 * (state.h + len(added)) - 1) // 5 - state.colors_used, len(added) + 1)
-        for added in (added,) if repaired else _fallback_sets(state, added):
+        for added in _fallback_sets(state, added):
             if (found := repair_step(state, added, range(budget, most + 1))) is not None:
                 break
         else:
-            raise ConstructionError(f"repair failed after a {plan.kind} move" if repaired
-                                    else "repair failed on a fallback absorption", state.trace)
+            raise ConstructionError("repair failed on a fallback absorption", state.trace)
         patch, layout = found
-    _commit(state, plan.kind, added, patch, layout, repaired)
+    _commit(state, plan.kind, added, patch, layout)
     return state
 
 

@@ -2,11 +2,12 @@
 
 Everything here is deliberately naive (path enumeration, subset
 enumeration, full coloring products) so it shares no code path with the
-library implementations it validates. The recording helpers at the end
-are the exception: they record the construction's growth checks, to
-replay them through the library checker, whose answer without a core is
-the reference for its answer with one, or its repair searches, to time
-`repair_step` on them in-process.
+library implementations it validates. The input generators and the
+recording helpers at the end are the exception: the recorders keep the
+construction's scripted moves, for the local test of a scripted move, its
+growth checks, to replay them through the library checker, whose answer
+without a core is the reference for its answer with one, or its repair
+searches, to time `repair_step` on them in-process.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from itertools import combinations, product
 from pathlib import Path
 
 from rcbound import construct, rainbow
+from rcbound.connectivity import vertex_connectivity
 from rcbound.graphs import Graph, gen_family, make_graph, norm_edge
 from rcbound.rainbow import find_rainbow_witness
 
@@ -415,12 +417,123 @@ def relabeled_scan() -> list[Graph]:
     return out
 
 
+def local_patch_fault(hset, k: int, added, patch: dict):
+    """The local test of a scripted move: None when the patch meets (a) and
+    (b) below, else the first failure, ("route", v) or ("pair", u, w).
+
+    A color is fresh when it exceeds k, H's color count. A route of an
+    added vertex is a path of patch edges with distinct fresh colors that
+    runs through added vertices into H = hset.
+      (a) every added vertex has a route;
+      (b) every two added vertices are joined by a path of patch edges
+          with distinct colors, or have routes whose colors are disjoint.
+    Routes and paths are enumerated outright."""
+    adj: dict[int, list] = {}
+    for (u, v), c in patch.items():
+        adj.setdefault(u, []).append((v, c))
+        adj.setdefault(v, []).append((u, c))
+
+    def routes(v):
+        out, stack = [], [(v, (v,), ())]
+        while stack:
+            node, path, cs = stack.pop()
+            for w, c in adj.get(node, ()):
+                if c <= k or c in cs or w in path:
+                    continue
+                if w in hset:
+                    out.append(set(cs + (c,)))
+                else:
+                    stack.append((w, path + (w,), cs + (c,)))
+        return out
+
+    def patch_path(u, t):
+        stack = [(u, (u,), ())]
+        while stack:
+            node, path, cs = stack.pop()
+            for w, c in adj.get(node, ()):
+                if w == t and c not in cs:
+                    return True
+                if c not in cs and w not in path:
+                    stack.append((w, path + (w,), cs + (c,)))
+        return False
+
+    added = sorted(added)
+    found = {v: routes(v) for v in added}
+    for v in added:
+        if not found[v]:
+            return ("route", v)
+    for u, w in combinations(added, 2):
+        if not any(r.isdisjoint(s) for r in found[u] for s in found[w]) \
+                and not patch_path(u, w):
+            return ("pair", u, w)
+    return None
+
+
+def sparse_draws(count: int) -> list[Graph]:
+    """The first `count` sparse draws: rng = random.Random(11); per draw n =
+    randint(8, 22), p = uniform(3.2, 4.5) / (n - 1), then random() < p once
+    per pair u < v in order; a draw is kept, and counted, when its minimum
+    degree and connectivity are at least 3. Kept draw 1193 (0-based) is
+    tests/corpus/sparse-s11-1193.txt."""
+    rng, out = random.Random(11), []
+    while len(out) < count:
+        n = rng.randint(8, 22)
+        p = rng.uniform(3.2, 4.5) / (n - 1)
+        g = make_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        if min(map(len, g.adj)) >= 3 and vertex_connectivity(g) >= 3:
+            out.append(g)
+    return out
+
+
+def _construct_all(graphs, **stand_ins) -> None:
+    """Construct each graph with the given construct functions replaced by
+    stand-ins; a construction that fails is passed over."""
+    real = {name: getattr(construct, name) for name in stand_ins}
+    for name, fn in stand_ins.items():
+        setattr(construct, name, fn)
+    try:
+        for g in graphs:
+            try:
+                construct.run_constructive(g)
+            except construct.ConstructionError:
+                pass
+    finally:
+        for name, fn in real.items():
+            setattr(construct, name, fn)
+
+
+def _moves_into(out: list):
+    """A stand-in for construct.apply_extension that appends each scripted
+    move it commits to `out`, as record_growth_checks records a check."""
+    real = construct.apply_extension
+
+    def recorded(state, plan):
+        before = (state.host, state.layout, frozenset(state.vertices), state.colors_used)
+        real(state, plan)
+        if plan.slots:
+            host, layout, hset, k = before
+            out.append((host, layout, hset, plan.vertices,
+                        {e: state.coloring[e] for e, _ in plan.slots}, k))
+        return state
+
+    return recorded
+
+
+def record_scripted_moves(graphs) -> list[tuple]:
+    """The scripted moves that constructing each graph commits, each as
+    (host, H's kept layout, H's vertices, the added vertices, the patch,
+    H's colors used). A construction that fails keeps the moves it made."""
+    moves: list[tuple] = []
+    _construct_all(graphs, apply_extension=_moves_into(moves))
+    return moves
+
+
 def record_growth_checks(graphs) -> list[tuple]:
     """The growth checks that constructing each graph makes on a grown
-    subgraph H with at least one vertex, each as (host, H's kept layout,
-    H's vertices, the added vertices, the patch, H's colors used). A
-    construction that fails keeps the checks it made."""
-    checks = []
+    subgraph H with at least one vertex, and the scripted moves it commits
+    without a check, in the order they are made, each as record_scripted_moves
+    records a move. A construction that fails keeps the checks it made."""
+    checks: list[tuple] = []
     real = construct._try_coloring
 
     def recorded(state, added, patch):
@@ -429,15 +542,7 @@ def record_growth_checks(graphs) -> list[tuple]:
                            added, dict(patch), state.colors_used))
         return real(state, added, patch)
 
-    construct._try_coloring = recorded
-    try:
-        for g in graphs:
-            try:
-                construct.run_constructive(g)
-            except construct.ConstructionError:
-                pass
-    finally:
-        construct._try_coloring = real
+    _construct_all(graphs, _try_coloring=recorded, apply_extension=_moves_into(checks))
     return checks
 
 
@@ -457,15 +562,7 @@ def record_repair_searches(graphs) -> list[tuple]:
         searches.append((snap, tuple(added), budgets, found and found[0]))
         return found
 
-    construct.repair_step = recorded
-    try:
-        for g in graphs:
-            try:
-                construct.run_constructive(g)
-            except construct.ConstructionError:
-                pass
-    finally:
-        construct.repair_step = real
+    _construct_all(graphs, repair_step=recorded)
     return searches
 
 

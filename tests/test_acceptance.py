@@ -17,9 +17,9 @@ from rcbound.graphs import gen_family, make_graph, norm_edge
 from rcbound.rainbow import EdgeColoring, find_rainbow_witness, rc_exact
 
 from _oracles import brute_rainbow_witness
-from test_construct import SYNTHETIC, state_on
+from test_construct import SYNTHETIC, script_fault, state_on
 from test_graphs import graph_from_mask
-from rcbound.construct import apply_extension, classify_extension, seed_subgraph
+from rcbound.construct import classify_extension, seed_subgraph
 
 BENCH_SEED = 42
 
@@ -157,12 +157,14 @@ def test_criterion_6_budget_ledger_audit():
 
 
 def test_criterion_7_step_validity_per_kind():
+    # each scripted move commits with no checker call; script_fault runs
+    # the local test of its proof on the patch and the full checker on H
     outcomes = {}
 
     state = seed_subgraph(gen_family("complete", 7))
     plan = classify_extension(state)
-    apply_extension(state, plan)
-    outcomes["four_leaves"] = (plan.kind == "four_leaves" and not state.trace[-1].repaired)
+    outcomes["four_leaves"] = (plan.kind == "four_leaves"
+                               and script_fault(state, plan) is None)
 
     ears = {3: [(0, 4), (4, 5), (5, 1), (5, 6), (6, 7), (7, 2)],
             4: [(0, 4), (4, 5), (5, 6), (6, 1), (6, 7), (7, 8), (8, 2)],
@@ -170,9 +172,8 @@ def test_criterion_7_step_validity_per_kind():
     for st_sum, extra in ears.items():
         state = state_on(extra)
         plan = classify_extension(state)
-        apply_extension(state, plan)
         outcomes[f"ear_{st_sum}"] = (plan.kind == "ear" and len(plan.vertices) == st_sum + 1
-                                     and not state.trace[-1].repaired)
+                                     and script_fault(state, plan) is None)
 
     for kind in ("tripod", "arch_111", "arch_112", "arch_122", "arch_113",
                  "fork_leaves", "fork_fork"):
@@ -180,8 +181,7 @@ def test_criterion_7_step_validity_per_kind():
         state = state_on(extra)
         plan = classify_extension(state)
         h0, k0 = state.h, state.colors_used
-        apply_extension(state, plan)
-        outcomes[kind] = (plan.kind == kind and not state.trace[-1].repaired
+        outcomes[kind] = (plan.kind == kind and script_fault(state, plan) is None
                           and (state.h - h0, state.colors_used - k0) == (dv, dk)
                           and (len(plan.vertices), move_budget(len(plan.vertices)))
                           == (dv, dk))

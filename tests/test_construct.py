@@ -20,7 +20,9 @@ from rcbound.rainbow import EdgeColoring, find_rainbow_witness, rc_exact
 
 from _capped import run_capped
 from _oracles import (brute_connected, clash_first_witness, has_rainbow_path,
-                      reach_order_by_rescan, record_repair_searches, reference_repair_step)
+                      layerbench_graphs, local_patch_fault, reach_order_by_rescan,
+                      record_repair_searches, record_scripted_moves, reference_repair_step,
+                      sparse_draws)
 from test_connectivity import (CONSTRUCTION_FAN_GRAPHS, EAR_FALLBACK_GRAPH,
                                generalized_petersen, hypercube, mobius_ladder, relabeled)
 from test_graphs import graph_from_mask
@@ -87,10 +89,44 @@ def count_searches(monkeypatch):
 
 
 def traced_repairs(trace) -> int:
-    """The repair searches a trace shows: repaired steps, fallback
-    absorptions, and a final absorption that adds a vertex."""
-    return sum(rec.repaired or rec.kind == "fallback_absorb"
-               or (rec.kind == "final_absorb" and rec.added != ()) for rec in trace)
+    """The repair searches a trace shows: fallback absorptions, and a final
+    absorption that adds a vertex."""
+    return sum(rec.kind == "fallback_absorb" or (rec.kind == "final_absorb" and rec.added != ())
+               for rec in trace)
+
+
+def scripted(kind: str) -> bool:
+    """True for the kinds that commit a scripted move unchecked."""
+    return not kind.startswith("seed") and kind not in ("fallback_absorb", "final_absorb")
+
+
+def h_witness(state):
+    """The full checker's witness for the grown subgraph H, on a graph and
+    a coloring built afresh from the state's coloring (None when H is
+    rainbow connected)."""
+    sub = make_graph(state.host.n, sorted(state.coloring))
+    return find_rainbow_witness(sub, EdgeColoring(state.coloring), vertices=state.vertices)
+
+
+def script_fault(state, plan):
+    """Apply a scripted plan and return what is wrong with the move, or
+    None: it must make no checker call, its patch must meet the local test
+    of a scripted move, and H plus the patch must pass the full checker."""
+    hset, k = frozenset(state.vertices), state.colors_used
+    calls = []
+    real = construct.find_rainbow_witness
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "find_rainbow_witness",
+                   lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        apply_extension(state, plan)
+    patch = {e: state.coloring[e] for e, _ in plan.slots}
+    if calls:
+        return f"{len(calls)} checker calls"
+    fault = local_patch_fault(hset, k, plan.vertices, patch)
+    if fault is not None:
+        return f"local test: {fault}"
+    witness = h_witness(state)
+    return witness and f"checker witness {witness}"
 
 
 def state_on(extra_edges, n=None):
@@ -105,8 +141,8 @@ def state_on(extra_edges, n=None):
 class TestSeed:
     def test_only_a_grown_state_hands_h_to_the_checker(self, monkeypatch):
         # a state seeded from an empty H passes its own H, uncopied, and
-        # H's palette size as the checker's core; a state made around a
-        # given H passes no core
+        # H's palette size as the checker's core, here to a repair
+        # candidate's check; a state made around a given H passes no core
         cores = []
         real = construct.find_rainbow_witness
 
@@ -117,7 +153,7 @@ class TestSeed:
         monkeypatch.setattr(construct, "find_rainbow_witness", recorded)
         state = seed_subgraph(gen_family("complete", 7))
         assert state.grown and len(cores) == 1 and cores[0][1:] == (set(), 0)
-        apply_extension(state, classify_extension(state))
+        apply_extension(state, ExtensionPlan("fallback_absorb", (3, 4, 5, 6), ()))
         assert cores[1][0] is state.vertices and cores[1][1:] == ({0, 1, 2}, 1)
         assert state_on([(4, 0), (4, 1), (4, 2)]).grown is False
         assert cores[-1] == (None, None, 2)
@@ -381,8 +417,7 @@ class TestApply:
         state = state_on(extra)
         h0, k0 = state.h, state.colors_used
         plan = classify_extension(state)
-        apply_extension(state, plan)
-        assert not state.trace[-1].repaired, "scripted move must not invoke repair"
+        assert script_fault(state, plan) is None
         assert (state.h - h0, state.colors_used - k0) == (dv, dk)
         assert (len(plan.vertices), move_budget(len(plan.vertices))) == (dv, dk)
         assert 5 * state.colors_used <= 3 * state.h - 1
@@ -399,8 +434,7 @@ class TestApply:
 
     def test_four_leaves_budget(self):
         state = seed_subgraph(gen_family("complete", 7))
-        apply_extension(state, classify_extension(state))
-        assert not state.trace[-1].repaired
+        assert script_fault(state, classify_extension(state)) is None
         assert (state.h, state.colors_used) == (7, 3)
 
     @pytest.mark.parametrize("st_sum,extra", [
@@ -414,8 +448,7 @@ class TestApply:
         state = state_on(extra)
         plan = classify_extension(state)
         assert plan.kind == "ear" and len(plan.vertices) == st_sum + 1
-        apply_extension(state, plan)
-        assert not state.trace[-1].repaired
+        assert script_fault(state, plan) is None
         assert state.trace[-1].new_colors == (st_sum + 2) // 2
 
     def test_four_leaves_asymmetric_variant_also_valid(self):
@@ -434,8 +467,11 @@ class TestApply:
 
     @pytest.mark.parametrize("kind", sorted(SYNTHETIC))
     def test_move_check_searches_from_added_vertices_only(self, kind, monkeypatch):
+        # a growth check of a script's patch searches from its added
+        # vertices only; committing the script searches nothing
         state = state_on(SYNTHETIC[kind][0])
         plan = classify_extension(state)
+        patch = {e: 1 if slot == REUSE else state.colors_used + slot for e, slot in plan.slots}
         searches = []
         real = rainbow._first_walk_misses
 
@@ -444,9 +480,11 @@ class TestApply:
             return real(adjc, source, targets, *rest)
 
         monkeypatch.setattr(rainbow, "_first_walk_misses", counted)
-        apply_extension(state, plan)
-        assert not state.trace[-1].repaired
+        assert construct._try_coloring(state, plan.vertices, patch)[0] is None
         assert searches == sorted(plan.vertices)
+        searches.clear()
+        apply_extension(state, plan)
+        assert searches == [] and state.coloring.items() >= patch.items()
 
     @pytest.mark.parametrize("patch", [
         {(0, 4): 3, (1, 4): 3, (2, 4): 3, (0, 1): 3},  # recolors an edge of H
@@ -497,22 +535,38 @@ class TestApply:
         assert [args[1:] for args in searches] == [((3, 4, 5, 6), range(2, 4))]
         step = state.trace[-1]
         assert (step.kind, step.added, step.h) == ("fallback_absorb", (3, 4, 5, 6), 7)
-        assert step.fallback and not step.repaired
+        assert step.fallback
         assert 0 < step.new_colors <= move_budget(4)
         assert find_rainbow_witness(state.host, EdgeColoring(state.coloring)) is None
 
-    def test_rejected_script_is_repaired(self, monkeypatch, caplog):
-        # the one branch that flags a step repaired: with every slot 1 the
-        # four leaves clash, so the script is rejected
-        state = seed_subgraph(gen_family("complete", 7))
-        plan = classify_extension(state)
+    def test_broken_script_fails_the_final_check(self, monkeypatch):
+        # a scripted move commits unchecked. With every slot 1, the four
+        # leaves of a triangle joined to four independent vertices carry
+        # one fresh color on all their links, so no rainbow path joins two
+        # of them; the run ends in the final check's typed failure with
+        # the trace, forced or not, and returns no coloring. (In K7 the
+        # leaves' own edges take color 1 at the end and join them.)
+        g = make_graph(7, [(0, 1), (0, 2), (1, 2)] + [(h, w) for w in range(3, 7) for h in range(3)])
+        real = construct.classify_extension
+
+        def broken(state):
+            plan = real(state)
+            return replace(plan, slots=tuple((e, 1) for e, _ in plan.slots))
+
+        monkeypatch.setattr(construct, "classify_extension", broken)
         repairs = count_calls(monkeypatch, "repair_step")
-        apply_extension(state, replace(plan, slots=tuple((e, 1) for e, _ in plan.slots)))
-        assert len(repairs) == traced_repairs(state.trace) == 1
-        step = state.trace[-1]
-        assert (step.kind, step.added, step.repaired) == ("four_leaves", (3, 4, 5, 6), True)
-        assert step.format().endswith(" repaired=1")
-        assert "scripted four_leaves coloring rejected; invoking repair" in caplog.text
+        calls = count_calls(monkeypatch)
+        for force in (False, True):
+            calls.clear()
+            with pytest.raises(ConstructionError,
+                               match=r"final coloring failed verification at \(3, 4\)") as info:
+                run_constructive(g, force=force)
+            assert [(rec.kind, rec.added, rec.new_colors) for rec in info.value.trace] == [
+                ("seed_triangle", (0, 1, 2), 1), ("four_leaves", (3, 4, 5, 6), 1),
+                ("final_absorb", (), 0)]
+            # the seed's check and the final check; the move made none
+            assert len(calls) == 2
+        assert repairs == []
 
     def test_failed_search_leaves_state(self, monkeypatch):
         state = seed_subgraph(gen_family("complete", 7))
@@ -555,6 +609,46 @@ class TestApply:
         apply_extension(state, plan)
         with pytest.raises(ValueError, match="already inside"):
             apply_extension(state, plan)
+
+
+# inputs whose scripted moves the local test runs over, each with the number
+# of scripted moves its construction commits
+SCRIPT_INPUTS = {
+    "families-1-3": (lambda: [g for seed in (1, 2, 3) for g in layerbench_graphs("families", seed)],
+                     297),
+    "corpus": (lambda: [_build(recipe) for _, recipe in builtin_corpus(42)], 57),
+    "small_exact-1": (lambda: layerbench_graphs("small_exact", 1), 7),
+    "sparse-300": (lambda: sparse_draws(300), 458),
+    "ear-fallback": (lambda: [EAR_FALLBACK_GRAPH], 1),
+}
+
+
+class TestScriptProofs:
+    # a scripted move commits on its plan builder's proof that the patch
+    # meets (a) and (b) of the construct module docstring; the local test
+    # (local_patch_fault) checks both by enumerating routes and paths
+
+    @pytest.mark.parametrize("name", sorted(SCRIPT_INPUTS))
+    def test_committed_scripts_meet_the_local_test(self, name):
+        build, count = SCRIPT_INPUTS[name]
+        moves = record_scripted_moves(build())
+        assert len(moves) == count
+        assert [(sorted(hset), added, patch) for _, _, hset, added, patch, k in moves
+                if local_patch_fault(hset, k, added, patch) is not None] == []
+
+    def test_mutant_tripod_fails_the_local_test(self):
+        # f2 on (c, x1) moved to f1: v1 = 6 and x1 = 7 enter H on f1 alone,
+        # and the patch joins them only through the center on REUSE twice.
+        # The checker rejects the mutant as well
+        state = state_on(SYNTHETIC["tripod"][0])
+        plan = classify_extension(state)
+        assert plan.kind == "tripod" and ((3, 7), 2) in plan.slots
+        patch = {e: 1 if slot == REUSE else state.colors_used + slot for e, slot in plan.slots}
+        assert local_patch_fault(state.vertices, state.colors_used, plan.vertices, patch) is None
+        patch[(3, 7)] = state.colors_used + 1
+        assert local_patch_fault(state.vertices, state.colors_used, plan.vertices,
+                                 patch) == ("pair", 6, 7)
+        assert construct._try_coloring(state, plan.vertices, patch)[0] is not None
 
 
 class TestRepair:
@@ -750,10 +844,12 @@ class TestRepair:
         assert 0 < len(calls) <= 2 ** 4
 
     def test_checks_extend_the_kept_layout(self, monkeypatch):
-        # a move check and every candidate of a repair search run on the
-        # state's kept layout extended by the patch: neither builds a graph
-        # or a layout, and each candidate is one call of the checker
+        # a scripted move commits the state's kept layout extended by its
+        # patch, with no checker call, and every candidate of a repair
+        # search is one checker call on that layout extended by the
+        # candidate: neither builds a graph or a layout
         move = state_on(SYNTHETIC["ear"][0])
+        kept = move.layout
         state = state_on([(4, 0), (4, 1), (4, 2), (4, 3), (4, 5), (5, 6), (6, 7), (5, 7)])
         builds = []
         real_graph, real_layout = graphs.make_graph, rainbow.ColoredLayout.build
@@ -764,14 +860,17 @@ class TestRepair:
             lambda cls, *args: builds.append(args) or real_layout(*args)))
         tries = count_calls(monkeypatch, "_try_coloring")
         calls = count_calls(monkeypatch)
-        apply_extension(move, classify_extension(move))
-        assert not move.trace[-1].repaired and len(tries) == len(calls) == 1
-        tries.clear()
-        calls.clear()
+        plan = classify_extension(move)
+        apply_extension(move, plan)
+        assert tries == calls == []
+        patch = {e: move.coloring[e] for e, _ in plan.slots}
+        assert move.layout.adj == kept.extended(patch).adj
         assert repair_step(state, [4, 5, 6, 7], range(1, 2)) is None
         assert len(tries) == len(calls) > 1
         assert all(g is state.host for g, *_ in calls)
         assert builds == []
+        # the committed H passes a check run here
+        assert h_witness(move) is None
 
 
 class TestReachOrder:
@@ -1003,7 +1102,7 @@ class TestRunConstructive:
         res = run_constructive(g)
         assert [rec.kind for rec in res.trace] == ["seed_triangle", "ear_fallback",
                                                    "final_absorb"]
-        assert res.trace[1].fallback and not res.trace[1].repaired
+        assert res.trace[1].fallback
         assert res.colors_used == res.bound == 6
         assert find_rainbow_witness(g, res.coloring) is None
 
@@ -1191,23 +1290,30 @@ class TestRunConstructive:
 
     def test_kept_layout_matches_a_rebuild(self, monkeypatch):
         # over the builtin corpus and two inputs whose accepted repair
-        # patch renumbers its fresh colors, every step commits the patch it
-        # checked last, and after every commit the layout the state kept is
-        # the layout built from its coloring, bits included
+        # patch renumbers its fresh colors, a checked step commits the patch
+        # it checked last and a scripted step one it never checked, and
+        # after every commit the layout the state kept is the layout built
+        # from its coloring, bits included, and makes H rainbow connected
         real = construct._commit
         tries = count_calls(monkeypatch, "_try_coloring")
-        commits, checked_patches = [], []
+        calls = count_calls(monkeypatch)
+        commits, checked_patches, scripts = [], [], []
 
         def checked(state, kind, added, patch, *args, **kwargs):
-            if tries:
+            if scripted(kind):
+                assert tries == calls == [], kind
+                scripts.append(kind)
+            elif tries:
                 assert tries[-1][2] == patch, kind
                 checked_patches.append((kind, patch))
             tries.clear()
+            calls.clear()
             real(state, kind, added, patch, *args, **kwargs)
             commits.append(state.h)
             kept = state.layout
             fresh = rainbow.ColoredLayout.build(state.host, EdgeColoring(state.coloring))
             assert kept.adj == fresh.adj and kept.bits == fresh.bits
+            assert find_rainbow_witness(state.host, fresh, vertices=state.vertices) is None
 
         monkeypatch.setattr(construct, "_commit", checked)
         inputs = [(gid, _build(recipe)) for gid, recipe in builtin_corpus(42)]
@@ -1217,6 +1323,7 @@ class TestRunConstructive:
             commits.clear()
             res = run_constructive(g)
             assert len(commits) == len(res.trace), gid
+        assert len(scripts) > len(inputs)
         # test_accepted_patch_renumbered_in_edge_order's search, committed
         commits.clear()
         final_absorb(state_on([(4, 1), (4, 2), (5, 0), (5, 3)]))
@@ -1229,29 +1336,42 @@ class TestRunConstructive:
                                    gen_family("prism", 3)],
                              ids=["wheel-12", "sparse-nine", "prism-3"])
     def test_one_layout_per_check(self, g, monkeypatch):
-        # each check extends H's layout once, and each commit adopts the
-        # layout its accepted check read instead of building another
+        # each check extends H's layout once, and so does each scripted
+        # move, which makes no check; each commit adopts the layout its
+        # accepted check read, or its script extended, instead of building
+        # another, and that layout makes H rainbow connected
         extends = []
         real_extended, real_commit = rainbow.ColoredLayout.extended, construct._commit
-        monkeypatch.setattr(rainbow.ColoredLayout, "extended",
-                            lambda self, patch: extends.append(patch) or real_extended(self, patch))
+
+        def extended(self, patch):
+            extends.append(real_extended(self, patch))
+            return extends[-1]
+
+        monkeypatch.setattr(rainbow.ColoredLayout, "extended", extended)
         tries = count_calls(monkeypatch, "_try_coloring")
         checks = count_calls(monkeypatch)
-        seen = [0]  # checker calls made before each commit
+        seen = [(0, 0)]  # checker calls and extensions made before each commit
+        scripts = []
 
-        def committed(state, *args, **kwargs):
+        def committed(state, kind, *args, **kwargs):
             made, before, read = len(extends), state.layout, len(checks)
-            real_commit(state, *args, **kwargs)
+            real_commit(state, kind, *args, **kwargs)
             assert len(extends) == made
-            # the accepted check read the step's layout; a step with no
-            # check (a final absorption of nothing) keeps H's
-            assert state.layout is (checks[-1][1] if read > seen[-1] else before)
-            seen.append(read)
+            if scripted(kind):
+                # one extension and no check since the last commit
+                assert (read, made) == (seen[-1][0], seen[-1][1] + 1)
+                assert state.layout is extends[-1]
+                scripts.append(kind)
+            else:
+                # a step with no check (a final absorption of nothing) keeps H's
+                assert state.layout is (checks[-1][1] if read > seen[-1][0] else before)
+            assert find_rainbow_witness(state.host, state.layout, vertices=state.vertices) is None
+            seen.append((read, made))
 
         monkeypatch.setattr(construct, "_commit", committed)
         res = run_constructive(g)
         assert len(seen) - 1 == len(res.trace)
-        assert len(extends) == len(tries) > 0
+        assert len(extends) == len(tries) + len(scripts) > 0
 
     def test_progress_and_trace_format(self):
         g = gen_family("random3c", 20, 5, seed=3)

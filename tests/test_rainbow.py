@@ -165,14 +165,15 @@ class TestRainbowReach:
         assert run_capped(Q6_PINNED, body, headroom_mb=64, timeout=120) == ["33", "39"]
 
     def test_pinned_q6_searches_in_bounded_memory(self):
-        # the same run with the checker's color-clash bound turned off, so
-        # its failing final-absorption candidates reach this search; the
-        # stub counts its calls to show that it stood in for the bound
+        # the same run with the checker's color-clash bound turned off: the
+        # stub counts its calls, and none comes. Scripted moves make no
+        # check, and the run's seed, repair and final checks never ask the
+        # bound, so the run keeps the same cap with it or without it
         body = ("from rcbound import rainbow\n"
                 "stubbed = []\n"
                 "rainbow._color_clash = lambda *args: stubbed.append(args)\n"
-                "r = run_constructive(g)\nprint(r.colors_used, r.bound, len(stubbed) > 0)\n")
-        assert run_capped(Q6_PINNED, body, headroom_mb=64, timeout=120) == ["33", "39", "True"]
+                "r = run_constructive(g)\nprint(r.colors_used, r.bound, len(stubbed))\n")
+        assert run_capped(Q6_PINNED, body, headroom_mb=64, timeout=120) == ["33", "39", "0"]
 
 
 class TestWitness:
@@ -628,10 +629,11 @@ class TestRcExact:
     @staticmethod
     def matches_the_probe_that_keeps_no_walks(g, rng):
         """The same search with every non-adjacent pair probed afresh at
-        every node: the same coloring, and the budget runs out at the same
-        (k, node) wherever it is set below the full count. Returns k."""
+        every node: the same coloring within the same node count, and the
+        budget runs out at the same (k, node) wherever it is set below the
+        full count. Returns k."""
         k, colors, nodes = reference_rc_exact(g)
-        assert rc_exact(g) == (k, EdgeColoring(colors))
+        assert rc_exact(g, node_budget=nodes) == (k, EdgeColoring(colors))
         budget = rng.randrange(nodes)
         k_out, _, at = reference_rc_exact(g, budget)
         with pytest.raises(BudgetExhaustedError) as info:
@@ -647,6 +649,15 @@ class TestRcExact:
             n, p = rng.randint(4, 6), rng.choice([0.4, 0.6, 0.8])
             g = make_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
         self.matches_the_probe_that_keeps_no_walks(g, rng)
+
+    @pytest.mark.parametrize("g", [gen_family("wheel", 6), gen_family("prism", 3)],
+                             ids=["W6", "prism-3"])
+    def test_k2_rejects_a_pair_without_two_step_walks(self, g):
+        # rc = 2. The search rejects each node where a pair's two-step
+        # walks all broke, as the reference probe does: a pair mended from
+        # its three-step walks would keep such nodes alive, and the search
+        # would need more nodes than the reference to find its coloring
+        assert self.matches_the_probe_that_keeps_no_walks(g, random.Random(0)) == 2
 
     @staticmethod
     def spy_on_searches(monkeypatch):
