@@ -29,11 +29,10 @@ by one route, H's path between the two ends and the other route. H's
 paths use only H's colors, which no route carries, so each such walk
 repeats no color and holds a rainbow path; routes may end at one vertex.
 A growth check covers only the pairs with an added vertex, for the same
-reason, and since H's kept layout makes H rainbow connected in H's own
-colors, a check's pass from an added vertex that reaches H by a walk
-with none of those colors settles every vertex of H at once (see
-_try_coloring). The finished coloring gets one full check, with no such
-shortcut.
+reason, and since H is rainbow connected in H's own colors, a check's
+pass from an added vertex that reaches H by a walk with none of those
+colors settles every vertex of H at once (see _try_coloring). The
+finished coloring gets one full check, with no such shortcut.
 
 Move kinds
   four_leaves      four outside vertices, three host links each
@@ -134,34 +133,29 @@ class GrowState:
     every repair search: a fallback_absorb step, or a final_absorb step
     that adds a vertex. `fans` keeps each outside vertex's last 3-fan into
     H until _commit absorbs that vertex; each read cuts it to the H of its
-    round (see _read_fan). `layout` is the checker's colored layout of
-    `coloring`, built when the state is made; each commit then adopts the
-    layout extended by the patch it commits (see _extend), the one its
-    accepted check read when it has one, so a step builds one layout and
-    after each commit `layout` equals ColoredLayout.build of `coloring`.
-    final_absorb's color-1 leftovers, added after the last commit, stay
-    out of it.
+    round (see _read_fan). `coloring` lists H's edges in the order they
+    were committed; final_absorb's color-1 leftovers follow the last
+    commit. The state keeps no layout: each growth check builds the one
+    it reads (see _try_coloring).
 
     `grown` records that the state was made with an empty H, as
     seed_subgraph makes it. Then every vertex of H came in through a step
-    that was either checked on the layout it commits or is a scripted move
-    proved in the module docstring's terms, and layouts only gain edges,
-    so `layout` joins every two vertices of H by a rainbow path in H's own
-    colors: the invariant that lets _try_coloring hand H to the checker as
-    a core. A state made around a given H promises nothing of it: its
-    checks run without a core, and a scripted move keeps H plus the patch
-    rainbow connected only where H was."""
+    that was either checked on H's coloring plus the patch it commits or
+    is a scripted move proved in the module docstring's terms, and H's
+    coloring only gains edges, so every two vertices of H are joined by a
+    rainbow path in H's own colors: the invariant that lets _try_coloring
+    hand H to the checker as a core. A state made around a given H
+    promises nothing of it: its checks run without a core, and a scripted
+    move keeps H plus the patch rainbow connected only where H was."""
     host: Graph
     vertices: set[int]
     coloring: dict[Edge, int]
     colors_used: int
     trace: list[StepRecord] = field(default_factory=list)
     fans: dict[int, tuple] = field(default_factory=dict)
-    layout: ColoredLayout = field(init=False, repr=False, compare=False)
     grown: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.layout = ColoredLayout.build(self.host, EdgeColoring(self.coloring))
         self.grown = not self.vertices
 
     @property
@@ -252,11 +246,11 @@ def seed_subgraph(g: Graph) -> GrowState:
     coloring.update(pendant)
     state = GrowState(g, set(), {}, 0)
     added = tuple(sorted({v for e in coloring for v in e}))
-    witness, layout = _try_coloring(state, added, coloring)
+    witness = _try_coloring(state, added, coloring)
     if witness is not None:
         raise ConstructionError(
             f"grown subgraph lost rainbow connectivity at pair {witness}", state.trace)
-    _commit(state, kind, added, coloring, layout)
+    _commit(state, kind, added, coloring)
     return state
 
 
@@ -561,50 +555,54 @@ def _fallback_sets(state: GrowState, first: tuple[int, ...]) -> Iterator[tuple[i
             yield take
 
 
-def _extend(state: GrowState, added, patch: dict[Edge, int]) -> ColoredLayout:
-    """H's kept layout extended by a patch that colors only new edges at
-    added vertices: extending refuses an edge H colors (ValueError), and
-    the assertion an edge that touches no added vertex."""
-    for u, v in patch:
-        if u not in added and v not in added:
-            raise AssertionError(f"patch edge {(u, v)} is not a new edge at an added vertex")
-    return state.layout.extended(patch)
-
-
 def _try_coloring(state: GrowState, added: tuple[int, ...],
-                  patch: dict[Edge, int]) -> tuple[Edge | None, ColoredLayout]:
-    """Check H plus the patch with one checker call on H's kept layout
-    extended by the patch (_extend); with vertices added, only the pairs
-    that touch them. Returns the witness (None when the check passes) and
-    the layout the check read, which _commit adopts for an accepted step.
-    A grown state's H goes to the checker as its core, with H's palette as
-    the layout's first len(state.layout.bits) color bits
-    (ColoredLayout.extended numbers the patch's new colors after them): H
-    is rainbow connected in those colors, since each step that grew it was
-    checked or proved (GrowState), so a pass from an added vertex that
-    reaches H by a walk with none of H's colors settles all of H at once."""
+                  patch: dict[Edge, int]) -> Edge | None:
+    """Check H plus the patch with one checker call; with vertices added,
+    only the pairs that touch them. Returns the witness, None when the
+    check passes. The layout the check reads is built from H's coloring
+    followed by the patch, so it lists each vertex's H edges, in commit
+    order, before its patch edges.
+
+    A grown state's H goes to the checker as its core, with
+    core_colors = state.colors_used. H is rainbow connected in its own
+    colors, since each step that grew it was checked or proved
+    (GrowState), so a pass from an added vertex that reaches H by a walk
+    with none of H's colors settles all of H at once. The core promise
+    asks that those colors have bits below 1 << colors_used, and they do.
+    _commit lets a step's fresh colors only continue H's palette without
+    a gap, and counts only fresh colors the patch uses, so H's colors are
+    exactly 1..colors_used, each on some edge of H. ColoredLayout.build
+    gives each color the next bit where it first appears, and every one
+    of H's colors appears among H's edges, which come first: they take
+    the bits 1, 2, ..., 1 << (colors_used - 1), and a color only the
+    patch uses takes a higher one."""
     aset = set(added)
-    layout = _extend(state, aset, patch)
+    layout = ColoredLayout.build(state.host, EdgeColoring({**state.coloring, **patch}))
     core = state.vertices if state.grown else None
     return find_rainbow_witness(state.host, layout, vertices=state.vertices | aset,
                                 sources=aset or None, core=core,
-                                core_colors=len(state.layout.bits)), layout
+                                core_colors=state.colors_used)
 
 
-def _commit(state: GrowState, kind: str, added: tuple[int, ...], patch: dict[Edge, int],
-            layout: ColoredLayout) -> None:
-    """Commit one checked or proved growth step: its fresh colors must
-    follow the palette of H without a gap. No step reaches this over its
-    budget: a seed and a repair patch stay inside theirs by construction,
-    and apply_extension refuses an over-budget script. Then H grows and
-    adopts `layout`, the layout of H plus the patch, the kept fans of the
+def _commit(state: GrowState, kind: str, added: tuple[int, ...],
+            patch: dict[Edge, int]) -> None:
+    """Commit one checked or proved growth step, the one path every seed,
+    script and repair patch takes: each patch edge must touch an added
+    vertex, so the patch colors only new edges, and its fresh colors must
+    follow the palette of H without a gap (AssertionError otherwise, with
+    the state unchanged). No step reaches this over its budget: a seed
+    and a repair patch stay inside theirs by construction, and
+    apply_extension refuses an over-budget script. Then H grows, the
+    patch joins H's coloring after its edges, the kept fans of the
     absorbed vertices are dropped, and the step is recorded. The other
     kept fans stay: _read_fan cuts them to the grown H."""
+    for u, v in patch:
+        if u not in added and v not in added:
+            raise AssertionError(f"patch edge {(u, v)} is not a new edge at an added vertex")
     fresh = sorted({c for c in patch.values() if c > state.colors_used})
     used = len(fresh)
     if fresh != list(range(state.colors_used + 1, state.colors_used + 1 + used)):
         raise AssertionError(f"fresh colors not contiguous: {fresh}")
-    state.layout = layout
     state.vertices.update(added)
     state.coloring.update(patch)
     state.colors_used += used
@@ -615,7 +613,7 @@ def _commit(state: GrowState, kind: str, added: tuple[int, ...], patch: dict[Edg
 
 
 def repair_step(state: GrowState, added_vertices,
-                budgets: range) -> tuple[dict[Edge, int], ColoredLayout] | None:
+                budgets: range) -> dict[Edge, int] | None:
     """Search for a coloring of every edge incident to the added vertices
     using at most b fresh colors plus color 1 of H, for each budget b of
     `budgets` in turn.
@@ -635,8 +633,8 @@ def repair_step(state: GrowState, added_vertices,
     patch goes through _try_coloring once over all budgets: the checker
     reads only which colors are equal, so a patch that renames the fresh
     colors of one already tried gets its verdict. A search thus costs at
-    most the sum over b of (b + 2) ** len(added) checker calls, each on
-    H's kept layout extended by the candidate patch, and accepts the
+    most the sum over b of (b + 2) ** len(added) checker calls, each on a
+    layout of H's coloring plus the candidate patch, and accepts the
     patch that searches at each budget in turn would.
 
     A combination that puts one color c on every candidate edge at u and
@@ -652,12 +650,12 @@ def repair_step(state: GrowState, added_vertices,
     the unskipped search finds. Other patches that cut a vertex off from a
     single-colored added one are still rejected by the checker's
     color-clash bound after one first-walk pass, without the exact search.
-    Returns the first accepted patch, as checked, with the layout its
-    check read, or None when no pattern works; the caller then aborts
-    with a ConstructionError. No caller adds a vertex that the added
-    vertices do not join to H (plans follow fans into H, _first_four takes
-    fallback vertices that H reaches, and final_absorb takes the rest of a
-    connected host); such a vertex fails every check.
+    Returns the first accepted patch, as checked, or None when no pattern
+    works; the caller then aborts with a ConstructionError. No caller adds
+    a vertex that the added vertices do not join to H (plans follow fans
+    into H, _first_four takes fallback vertices that H reaches, and
+    final_absorb takes the rest of a connected host); such a vertex fails
+    every check.
     """
     added = tuple(sorted(added_vertices))
     if set(added) & state.vertices:
@@ -727,9 +725,8 @@ def repair_step(state: GrowState, added_vertices,
                 continue
             tried.add(key)
             patch = dict(zip(cand, key))
-            witness, layout = _try_coloring(state, added, patch)
-            if witness is None:
-                return patch, layout
+            if _try_coloring(state, added, patch) is None:
+                return patch
     return None
 
 
@@ -757,17 +754,14 @@ def apply_extension(state: GrowState, plan: ExtensionPlan) -> GrowState:
     if used > budget:
         raise ConstructionError(
             f"{plan.kind} spent {used} fresh colors, its budget allows {budget}", state.trace)
-    if plan.slots:
-        layout = _extend(state, added, patch)
-    else:
+    if not plan.slots:
         most = min((3 * (state.h + len(added)) - 1) // 5 - state.colors_used, len(added) + 1)
         for added in _fallback_sets(state, added):
-            if (found := repair_step(state, added, range(budget, most + 1))) is not None:
+            if (patch := repair_step(state, added, range(budget, most + 1))) is not None:
                 break
         else:
             raise ConstructionError("repair failed on a fallback absorption", state.trace)
-        patch, layout = found
-    _commit(state, plan.kind, added, patch, layout)
+    _commit(state, plan.kind, added, patch)
     return state
 
 
@@ -781,13 +775,12 @@ def final_absorb(state: GrowState) -> GrowState:
     r = len(ext)
     if r > 3:
         raise ValueError(f"final absorption handles at most 3 vertices, got {r}")
-    patch, layout = {}, state.layout
+    patch = {}
     if r:
-        found = repair_step(state, ext, range(min(r, 2), min(r, 2) + 1))
-        if found is None:
+        patch = repair_step(state, ext, range(min(r, 2), min(r, 2) + 1))
+        if patch is None:
             raise ConstructionError("repair failed during final absorption", state.trace)
-        patch, layout = found
-    _commit(state, FINAL_ABSORB, ext, patch, layout)
+    _commit(state, FINAL_ABSORB, ext, patch)
     # leftovers add color-1 edges and recolor none, so no rainbow path is lost
     for e in state.host.edges:
         state.coloring.setdefault(e, 1)

@@ -45,9 +45,9 @@ source has no clash pair, so an accepted check never pays for the bound.
 A full check skips it and keeps its lexicographically smallest witness.
 
 The searches read a ColoredLayout. The checker builds one from a (Graph,
-EdgeColoring) pair or takes one that a growing subgraph keeps and extends
-by each candidate patch, so a growth check rebuilds nothing. A grown
-subgraph's layout lists each vertex's edges in the order they were
+EdgeColoring) pair or takes one that its caller built: a growth check
+builds its layout from the grown subgraph's coloring followed by the
+candidate patch, so each vertex lists its edges in the order they were
 colored. That order changes no answer (see find_rainbow_witness), only
 how many pairs the passes settle: constructions of prisms of 80 to 150
 rungs and of Moebius-200, under eleven labelings each, leave the exact
@@ -101,12 +101,11 @@ def _require_covers(g: Graph, coloring: EdgeColoring) -> None:
 
 class ColoredLayout:
     """The colored edges of a host graph: `adj` holds per vertex its
-    (neighbour, color bit) pairs in the order their edges were added.
-    `build` and `extended` number colors by one rule: each new color
-    takes the next bit where it first appears, so a mask holds one bit
-    per color used whatever the color ids are (color 1 and color 10**30
-    need two bits), and a layout extended by patches equals the layout
-    built from their union in the same order. Only which colors are
+    (neighbour, color bit) pairs in the order the coloring lists their
+    edges. `build` gives each color the next bit where it first appears,
+    so a mask holds one bit per color used whatever the color ids are
+    (color 1 and color 10**30 need two bits), and the colors of the
+    coloring's first edges take the low bits. Only which colors are
     equal, not their bits nor the lists' order, sets a search's answer."""
 
     __slots__ = ("host", "adj", "bits")
@@ -124,29 +123,6 @@ class ColoredLayout:
             adj[u].append((v, bit))
             adj[v].append((u, bit))
         return cls(g, adj, bits)
-
-    def extended(self, patch: dict[Edge, int]) -> ColoredLayout:
-        """This layout with the patch's edges added after its own, in the
-        patch's order; a patch edge must be an uncolored host edge and its
-        color at least 1 (ValueError otherwise). Each added edge gives its
-        endpoints new lists, so this layout stays as it was."""
-        n, adj, bits = self.host.n, self.adj.copy(), self.bits
-        for (u, v), c in patch.items():
-            if not (0 <= u < n and 0 <= v < n and v in self.host.adj[u]):
-                raise ValueError(f"edge {(u, v)} is not in the host graph")
-            if c < 1:
-                raise ValueError("color ids must be positive")
-            for w, _ in adj[u]:
-                if w == v:
-                    raise ValueError(f"edge {(u, v)} is already colored")
-            bit = bits.get(c)
-            if bit is None:
-                if bits is self.bits:
-                    bits = bits.copy()
-                bit = bits[c] = 1 << len(bits)
-            adj[u] = adj[u] + [(v, bit)]
-            adj[v] = adj[v] + [(u, bit)]
-        return ColoredLayout(self.host, adj, bits)
 
 
 def _rainbow_reach(adjc: list[list[tuple[int, int]]], source: int,
@@ -366,18 +342,20 @@ def find_rainbow_witness(g: Graph, coloring: EdgeColoring | ColoredLayout,
     reached set and the clash verdict ignore the order, and a source with
     a clash pair misses a vertex in its pass in any order (above).
 
-    `coloring` may also be a ColoredLayout over g, such as a growing
-    subgraph's kept layout: then only its colored edges count, as if g
-    had no others, and its edges are taken as checked when it was built.
+    `coloring` may also be a ColoredLayout over g, such as a growth
+    check's layout of a grown subgraph plus a patch: then only its colored
+    edges count, as if g had no others, and its edges are taken as
+    checked when it was built.
 
     `core`, a set of vertices given with a layout, is the caller's promise
     that every two core vertices are joined by a rainbow path whose colors
     all have bits below 1 << core_colors: a grown subgraph H, rainbow
-    connected in its own layout, whose colors ColoredLayout.extended keeps
-    in the low bits. The set is read, not copied. The first time a source's
-    pass labels a core vertex v by a walk P with none of those bits, every
-    core vertex counts as reached from that source, and the pass goes on
-    only for its other targets and the earlier sources it is aimed at.
+    connected in its own colors, which take the low bits of a layout built
+    from H's coloring followed by a patch (ColoredLayout). The set is
+    read, not copied. The first time a source's pass labels a core vertex
+    v by a walk P with none of those bits, every core vertex counts as
+    reached from that source, and the pass goes on only for its other
+    targets and the earlier sources it is aimed at.
     That settles only pairs that have a rainbow path: for a core vertex t,
     P and the promised rainbow path Q from v to t use disjoint color sets,
     so P followed by Q is a walk with no repeated color, and cutting its

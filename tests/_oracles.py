@@ -22,7 +22,7 @@ from pathlib import Path
 from rcbound import construct, rainbow
 from rcbound.connectivity import vertex_connectivity
 from rcbound.graphs import Graph, gen_family, make_graph, norm_edge
-from rcbound.rainbow import find_rainbow_witness
+from rcbound.rainbow import ColoredLayout, EdgeColoring, find_rainbow_witness
 
 LAYERBENCH = Path(__file__).resolve().parents[1] / "layerbench"
 
@@ -508,11 +508,11 @@ def _moves_into(out: list):
     real = construct.apply_extension
 
     def recorded(state, plan):
-        before = (state.host, state.layout, frozenset(state.vertices), state.colors_used)
+        before = (state.host, dict(state.coloring), frozenset(state.vertices), state.colors_used)
         real(state, plan)
         if plan.slots:
-            host, layout, hset, k = before
-            out.append((host, layout, hset, plan.vertices,
+            host, coloring, hset, k = before
+            out.append((host, coloring, hset, plan.vertices,
                         {e: state.coloring[e] for e, _ in plan.slots}, k))
         return state
 
@@ -521,8 +521,8 @@ def _moves_into(out: list):
 
 def record_scripted_moves(graphs) -> list[tuple]:
     """The scripted moves that constructing each graph commits, each as
-    (host, H's kept layout, H's vertices, the added vertices, the patch,
-    H's colors used). A construction that fails keeps the moves it made."""
+    (host, H's coloring, H's vertices, the added vertices, the patch, H's
+    colors used). A construction that fails keeps the moves it made."""
     moves: list[tuple] = []
     _construct_all(graphs, apply_extension=_moves_into(moves))
     return moves
@@ -538,7 +538,7 @@ def record_growth_checks(graphs) -> list[tuple]:
 
     def recorded(state, added, patch):
         if state.grown and state.vertices and added:
-            checks.append((state.host, state.layout, frozenset(state.vertices),
+            checks.append((state.host, dict(state.coloring), frozenset(state.vertices),
                            added, dict(patch), state.colors_used))
         return real(state, added, patch)
 
@@ -559,7 +559,7 @@ def record_repair_searches(graphs) -> list[tuple]:
         snap.vertices, snap.coloring = set(state.vertices), dict(state.coloring)
         snap.trace, snap.fans = list(state.trace), dict(state.fans)
         found = real(state, added, budgets)
-        searches.append((snap, tuple(added), budgets, found and found[0]))
+        searches.append((snap, tuple(added), budgets, found))
         return found
 
     _construct_all(graphs, repair_step=recorded)
@@ -571,9 +571,11 @@ def core_rule_soak(checks, rng, tries: int) -> dict:
     each edge from {1, 2, k, k+1, ..., k+4} for H's k colors, and check
     each recoloring twice with the library checker: with H as its core (a
     clean route into H settles all of H) and without. The check without a
-    core is the reference here. Returns the checks made, how many of them
-    fail, the exact searches each side ran, and the recolorings whose two
-    verdicts or witnesses differ."""
+    core is the reference here. Both read the layout a growth check builds,
+    H's coloring followed by the recolored patch, and the core's colors
+    are H's k. Returns the checks made, how many of them fail, the exact
+    searches each side ran, and the recolorings whose two verdicts or
+    witnesses differ."""
     out = {"checks": 0, "failing": 0, "plain_searches": 0, "core_searches": 0, "differ": []}
     real = rainbow._rainbow_reach
     side = "plain_searches"
@@ -584,17 +586,17 @@ def core_rule_soak(checks, rng, tries: int) -> dict:
 
     rainbow._rainbow_reach = counted
     try:
-        for host, layout, hset, added, patch, k in checks:
+        for host, coloring, hset, added, patch, k in checks:
             universe, sources = hset.union(added), set(added)
             palette = [1, 2, k] + [k + i for i in range(1, 5)]
             for _ in range(tries):
                 recolored = {e: rng.choice(palette) for e in patch}
-                grown = layout.extended(recolored)
+                grown = ColoredLayout.build(host, EdgeColoring({**coloring, **recolored}))
                 side = "plain_searches"
                 plain = find_rainbow_witness(host, grown, vertices=universe, sources=sources)
                 side = "core_searches"
                 ruled = find_rainbow_witness(host, grown, vertices=universe, sources=sources,
-                                             core=hset, core_colors=len(layout.bits))
+                                             core=hset, core_colors=k)
                 out["checks"] += 1
                 out["failing"] += plain is not None
                 if ruled != plain:

@@ -574,7 +574,7 @@ class TestCutFans:
         # 0's search entered 7, and 0 keeps its fan when 7 joins H
         state = construct.GrowState(CUT_FAN_GRAPH, {4, 5, 6}, {}, 0)
         construct._read_fan(state, 0, frozenset({4, 5, 6}))
-        construct._commit(state, "ear", (7,), {}, state.layout)
+        construct._commit(state, "ear", (7,), {})
         assert set(state.fans) == {0}
-        construct._commit(state, "ear", (0,), {}, state.layout)
+        construct._commit(state, "ear", (0,), {})
         assert state.fans == {}

@@ -134,7 +134,7 @@ def state_on(extra_edges, n=None):
     size = n or max(max(e) for e in extra_edges) + 1
     g = make_graph(size, C4_EDGES + list(extra_edges))
     state = GrowState(g, {0, 1, 2, 3}, dict(C4_COLORS), 2)
-    assert construct._try_coloring(state, (), {})[0] is None
+    assert construct._try_coloring(state, (), {}) is None
     return state
 
 
@@ -426,11 +426,9 @@ class TestApply:
         # H uses colors 1 and 2, so a patch whose only fresh color is 4 skips 3
         state = state_on(SYNTHETIC["arch_111"][0])
         before = (set(state.vertices), dict(state.coloring), state.colors_used, len(state.trace))
-        kept, patch = state.layout, {(0, 4): 4}
         with pytest.raises(AssertionError, match=r"fresh colors not contiguous: \[4\]"):
-            construct._commit(state, "arch_111", (4,), patch, kept.extended(patch))
+            construct._commit(state, "arch_111", (4,), {(0, 4): 4})
         assert (state.vertices, state.coloring, state.colors_used, len(state.trace)) == before
-        assert state.layout is kept
 
     def test_four_leaves_budget(self):
         state = seed_subgraph(gen_family("complete", 7))
@@ -480,7 +478,7 @@ class TestApply:
             return real(adjc, source, targets, *rest)
 
         monkeypatch.setattr(rainbow, "_first_walk_misses", counted)
-        assert construct._try_coloring(state, plan.vertices, patch)[0] is None
+        assert construct._try_coloring(state, plan.vertices, patch) is None
         assert searches == sorted(plan.vertices)
         searches.clear()
         apply_extension(state, plan)
@@ -491,9 +489,13 @@ class TestApply:
         {(0, 4): 3, (1, 4): 3, (2, 4): 3, (0, 2): 3},  # new edge between old vertices
     ])
     def test_patch_guard(self, patch):
+        # every step commits through _commit, which refuses a patch edge
+        # that touches no added vertex and leaves the state as it was
         state = state_on([(4, 0), (4, 1), (4, 2), (0, 2)], n=5)
+        before = (set(state.vertices), dict(state.coloring), state.colors_used, len(state.trace))
         with pytest.raises(AssertionError, match="added vertex"):
-            construct._try_coloring(state, (4,), patch)
+            construct._commit(state, "four_leaves", (4,), patch)
+        assert (state.vertices, state.coloring, state.colors_used, len(state.trace)) == before
 
     def test_overspent_script_rejected(self, monkeypatch):
         # a leaf link moved to a third fresh slot still passes the checker
@@ -648,13 +650,13 @@ class TestScriptProofs:
         patch[(3, 7)] = state.colors_used + 1
         assert local_patch_fault(state.vertices, state.colors_used, plan.vertices,
                                  patch) == ("pair", 6, 7)
-        assert construct._try_coloring(state, plan.vertices, patch)[0] is not None
+        assert construct._try_coloring(state, plan.vertices, patch) is not None
 
 
 class TestRepair:
     def test_single_leaf_one_color(self):
         state = state_on([(4, 0), (4, 1), (4, 2)], n=5)
-        patch, _ = repair_step(state, [4], range(1, 2))
+        patch = repair_step(state, [4], range(1, 2))
         assert patch == {(0, 4): 3, (1, 4): 3, (2, 4): 3}
 
     def test_zero_budget_fails(self):
@@ -662,7 +664,7 @@ class TestRepair:
         g = make_graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
         state = GrowState(g, {0, 1, 2}, {(0, 1): 1, (1, 2): 1, (0, 2): 1}, 1)
         assert repair_step(state, [3], range(0, 1)) is None
-        assert repair_step(state, [3], range(1, 2))[0] == {(0, 3): 2}
+        assert repair_step(state, [3], range(1, 2)) == {(0, 3): 2}
 
     def test_unlinked_vertex_fails(self):
         # 5 reaches H only through 6, which is not added: every candidate
@@ -671,8 +673,8 @@ class TestRepair:
         assert repair_step(state, [4, 5], range(2, 3)) is None
 
     def test_deterministic(self):
-        a, _ = repair_step(state_on([(4, 0), (4, 1), (4, 2)], n=5), [4], range(2, 3))
-        b, _ = repair_step(state_on([(4, 0), (4, 1), (4, 2)], n=5), [4], range(2, 3))
+        a = repair_step(state_on([(4, 0), (4, 1), (4, 2)], n=5), [4], range(2, 3))
+        b = repair_step(state_on([(4, 0), (4, 1), (4, 2)], n=5), [4], range(2, 3))
         assert a == b
 
     def test_inside_vertex_rejected(self):
@@ -690,7 +692,7 @@ class TestRepair:
         state = state_on([(4, 0), (4, 1), (4, 5), (5, 2), (5, 3)])
         tried = []
         monkeypatch.setattr(construct, "_try_coloring",
-                            lambda state, added, patch: tried.append(patch) or ((0, 1), None))
+                            lambda state, added, patch: tried.append(patch) or (0, 1))
         assert repair_step(state, [4, 5], range(2, 3)) is None
         assert len(tried) == 4 ** 2 - 4
         assert tried[0] == dict.fromkeys([(0, 4), (1, 4), (2, 5), (3, 5), (4, 5)], 3)
@@ -706,8 +708,8 @@ class TestRepair:
         # the accepted labels give 4 color 3 and 5 color 4; renumbering by
         # first appearance over the sorted edges hands color 3 to (0, 5)
         state = state_on([(4, 1), (4, 2), (5, 0), (5, 3)])
-        assert repair_step(state, [4, 5], range(2, 3))[0] == {(0, 5): 3, (1, 4): 4, (2, 4): 4,
-                                                              (3, 5): 3}
+        assert repair_step(state, [4, 5], range(2, 3)) == {(0, 5): 3, (1, 4): 4, (2, 4): 4,
+                                                           (3, 5): 3}
 
     def test_color_clash_skips_the_checker(self, monkeypatch):
         # the first labels give the non-adjacent 4 and 5 the one fresh color
@@ -718,13 +720,13 @@ class TestRepair:
         first = dict.fromkeys([(1, 4), (2, 4), (0, 5), (3, 5)], 3)
         # one first-walk pass from 4 misses 5, and the checker's
         # color-clash bound then rejects the pair without an exact search
-        assert construct._try_coloring(state, (4, 5), first)[0] == (4, 5)
+        assert construct._try_coloring(state, (4, 5), first) == (4, 5)
         assert len(calls) == 1 and searches == ["_first_walk_misses"]
         # the repair search skips those labels without a check, and the
         # next labels (3, 4) are the first it checks and accepts
         calls.clear()
-        assert repair_step(state, [4, 5], range(2, 3))[0] == {(0, 5): 3, (1, 4): 4, (2, 4): 4,
-                                                              (3, 5): 3}
+        assert repair_step(state, [4, 5], range(2, 3)) == {(0, 5): 3, (1, 4): 4, (2, 4): 4,
+                                                           (3, 5): 3}
         assert len(calls) == 1
 
     def test_negative_budget_rejected(self, monkeypatch):
@@ -760,8 +762,8 @@ class TestRepair:
             one = repair_step(state, added, budgets)
             single = len(tried)
             each = [repair_step(state, added, range(b, b + 1)) for b in budgets]
-        # the accepted patches agree; each search hands back its own layout
-        assert (one and one[0]) == next((found[0] for found in each if found is not None), None)
+        # the accepted patches agree
+        assert one == next((found for found in each if found is not None), None)
         assert single <= len(tried) - single
         keys = []
         for patch in tried[:single]:
@@ -818,10 +820,10 @@ class TestRepair:
             mp.setattr(construct, "_try_coloring",
                        lambda *args: tried.append(args[2]) or real(*args))
             found = repair_step(state, added, budgets)
-        assert (found[0] if found else None) == want
+        assert found == want
         assert tried == [patch for patch in checked if not skipped(patch)]
         for patch in filter(skipped, checked):
-            assert construct._try_coloring(state, added, patch)[0] is not None
+            assert construct._try_coloring(state, added, patch) is not None
 
     def test_recorded_searches_replay(self):
         # the repair searches of a slice of the six-vertex graphs, recorded
@@ -833,7 +835,7 @@ class TestRepair:
         assert len(searches) == len(six)  # each closes with a final absorption
         for state, added, budgets, patch in searches:
             found = repair_step(state, added, budgets)
-            assert (found and found[0]) == patch
+            assert found == patch
 
     def test_failure_is_bounded(self, monkeypatch):
         # a triangle hung off vertex 4: reaching 0 from 6 takes three
@@ -842,35 +844,6 @@ class TestRepair:
         calls = count_calls(monkeypatch)
         assert repair_step(state, [4, 5, 6, 7], range(1, 2)) is None
         assert 0 < len(calls) <= 2 ** 4
-
-    def test_checks_extend_the_kept_layout(self, monkeypatch):
-        # a scripted move commits the state's kept layout extended by its
-        # patch, with no checker call, and every candidate of a repair
-        # search is one checker call on that layout extended by the
-        # candidate: neither builds a graph or a layout
-        move = state_on(SYNTHETIC["ear"][0])
-        kept = move.layout
-        state = state_on([(4, 0), (4, 1), (4, 2), (4, 3), (4, 5), (5, 6), (6, 7), (5, 7)])
-        builds = []
-        real_graph, real_layout = graphs.make_graph, rainbow.ColoredLayout.build
-        for mod in (graphs, construct, rainbow):
-            monkeypatch.setattr(mod, "make_graph", raising=False,
-                                value=lambda *args: builds.append(args) or real_graph(*args))
-        monkeypatch.setattr(rainbow.ColoredLayout, "build", classmethod(
-            lambda cls, *args: builds.append(args) or real_layout(*args)))
-        tries = count_calls(monkeypatch, "_try_coloring")
-        calls = count_calls(monkeypatch)
-        plan = classify_extension(move)
-        apply_extension(move, plan)
-        assert tries == calls == []
-        patch = {e: move.coloring[e] for e, _ in plan.slots}
-        assert move.layout.adj == kept.extended(patch).adj
-        assert repair_step(state, [4, 5, 6, 7], range(1, 2)) is None
-        assert len(tries) == len(calls) > 1
-        assert all(g is state.host for g, *_ in calls)
-        assert builds == []
-        # the committed H passes a check run here
-        assert h_witness(move) is None
 
 
 class TestReachOrder:
@@ -930,8 +903,8 @@ class TestColorClash:
         witness = find_rainbow_witness(sub, EdgeColoring(full), vertices=universe, sources=aset)
         assert witness == clash_first_witness(
             sub, full, universe, aset, lambda u: rainbow._color_clash(adjc, u, universe))
-        # the kept layout's check reports the witness of the public call
-        assert construct._try_coloring(state, added, patch)[0] == witness
+        # the growth check reports the witness of the public call
+        assert construct._try_coloring(state, added, patch) == witness
 
     @pytest.mark.parametrize("accepted", ["k4_seed", "repair_patch"])
     def test_accepted_check_skips_the_bound(self, accepted, monkeypatch):
@@ -946,7 +919,7 @@ class TestColorClash:
         else:
             state = state_on([(4, 1), (4, 2), (5, 0), (5, 3)])
             patch = {(0, 5): 3, (1, 4): 4, (2, 4): 4, (3, 5): 3}
-            assert construct._try_coloring(state, (4, 5), patch)[0] is None
+            assert construct._try_coloring(state, (4, 5), patch) is None
         assert clashes == []
 
 
@@ -963,7 +936,7 @@ class TestColorClash:
         g = make_graph(6, [*h_colors, *patch])
         state = GrowState(g, {0, 1, 2}, dict(h_colors), 1)
         searches = count_searches(monkeypatch)
-        assert construct._try_coloring(state, (3, 4, 5), patch)[0] == (3, 5)
+        assert construct._try_coloring(state, (3, 4, 5), patch) == (3, 5)
         assert searches == ["_first_walk_misses"]
         assert not has_rainbow_path(g, {**h_colors, **patch}, 3, 5)
 
@@ -978,7 +951,7 @@ class TestColorClash:
         g = make_graph(5, [*h_colors, *patch])
         state = GrowState(g, {0, 1, 2}, dict(h_colors), 1)
         searches = count_searches(monkeypatch)
-        assert construct._try_coloring(state, (3, 4), patch)[0] == (0, 3)
+        assert construct._try_coloring(state, (3, 4), patch) == (0, 3)
         assert searches == ["_first_walk_misses"]
 
 
@@ -1288,90 +1261,80 @@ class TestRunConstructive:
             res = run_constructive(_build(recipe))
             assert len(repairs) == traced_repairs(res.trace), gid
 
-    def test_kept_layout_matches_a_rebuild(self, monkeypatch):
-        # over the builtin corpus and two inputs whose accepted repair
-        # patch renumbers its fresh colors, a checked step commits the patch
-        # it checked last and a scripted step one it never checked, and
-        # after every commit the layout the state kept is the layout built
-        # from its coloring, bits included, and makes H rainbow connected
-        real = construct._commit
-        tries = count_calls(monkeypatch, "_try_coloring")
-        calls = count_calls(monkeypatch)
-        commits, checked_patches, scripts = [], [], []
+    @pytest.mark.parametrize("name,checks,scripts", [("corpus", 41, 57), ("sparse-nine", 26, 0),
+                                                     ("families-1", 51, 98)],
+                             ids=["corpus", "sparse-nine", "families-1"])
+    def test_one_layout_per_check(self, name, checks, scripts, monkeypatch):
+        # every growth check builds one layout, from H's coloring followed
+        # by the patch, and no graph: each vertex lists its H edges before
+        # its patch edges, and every H color's bit lies below
+        # 1 << core_colors, as the checker's core promise asks. A scripted
+        # move builds nothing and calls no checker, a checked step commits
+        # the patch it checked last, and after every commit H passes a full
+        # check on a graph and a coloring built afresh. sparse-nine's
+        # fallback absorption widens to 3 fresh colors
+        inputs = {"corpus": lambda: [_build(recipe) for _, recipe in builtin_corpus(42)],
+                  "sparse-nine": lambda: [make_graph(9, SPARSE_NINE_EDGES)],
+                  "families-1": lambda: layerbench_graphs("families", 1)}[name]()
+        made, steps = Counter(), Counter()  # builds and calls; committed steps
+        quiet, reads, tried = [], [], []  # the checker's layouts; the patches checked
+        real_build, real_graph = rainbow.ColoredLayout.build, graphs.make_graph
+        real_check, real_try = construct.find_rainbow_witness, construct._try_coloring
+        real_apply, real_commit = construct.apply_extension, construct._commit
 
-        def checked(state, kind, added, patch, *args, **kwargs):
-            if scripted(kind):
-                assert tries == calls == [], kind
-                scripts.append(kind)
-            elif tries:
-                assert tries[-1][2] == patch, kind
-                checked_patches.append((kind, patch))
-            tries.clear()
-            calls.clear()
-            real(state, kind, added, patch, *args, **kwargs)
-            commits.append(state.h)
-            kept = state.layout
-            fresh = rainbow.ColoredLayout.build(state.host, EdgeColoring(state.coloring))
-            assert kept.adj == fresh.adj and kept.bits == fresh.bits
-            assert find_rainbow_witness(state.host, fresh, vertices=state.vertices) is None
+        def count(kind):
+            if not quiet:
+                made[kind] += 1
 
-        monkeypatch.setattr(construct, "_commit", checked)
-        inputs = [(gid, _build(recipe)) for gid, recipe in builtin_corpus(42)]
-        # a fallback absorption that widens to 3 fresh colors
-        inputs.append(("sparse-nine", make_graph(9, SPARSE_NINE_EDGES)))
-        for gid, g in inputs:
-            commits.clear()
-            res = run_constructive(g)
-            assert len(commits) == len(res.trace), gid
-        assert len(scripts) > len(inputs)
-        # test_accepted_patch_renumbered_in_edge_order's search, committed
-        commits.clear()
-        final_absorb(state_on([(4, 1), (4, 2), (5, 0), (5, 3)]))
-        assert commits == [6]
-        # its labels give 4 color 3 and 5 color 4, checked renumbered
-        assert checked_patches[-1] == ("final_absorb", {(0, 5): 3, (1, 4): 4, (2, 4): 4,
-                                                        (3, 5): 3})
+        def check(g, layout, **kwargs):
+            count("check")
+            reads.append((layout, kwargs.get("core_colors")))
+            return real_check(g, layout, **kwargs)
 
-    @pytest.mark.parametrize("g", [gen_family("wheel", 12), make_graph(9, SPARSE_NINE_EDGES),
-                                   gen_family("prism", 3)],
-                             ids=["wheel-12", "sparse-nine", "prism-3"])
-    def test_one_layout_per_check(self, g, monkeypatch):
-        # each check extends H's layout once, and so does each scripted
-        # move, which makes no check; each commit adopts the layout its
-        # accepted check read, or its script extended, instead of building
-        # another, and that layout makes H rainbow connected
-        extends = []
-        real_extended, real_commit = rainbow.ColoredLayout.extended, construct._commit
+        def try_coloring(state, added, patch):
+            before = made.copy()
+            count("attempt")
+            witness = real_try(state, added, patch)
+            assert made - before == Counter(attempt=1, layout=1, check=1)
+            layout, core_colors = reads[-1]
+            assert core_colors == state.colors_used
+            assert all(layout.bits[c] < 1 << core_colors for c in state.coloring.values())
+            for v, listed in enumerate(layout.adj):
+                late = [norm_edge(v, w) in patch for w, _ in listed]
+                assert late == sorted(late), v
+            tried.append(patch)
+            return witness
 
-        def extended(self, patch):
-            extends.append(real_extended(self, patch))
-            return extends[-1]
+        def apply(state, plan):
+            before = made.copy()
+            real_apply(state, plan)
+            if plan.slots:
+                assert made == before, plan.kind
+                steps["script"] += 1
+            return state
 
-        monkeypatch.setattr(rainbow.ColoredLayout, "extended", extended)
-        tries = count_calls(monkeypatch, "_try_coloring")
-        checks = count_calls(monkeypatch)
-        seen = [(0, 0)]  # checker calls and extensions made before each commit
-        scripts = []
+        def commit(state, kind, added, patch):
+            if not scripted(kind) and tried:
+                assert tried[-1] == patch, kind
+                steps["checked"] += 1
+            tried.clear()
+            real_commit(state, kind, added, patch)
+            quiet.append(kind)
+            assert h_witness(state) is None, kind
+            quiet.pop()
 
-        def committed(state, kind, *args, **kwargs):
-            made, before, read = len(extends), state.layout, len(checks)
-            real_commit(state, kind, *args, **kwargs)
-            assert len(extends) == made
-            if scripted(kind):
-                # one extension and no check since the last commit
-                assert (read, made) == (seen[-1][0], seen[-1][1] + 1)
-                assert state.layout is extends[-1]
-                scripts.append(kind)
-            else:
-                # a step with no check (a final absorption of nothing) keeps H's
-                assert state.layout is (checks[-1][1] if read > seen[-1][0] else before)
-            assert find_rainbow_witness(state.host, state.layout, vertices=state.vertices) is None
-            seen.append((read, made))
-
-        monkeypatch.setattr(construct, "_commit", committed)
-        res = run_constructive(g)
-        assert len(seen) - 1 == len(res.trace)
-        assert len(extends) == len(tries) + len(scripts) > 0
+        monkeypatch.setattr(rainbow.ColoredLayout, "build", classmethod(
+            lambda cls, *args: count("layout") or real_build(*args)))
+        for mod in (graphs, construct, rainbow):
+            monkeypatch.setattr(mod, "make_graph", raising=False,
+                                value=lambda *args: count("graph") or real_graph(*args))
+        for fn_name, fn in [("find_rainbow_witness", check), ("_try_coloring", try_coloring),
+                            ("apply_extension", apply), ("_commit", commit)]:
+            monkeypatch.setattr(construct, fn_name, fn)
+        for g in inputs:
+            run_constructive(g)
+        assert (made["attempt"], steps["script"]) == (checks, scripts)
+        assert steps["checked"] >= len(inputs)
 
     def test_progress_and_trace_format(self):
         g = gen_family("random3c", 20, 5, seed=3)
