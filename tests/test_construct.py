@@ -1261,9 +1261,49 @@ class TestRunConstructive:
             res = run_constructive(_build(recipe))
             assert len(repairs) == traced_repairs(res.trace), gid
 
+    def test_kept_layout_matches_a_rebuild(self, monkeypatch):
+        # over the builtin corpus and two inputs whose accepted repair
+        # patch renumbers its fresh colors, every checked step commits the
+        # patch it checked last, and after its commit the layout that
+        # check read is the layout built afresh from the coloring the
+        # state kept, bits included: H's coloring, then the patch
+        real = construct._commit
+        tries = count_calls(monkeypatch, "_try_coloring")
+        checks = count_calls(monkeypatch)
+        commits, checked_patches = [], []
+
+        def checked(state, kind, added, patch):
+            read = checks[-1][1] if tries else None
+            if tries:
+                assert tries[-1][2] == patch, kind
+                checked_patches.append((kind, patch))
+            tries.clear()
+            real(state, kind, added, patch)
+            commits.append(state.h)
+            if read is not None:
+                fresh = rainbow.ColoredLayout.build(state.host, EdgeColoring(state.coloring))
+                assert read.adj == fresh.adj and read.bits == fresh.bits, kind
+
+        monkeypatch.setattr(construct, "_commit", checked)
+        inputs = [(gid, _build(recipe)) for gid, recipe in builtin_corpus(42)]
+        # a fallback absorption that widens to 3 fresh colors
+        inputs.append(("sparse-nine", make_graph(9, SPARSE_NINE_EDGES)))
+        for gid, g in inputs:
+            commits.clear()
+            res = run_constructive(g)
+            assert len(commits) == len(res.trace), gid
+        # test_accepted_patch_renumbered_in_edge_order's search, committed
+        commits.clear()
+        final_absorb(state_on([(4, 1), (4, 2), (5, 0), (5, 3)]))
+        assert commits == [6]
+        # its labels give 4 color 3 and 5 color 4, checked renumbered
+        assert checked_patches[-1] == ("final_absorb", {(0, 5): 3, (1, 4): 4, (2, 4): 4,
+                                                        (3, 5): 3})
+
     @pytest.mark.parametrize("name,checks,scripts", [("corpus", 41, 57), ("sparse-nine", 26, 0),
-                                                     ("families-1", 51, 98)],
-                             ids=["corpus", "sparse-nine", "families-1"])
+                                                     ("families-1", 51, 98), ("prism-3", 2, 0),
+                                                     ("wheel-12", 1, 1)],
+                             ids=["corpus", "sparse-nine", "families-1", "prism-3", "wheel-12"])
     def test_one_layout_per_check(self, name, checks, scripts, monkeypatch):
         # every growth check builds one layout, from H's coloring followed
         # by the patch, and no graph: each vertex lists its H edges before
@@ -1275,6 +1315,8 @@ class TestRunConstructive:
         # fallback absorption widens to 3 fresh colors
         inputs = {"corpus": lambda: [_build(recipe) for _, recipe in builtin_corpus(42)],
                   "sparse-nine": lambda: [make_graph(9, SPARSE_NINE_EDGES)],
+                  "prism-3": lambda: [gen_family("prism", 3)],
+                  "wheel-12": lambda: [gen_family("wheel", 12)],
                   "families-1": lambda: layerbench_graphs("families", 1)}[name]()
         made, steps = Counter(), Counter()  # builds and calls; committed steps
         quiet, reads, tried = [], [], []  # the checker's layouts; the patches checked

@@ -176,6 +176,35 @@ class TestRainbowReach:
                 "print(r.colors_used, r.bound, *calls.values())\n")
         assert run_capped(Q6_PINNED, body, headroom_mb=64, timeout=120) == ["33", "39", "0", "0"]
 
+    def test_pinned_q6_searches_in_bounded_memory(self):
+        # the same run's coloring with the last absorbed vertex's edges
+        # recolored to one color, for each color in turn, checked from that
+        # vertex with the checker's color-clash bound turned off, so the
+        # failing candidates reach the exact search; the stub counts its
+        # calls to show that it stood in for the bound. Every verdict is the
+        # full check's, and all of it fits in the same 64 MB
+        body = ("from rcbound import rainbow\n"
+                "from rcbound.rainbow import EdgeColoring, find_rainbow_witness\n"
+                "stubbed, searches = [], []\n"
+                "rainbow._color_clash = lambda *args: stubbed.append(args)\n"
+                "real = rainbow._rainbow_reach\n"
+                "rainbow._rainbow_reach = lambda *args: searches.append(args) or real(*args)\n"
+                "r = run_constructive(g)\n"
+                "v = r.trace[-1].added[-1]\n"
+                "failing = []\n"
+                "for c in range(1, r.colors_used + 1):\n"
+                "    col = EdgeColoring({e: c if v in e else d\n"
+                "                        for e, d in r.coloring.colors.items()})\n"
+                "    before = len(searches)\n"
+                "    witness = find_rainbow_witness(g, col, sources={v})\n"
+                "    if witness:\n"
+                "        failing.append(len(searches) - before)\n"
+                "    assert (witness is None) == (find_rainbow_witness(g, col) is None), c\n"
+                "print(r.colors_used, r.bound, len(failing) > 0, len(stubbed) > 0,\n"
+                "      all(failing))\n")
+        assert run_capped(Q6_PINNED, body, headroom_mb=64,
+                          timeout=120) == ["33", "39", "True", "True", "True"]
+
 
 class TestWitness:
     def test_complete_monochrome_ok(self):
