@@ -559,9 +559,13 @@ def _try_coloring(state: GrowState, added: tuple[int, ...],
                   patch: dict[Edge, int]) -> Edge | None:
     """Check H plus the patch with one checker call; with vertices added,
     only the pairs that touch them. Returns the witness, None when the
-    check passes. The layout the check reads is built from H's coloring
-    followed by the patch, so it lists each vertex's H edges, in commit
-    order, before its patch edges.
+    check passes. The layout the check reads lays out H's coloring
+    followed by the patch in one pass (ColoredLayout.build), so it lists
+    each vertex's H edges, in commit order, before its patch edges. No
+    merged coloring is made: H's coloring holds only normalized keys, and
+    the patch must first pass _commit's assertion (each key a normalized
+    edge at an added vertex, which lies outside H), so the layout lists
+    no edge twice.
 
     A grown state's H goes to the checker as its core, with
     core_colors = state.colors_used. H is rainbow connected in its own
@@ -577,7 +581,11 @@ def _try_coloring(state: GrowState, added: tuple[int, ...],
     the bits 1, 2, ..., 1 << (colors_used - 1), and a color only the
     patch uses takes a higher one."""
     aset = set(added)
-    layout = ColoredLayout.build(state.host, EdgeColoring({**state.coloring, **patch}))
+    for u, v in patch:  # the assertion of _commit, so no edge is laid out twice
+        if not u < v or (u not in aset and v not in aset):
+            raise AssertionError(f"patch edge {(u, v)} is not a normalized new edge "
+                                 "at an added vertex")
+    layout = ColoredLayout.build(state.host, state.coloring, patch)
     core = state.vertices if state.grown else None
     return find_rainbow_witness(state.host, layout, vertices=state.vertices | aset,
                                 sources=aset or None, core=core,
@@ -587,8 +595,9 @@ def _try_coloring(state: GrowState, added: tuple[int, ...],
 def _commit(state: GrowState, kind: str, added: tuple[int, ...],
             patch: dict[Edge, int]) -> None:
     """Commit one checked or proved growth step, the one path every seed,
-    script and repair patch takes: each patch edge must touch an added
-    vertex, so the patch colors only new edges, and its fresh colors must
+    script and repair patch takes: each patch key must be a normalized edge
+    (u < v) at an added vertex, so the patch colors only new edges and H's
+    coloring keeps only normalized keys, and its fresh colors must
     follow the palette of H without a gap (AssertionError otherwise, with
     the state unchanged). No step reaches this over its budget: a seed
     and a repair patch stay inside theirs by construction, and
@@ -597,8 +606,9 @@ def _commit(state: GrowState, kind: str, added: tuple[int, ...],
     absorbed vertices are dropped, and the step is recorded. The other
     kept fans stay: _read_fan cuts them to the grown H."""
     for u, v in patch:
-        if u not in added and v not in added:
-            raise AssertionError(f"patch edge {(u, v)} is not a new edge at an added vertex")
+        if not u < v or (u not in added and v not in added):
+            raise AssertionError(f"patch edge {(u, v)} is not a normalized new edge "
+                                 "at an added vertex")
     fresh = sorted({c for c in patch.values() if c > state.colors_used})
     used = len(fresh)
     if fresh != list(range(state.colors_used + 1, state.colors_used + 1 + used)):
@@ -658,15 +668,14 @@ def repair_step(state: GrowState, added_vertices,
     every check.
     """
     added = tuple(sorted(added_vertices))
-    if set(added) & state.vertices:
+    if not state.vertices.isdisjoint(added):
         raise ValueError("added vertices must lie outside the grown subgraph")
-    if any(b < 0 for b in budgets):
+    if min(budgets, default=0) < 0:
         raise ValueError(f"repair budgets must be non-negative, got {budgets}")
     log.info("repair search over %d vertices with budgets %s", len(added), budgets)
 
-    host, hset, aset = state.host, state.vertices, set(added)
-    base = state.colors_used
-    fresh = [base + 1 + i for i in range(max(budgets, default=0))]
+    adj, hset, base = state.host.adj, state.vertices, state.colors_used
+    fresh = list(range(base + 1, base + 1 + max(budgets, default=0)))
 
     # every candidate edge once, tagged with its owner's index and the color
     # the owner's alternating star gives it: an added vertex owns its inner
@@ -677,20 +686,18 @@ def repair_step(state: GrowState, added_vertices,
     tagged = []
     for j, w in enumerate(added):
         linked = 0
-        for q in host.adj[w]:
+        for q in adj[w]:
             if q in hset:
-                tagged.append((norm_edge(w, q), j, second if linked & 1 else first))
+                tagged.append(((w, q) if w < q else (q, w), j, second if linked & 1 else first))
                 linked += 1
-            elif q > w and q in aset:
+            elif q > w and q in added:
                 tagged.append(((w, q), j, second))
     tagged.sort()
     cand = [e for e, _, _ in tagged]
-    owner = [j for _, j, _ in tagged]
-    alt = [a for _, _, a in tagged]
     # the non-adjacent added pairs whose ends both have candidate edges, each
     # with the positions of all those edges, inner ones owned by others too
     apart = []
-    pairs = [(u, w) for u, w in itertools.combinations(added, 2) if not host.has_edge(u, w)]
+    pairs = [(u, w) for u, w in itertools.combinations(added, 2) if w not in adj[u]]
     if pairs:
         at: dict[int, list[int]] = {w: [] for w in added}
         for i, (u, w) in enumerate(cand):
@@ -704,7 +711,7 @@ def repair_step(state: GrowState, added_vertices,
         # label 0 is the alternating star
         options = [*fresh[:b], 1] + ([0] if b >= 2 else [])
         for combo in itertools.product(options, repeat=len(added)):
-            colors = [combo[j] or a for j, a in zip(owner, alt)]
+            colors = [combo[j] or a for _, j, a in tagged]
             # a pair whose edges all share one color has no rainbow path
             one_color = False
             for pair in apart:
@@ -718,9 +725,15 @@ def repair_step(state: GrowState, added_vertices,
             if one_color:
                 continue
             # fresh colors renumbered by first appearance in edge order
-            remap: dict[int, int] = {}
-            key = tuple([remap.setdefault(c, base + 1 + len(remap)) if c > base else c
-                         for c in colors])
+            remap = dict.fromkeys(colors)
+            top = base
+            for c in remap:
+                if c > base:
+                    top += 1
+                    remap[c] = top
+                else:
+                    remap[c] = c
+            key = tuple([remap[c] for c in colors])
             if key in tried:
                 continue
             tried.add(key)

@@ -46,9 +46,11 @@ A full check skips it and keeps its lexicographically smallest witness.
 
 The searches read a ColoredLayout. The checker builds one from a (Graph,
 EdgeColoring) pair or takes one that its caller built: a growth check
-builds its layout from the grown subgraph's coloring followed by the
-candidate patch, so each vertex lists its edges in the order they were
-colored. That order changes no answer (see find_rainbow_witness), only
+lays out the grown subgraph's coloring followed by the candidate patch in
+one pass, with no merged coloring, so each vertex lists its edges in the
+order they were colored. Both hold normalized keys (u < v) and share no
+edge, which the growth code asserts of each patch, so no edge is listed
+twice. That order changes no answer (see find_rainbow_witness), only
 how many pairs the passes settle: constructions of prisms of 80 to 150
 rungs and of Moebius-200, under eleven labelings each, leave the exact
 search no pair to decide.
@@ -56,7 +58,10 @@ search no pair to decide.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import starmap
+from operator import lt
 
 from .graphs import (Edge, Graph, GraphFormatError, check_vertices, document_lines, int_fields,
                      norm_edge)
@@ -64,10 +69,20 @@ from .graphs import (Edge, Graph, GraphFormatError, check_vertices, document_lin
 
 @dataclass
 class EdgeColoring:
-    """Total assignment of positive color ids to the edges of a host graph."""
+    """Total assignment of positive color ids to the edges of a host graph.
+
+    Its keys are normalized edges (u < v), one per edge: a dict whose keys
+    all are is copied as it is, and otherwise every key is normalized and
+    two keys that name one edge raise ValueError. The copy is the
+    coloring's own, so the caller's later writes do not reach it. Coverage
+    and color ids are checked where a coloring is checked
+    (find_rainbow_witness)."""
     colors: dict[Edge, int]
 
     def __post_init__(self) -> None:
+        if all(starmap(lt, self.colors)):  # every key (u, v) has u < v: distinct edges
+            self.colors = dict(self.colors)
+            return
         colors = {norm_edge(u, v): c for (u, v), c in self.colors.items()}
         if len(colors) != len(self.colors):
             raise ValueError("two keys name the same edge")
@@ -92,21 +107,15 @@ class NoColoringError(ValueError):
     connected: a verdict on valid input, not an input error."""
 
 
-def _require_covers(g: Graph, coloring: EdgeColoring) -> None:
-    if set(coloring.colors) != set(g.edges):
-        raise ValueError("coloring does not cover exactly the host edge set")
-    if any(c < 1 for c in coloring.colors.values()):
-        raise ValueError("color ids must be positive")
-
-
 class ColoredLayout:
     """The colored edges of a host graph: `adj` holds per vertex its
     (neighbour, color bit) pairs in the order the coloring lists their
-    edges. `build` gives each color the next bit where it first appears,
-    so a mask holds one bit per color used whatever the color ids are
-    (color 1 and color 10**30 need two bits), and the colors of the
-    coloring's first edges take the low bits. Only which colors are
-    equal, not their bits nor the lists' order, sets a search's answer."""
+    edges. `build` lays out one or more edge -> color mappings, one after
+    another in one pass, and gives each color the next bit where it first
+    appears, so a mask holds one bit per color used whatever the color ids
+    are (color 1 and color 10**30 need two bits), and the colors of the
+    first edges laid out take the low bits. Only which colors are equal,
+    not their bits nor the lists' order, sets a search's answer."""
 
     __slots__ = ("host", "adj", "bits")
 
@@ -114,14 +123,23 @@ class ColoredLayout:
         self.host, self.adj, self.bits = host, adj, bits
 
     @classmethod
-    def build(cls, g: Graph, coloring: EdgeColoring) -> ColoredLayout:
-        """The layout of a coloring of edges of g (the caller checks them)."""
+    def build(cls, g: Graph, *colorings: Mapping[Edge, int]) -> ColoredLayout:
+        """The layout of edge -> color mappings over edges of g, laid out
+        one after another in one pass; ValueError on a color id below 1.
+        The caller checks the edges: each must be a host edge and named
+        once over all the mappings, (v, u) counting as (u, v), or it is
+        listed twice."""
         bits: dict[int, int] = {}
         adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        for (u, v), c in coloring.colors.items():
-            bit = bits.setdefault(c, 1 << len(bits))
-            adj[u].append((v, bit))
-            adj[v].append((u, bit))
+        for colors in colorings:
+            for (u, v), c in colors.items():
+                bit = bits.get(c)
+                if bit is None:
+                    if c < 1:
+                        raise ValueError("color ids must be positive")
+                    bit = bits[c] = 1 << len(bits)
+                adj[u].append((v, bit))
+                adj[v].append((u, bit))
         return cls(g, adj, bits)
 
 
@@ -370,8 +388,11 @@ def find_rainbow_witness(g: Graph, coloring: EdgeColoring | ColoredLayout,
             raise ValueError("layout is not over this host graph")
         adjc = coloring.adj
     else:
-        _require_covers(g, coloring)
-        adjc = ColoredLayout.build(g, coloring).adj
+        # the keys are normalized and name distinct edges (EdgeColoring), and
+        # build refuses a color id below 1
+        if coloring.colors.keys() != set(g.edges):
+            raise ValueError("coloring does not cover exactly the host edge set")
+        adjc = ColoredLayout.build(g, coloring.colors).adj
     verts = sorted(vertices) if vertices is not None else list(range(g.n))
     if not verts:
         raise ValueError("vertex universe is empty")

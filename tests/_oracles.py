@@ -22,7 +22,7 @@ from pathlib import Path
 from rcbound import construct, rainbow
 from rcbound.connectivity import vertex_connectivity
 from rcbound.graphs import Graph, gen_family, make_graph, norm_edge
-from rcbound.rainbow import ColoredLayout, EdgeColoring, find_rainbow_witness
+from rcbound.rainbow import ColoredLayout, find_rainbow_witness
 
 LAYERBENCH = Path(__file__).resolve().parents[1] / "layerbench"
 
@@ -591,7 +591,7 @@ def core_rule_soak(checks, rng, tries: int) -> dict:
             palette = [1, 2, k] + [k + i for i in range(1, 5)]
             for _ in range(tries):
                 recolored = {e: rng.choice(palette) for e in patch}
-                grown = ColoredLayout.build(host, EdgeColoring({**coloring, **recolored}))
+                grown = ColoredLayout.build(host, coloring, recolored)
                 side = "plain_searches"
                 plain = find_rainbow_witness(host, grown, vertices=universe, sources=sources)
                 side = "core_searches"

@@ -487,12 +487,17 @@ class TestApply:
     @pytest.mark.parametrize("patch", [
         {(0, 4): 3, (1, 4): 3, (2, 4): 3, (0, 1): 3},  # recolors an edge of H
         {(0, 4): 3, (1, 4): 3, (2, 4): 3, (0, 2): 3},  # new edge between old vertices
+        {(0, 4): 3, (1, 4): 3, (4, 2): 3},  # a reversed key: H's coloring keeps u < v
     ])
     def test_patch_guard(self, patch):
-        # every step commits through _commit, which refuses a patch edge
-        # that touches no added vertex and leaves the state as it was
+        # every step commits through _commit, which refuses a patch key
+        # that is not a normalized edge at an added vertex and leaves the
+        # state as it was; a growth check refuses it before its layout
+        # would list an edge twice
         state = state_on([(4, 0), (4, 1), (4, 2), (0, 2)], n=5)
         before = (set(state.vertices), dict(state.coloring), state.colors_used, len(state.trace))
+        with pytest.raises(AssertionError, match="added vertex"):
+            construct._try_coloring(state, (4,), patch)
         with pytest.raises(AssertionError, match="added vertex"):
             construct._commit(state, "four_leaves", (4,), patch)
         assert (state.vertices, state.coloring, state.colors_used, len(state.trace)) == before
@@ -892,7 +897,7 @@ class TestColorClash:
         universe = hset | aset
         assume(brute_connected(sub, universe))
         state = GrowState(g, hset, coloring, max(coloring.values(), default=0))
-        adjc = rainbow.ColoredLayout.build(sub, EdgeColoring(full)).adj
+        adjc = rainbow.ColoredLayout.build(sub, full).adj
         for u in added:
             pair = rainbow._color_clash(adjc, u, universe)
             if pair is not None:
@@ -1281,7 +1286,7 @@ class TestRunConstructive:
             real(state, kind, added, patch)
             commits.append(state.h)
             if read is not None:
-                fresh = rainbow.ColoredLayout.build(state.host, EdgeColoring(state.coloring))
+                fresh = rainbow.ColoredLayout.build(state.host, state.coloring)
                 assert read.adj == fresh.adj and read.bits == fresh.bits, kind
 
         monkeypatch.setattr(construct, "_commit", checked)
@@ -1306,8 +1311,8 @@ class TestRunConstructive:
                              ids=["corpus", "sparse-nine", "families-1", "prism-3", "wheel-12"])
     def test_one_layout_per_check(self, name, checks, scripts, monkeypatch):
         # every growth check builds one layout, from H's coloring followed
-        # by the patch, and no graph: each vertex lists its H edges before
-        # its patch edges, and every H color's bit lies below
+        # by the patch, and no graph or EdgeColoring: each vertex lists its
+        # H edges before its patch edges, and every H color's bit lies below
         # 1 << core_colors, as the checker's core promise asks. A scripted
         # move builds nothing and calls no checker, a checked step commits
         # the patch it checked last, and after every commit H passes a full
@@ -1321,6 +1326,7 @@ class TestRunConstructive:
         made, steps = Counter(), Counter()  # builds and calls; committed steps
         quiet, reads, tried = [], [], []  # the checker's layouts; the patches checked
         real_build, real_graph = rainbow.ColoredLayout.build, graphs.make_graph
+        real_post = rainbow.EdgeColoring.__post_init__
         real_check, real_try = construct.find_rainbow_witness, construct._try_coloring
         real_apply, real_commit = construct.apply_extension, construct._commit
 
@@ -1367,6 +1373,8 @@ class TestRunConstructive:
 
         monkeypatch.setattr(rainbow.ColoredLayout, "build", classmethod(
             lambda cls, *args: count("layout") or real_build(*args)))
+        monkeypatch.setattr(rainbow.EdgeColoring, "__post_init__",
+                            lambda self: count("coloring") or real_post(self))
         for mod in (graphs, construct, rainbow):
             monkeypatch.setattr(mod, "make_graph", raising=False,
                                 value=lambda *args: count("graph") or real_graph(*args))

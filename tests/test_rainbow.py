@@ -108,7 +108,7 @@ class TestRainbowReach:
         if with_source:
             targets.add(source)
         asked = set(targets)
-        reached = _rainbow_reach(ColoredLayout.build(g, col).adj, source, targets)
+        reached = _rainbow_reach(ColoredLayout.build(g, col.colors).adj, source, targets)
         assert targets == asked
         assert reached == {t for t in targets
                            if t == source or has_rainbow_path(g, col.colors, source, t)}
@@ -140,7 +140,7 @@ class TestRainbowReach:
 
     def test_source_among_targets(self):
         g = make_graph(3, [(1, 2)])
-        adjc = ColoredLayout.build(g, EdgeColoring({(1, 2): 1})).adj
+        adjc = ColoredLayout.build(g, {(1, 2): 1}).adj
         assert _rainbow_reach(adjc, 0, {0}) == {0}
         assert _rainbow_reach(adjc, 0, {0, 1}) == {0}
         assert _rainbow_reach(adjc, 1, {1, 2}) == {1, 2}  # returns on reaching 2
@@ -286,7 +286,7 @@ class TestWitness:
         # first-walk passes miss, so the order has work to change
         g = make_graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4])
         col = EdgeColoring({e: rng.randint(1, max(1, g.m // 2)) for e in g.edges})
-        built = ColoredLayout.build(g, col)
+        built = ColoredLayout.build(g, col.colors)
         universe = rng.sample(range(n), rng.randint(1, n))
         sources = set(rng.sample(universe, rng.randint(1, len(universe))))
         for _ in range(3):
@@ -331,7 +331,7 @@ class TestWitness:
         real = rainbow._rainbow_reach
         monkeypatch.setattr(rainbow, "_rainbow_reach",
                             lambda *args: searched.append(args) or real(*args))
-        assert rainbow._first_walk_misses(ColoredLayout.build(g, EdgeColoring(colors)).adj,
+        assert rainbow._first_walk_misses(ColoredLayout.build(g, colors).adj,
                                           0, {1, 2, 3, 4}) == {4}
         assert find_rainbow_witness(g, EdgeColoring(colors), sources=sources) is None
         assert searched == []
@@ -376,7 +376,7 @@ class TestCore:
 
     def grown(self, patch):
         g = make_graph(6, list(self.STAR) + list(patch))
-        return g, ColoredLayout.build(g, EdgeColoring({**self.STAR, **patch}))
+        return g, ColoredLayout.build(g, self.STAR, patch)
 
     def test_clean_route_settles_the_core(self, monkeypatch):
         # 4's first walk into H takes color 2 at 0, which blocks 0-2, so the
@@ -451,7 +451,7 @@ class TestColoredLayout:
         first, second = colors
         full = {(0, 1): first, (2, 3): first, (1, 2): second, (0, 3): second}
         assert find_rainbow_witness(g, EdgeColoring(full)) == witness
-        layout = ColoredLayout.build(g, EdgeColoring(full))
+        layout = ColoredLayout.build(g, full)
         assert layout.bits == {c: 1 << i for i, c in enumerate(dict.fromkeys(colors))}
         assert find_rainbow_witness(g, layout) == witness
 
@@ -459,7 +459,7 @@ class TestColoredLayout:
         # only the layout's colored edges count: vertex 3 has none, so the
         # first pair it is in fails
         g = gen_family("cycle", 5)
-        layout = ColoredLayout.build(g, EdgeColoring({(0, 1): 1, (1, 2): 2}))
+        layout = ColoredLayout.build(g, {(0, 1): 1, (1, 2): 2})
         assert find_rainbow_witness(g, layout) == (0, 3)
         assert find_rainbow_witness(g, layout, vertices=[0, 1, 2]) is None
         with pytest.raises(ValueError, match="sources"):
@@ -774,11 +774,28 @@ class TestColoringIO:
         assert text.splitlines()[0] == "2"
 
     def test_two_keys_for_one_edge_rejected(self):
-        # (1, 0) and (0, 1) name one edge; keeping either color silently
-        # would hand the checker a coloring nobody wrote
+        # (1, 0) and (0, 1) name one edge, in either order; keeping either
+        # color silently would hand the checker a coloring nobody wrote
         with pytest.raises(ValueError, match="same edge"):
             EdgeColoring({(0, 1): 1, (1, 0): 2, (1, 2): 1, (0, 2): 1})
+        with pytest.raises(ValueError, match="same edge"):
+            EdgeColoring({(1, 0): 2, (0, 1): 1, (1, 2): 1, (0, 2): 1})
         assert EdgeColoring({(1, 0): 2, (2, 1): 1}).colors == {(0, 1): 2, (1, 2): 1}
+        # a reversed key after normalized ones is still normalized
+        reversed_last = EdgeColoring({(0, 1): 2, (0, 2): 3, (2, 1): 1}).colors
+        assert list(reversed_last.items()) == [((0, 1), 2), ((0, 2), 3), ((1, 2), 1)]
+
+    def test_normalized_keys_are_copied(self):
+        # a dict whose keys are all normalized is copied as it stands: equal
+        # colors in a dict of the coloring's own, which the caller's later
+        # writes do not reach
+        given = {(0, 1): 1, (1, 2): 5, (0, 2): 1}
+        col = EdgeColoring(given)
+        assert col.colors == given and col.colors is not given
+        given[(0, 1)] = 7
+        given[(2, 3)] = 1
+        del given[(1, 2)]
+        assert col.colors == {(0, 1): 1, (1, 2): 5, (0, 2): 1}
 
     def test_missing_edge_rejected(self):
         g = gen_family("cycle", 5)
